@@ -1,44 +1,46 @@
 """Integer-sequence kernels behind the ROUGE scorer.
 
-Token sequences are encoded as int64 id arrays before they get here; the
-two hot loops (LCS table and clipped multiset overlap) are the only
-quadratic/sort-bound work in the package. Both carry a numba-jitted
-implementation and a pure-numpy one; numba is used when importable unless
-QFS_FORGE_NUMBA is set to 0/false/off. benchmarks/bench_kernels.py
-compares the two paths.
+Token sequences are encoded as 1-D int64 id arrays before they get here.
+The two kernels are the LCS length for ROUGE-L, a bit-parallel recurrence
+over Python ints, and the clipped multiset overlap for ROUGE-N, a sorted
+``np.unique`` intersection. Neither needs a compiler or a JIT.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    flag = os.environ.get("QFS_FORGE_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
+def lcs_length(a: np.ndarray, b: np.ndarray) -> int:
+    """Length of the longest common subsequence of two id sequences.
 
-
-def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized LCS length.
-
-    Uses dp[i][j] = max(dp[i-1][j], dp[i][j-1], dp[i-1][j-1] + eq): the
-    first two candidates vectorize across j, and folding in the running
-    row maximum is exactly maximum.accumulate.
+    Bit-vector LCS-length recurrence (Allison & Dix 1986; Hyyrö 2004):
+    bit i of ``M[t]`` marks token t at position i of the longer sequence
+    (length m), and the low m bits of ``v`` hold one zero per LCS step
+    taken so far. One pass over the shorter sequence with
+    ``u = v & M[t]; v = (v + u) | (v - u)`` leaves ``m - popcount(v)`` as
+    the LCS length; carries past bit m are masked off at the end.
     """
-    if a.size == 0 or b.size == 0:
+    if a.size < b.size:
+        a, b = b, a
+    if b.size == 0:
         return 0
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    cur = np.zeros(b.size + 1, dtype=np.int64)
-    for tok in a:
-        cand = np.maximum(prev[1:], prev[:-1] + (b == tok))
-        np.maximum.accumulate(cand, out=cur[1:])
-        prev, cur = cur, prev
-    return int(prev[-1])
+    masks: dict[int, int] = {}
+    bit = 1
+    for token in a.tolist():
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    v = full
+    for token in b.tolist():
+        match = masks.get(token)
+        if match is not None:
+            u = v & match
+            v = (v + u) | (v - u)
+    return a.size - (v & full).bit_count()
 
 
-def clipped_overlap_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def clipped_overlap(a: np.ndarray, b: np.ndarray) -> int:
     """Multiset intersection size: sum of min(count_a, count_b) over values."""
     if a.size == 0 or b.size == 0:
         return 0
@@ -48,68 +50,3 @@ def clipped_overlap_numpy(a: np.ndarray, b: np.ndarray) -> int:
         values_a, values_b, assume_unique=True, return_indices=True
     )
     return int(np.minimum(counts_a[idx_a], counts_b[idx_b]).sum())
-
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def lcs_length_numba(a, b):
-        n = b.shape[0]
-        prev = np.zeros(n + 1, dtype=np.int64)
-        cur = np.zeros(n + 1, dtype=np.int64)
-        for i in range(a.shape[0]):
-            ai = a[i]
-            for j in range(1, n + 1):
-                if b[j - 1] == ai:
-                    cur[j] = prev[j - 1] + 1
-                elif cur[j - 1] > prev[j]:
-                    cur[j] = cur[j - 1]
-                else:
-                    cur[j] = prev[j]
-            tmp = prev
-            prev = cur
-            cur = tmp
-        return prev[n]
-
-    @njit(cache=True)
-    def clipped_overlap_numba(a, b):
-        a_sorted = np.sort(a)
-        b_sorted = np.sort(b)
-        i = 0
-        j = 0
-        hits = 0
-        while i < a_sorted.shape[0] and j < b_sorted.shape[0]:
-            if a_sorted[i] == b_sorted[j]:
-                hits += 1
-                i += 1
-                j += 1
-            elif a_sorted[i] < b_sorted[j]:
-                i += 1
-            else:
-                j += 1
-        return hits
-
-else:  # pragma: no cover
-    lcs_length_numba = None
-    clipped_overlap_numba = None
-
-USE_NUMBA = HAS_NUMBA and _numba_requested()
-
-
-def lcs_length(a: np.ndarray, b: np.ndarray) -> int:
-    if USE_NUMBA:
-        return int(lcs_length_numba(a, b))
-    return lcs_length_numpy(a, b)
-
-
-def clipped_overlap(a: np.ndarray, b: np.ndarray) -> int:
-    if USE_NUMBA:
-        return int(clipped_overlap_numba(a, b))
-    return clipped_overlap_numpy(a, b)

@@ -8,6 +8,7 @@ headline statistic; a recall-only view exists for DUC-style conventions.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,7 @@ def _encode(candidate_tokens: list[str], reference_tokens: list[str]):
     vocab: dict[str, int] = {}
 
     def ids(tokens: list[str]) -> np.ndarray:
-        array = np.empty(len(tokens), dtype=np.int64)
-        for i, token in enumerate(tokens):
-            array[i] = vocab.setdefault(token, len(vocab))
-        return array
+        return np.array([vocab.setdefault(token, len(vocab)) for token in tokens], dtype=np.int64)
 
     return ids(candidate_tokens), ids(reference_tokens), vocab
 
@@ -62,34 +60,44 @@ def _ngram_codes(ids: np.ndarray, n: int, vocab_size: int) -> np.ndarray:
     return ids[:-1] * np.int64(vocab_size) + ids[1:]
 
 
-def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
-    """Clipped n-gram overlap score for n in {1, 2}."""
-    if n not in (1, 2):
-        raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand_tokens = tokenize(candidate)
-    ref_tokens = tokenize(reference)
-    cand_ids, ref_ids, vocab = _encode(cand_tokens, ref_tokens)
-    size = len(vocab) + 1
-    cand_grams = _ngram_codes(cand_ids, n, size)
-    ref_grams = _ngram_codes(ref_ids, n, size)
+def _rouge_n_ids(cand_ids: np.ndarray, ref_ids: np.ndarray, n: int, vocab_size: int) -> RougeScore:
+    cand_grams = _ngram_codes(cand_ids, n, vocab_size)
+    ref_grams = _ngram_codes(ref_ids, n, vocab_size)
     matches = _kernels.clipped_overlap(cand_grams, ref_grams)
     return RougeScore.from_counts(matches, cand_grams.size, ref_grams.size)
 
 
+def _rouge_l_ids(cand_ids: np.ndarray, ref_ids: np.ndarray) -> RougeScore:
+    lcs = _kernels.lcs_length(cand_ids, ref_ids)
+    return RougeScore.from_counts(lcs, cand_ids.size, ref_ids.size)
+
+
+def _encode_texts(candidate: str, reference: str):
+    cand_ids, ref_ids, vocab = _encode(tokenize(candidate), tokenize(reference))
+    return cand_ids, ref_ids, len(vocab) + 1
+
+
+def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
+    """Clipped n-gram overlap score for n in {1, 2}."""
+    if n not in (1, 2):
+        raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
+    cand_ids, ref_ids, vocab_size = _encode_texts(candidate, reference)
+    return _rouge_n_ids(cand_ids, ref_ids, n, vocab_size)
+
+
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Longest-common-subsequence score over token sequences."""
-    cand_tokens = tokenize(candidate)
-    ref_tokens = tokenize(reference)
-    cand_ids, ref_ids, _ = _encode(cand_tokens, ref_tokens)
-    lcs = _kernels.lcs_length(cand_ids, ref_ids)
-    return RougeScore.from_counts(lcs, len(cand_tokens), len(ref_tokens))
+    cand_ids, ref_ids, _ = _encode_texts(candidate, reference)
+    return _rouge_l_ids(cand_ids, ref_ids)
 
 
 def score_pair(candidate: str, reference: str) -> dict[str, RougeScore]:
+    """All three metrics from one tokenization and id encoding of each text."""
+    cand_ids, ref_ids, vocab_size = _encode_texts(candidate, reference)
     return {
-        "rouge1": rouge_n(candidate, reference, 1),
-        "rouge2": rouge_n(candidate, reference, 2),
-        "rougeL": rouge_l(candidate, reference),
+        "rouge1": _rouge_n_ids(cand_ids, ref_ids, 1, vocab_size),
+        "rouge2": _rouge_n_ids(cand_ids, ref_ids, 2, vocab_size),
+        "rougeL": _rouge_l_ids(cand_ids, ref_ids),
     }
 
 
@@ -165,7 +173,7 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
         raise RougeError("prediction file has no records")
 
     pred_ids = [rid for rid, _ in pred_records]
-    duplicate_preds = sorted({rid for rid in pred_ids if pred_ids.count(rid) > 1})
+    duplicate_preds = sorted(rid for rid, count in Counter(pred_ids).items() if count > 1)
     if duplicate_preds:
         raise RougeError(f"duplicate prediction ids: {duplicate_preds}")
 

@@ -58,7 +58,7 @@ def criterion(number, summary):
 
 @criterion(1, "ROUGE matches brute-force oracles on 1000 random pairs in < 5 s")
 def test_rouge_oracle_equivalence():
-    rouge_l("warm up", "warm up")  # JIT warmup stays outside the timed region
+    rouge_l("warm up", "warm up")  # first calls (imports, caches) stay outside the timed region
     rouge_n("warm up", "warm up", 2)
     rng = random.Random(20240601)
     vocab = [f"t{i}" for i in range(8)]

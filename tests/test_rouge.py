@@ -155,6 +155,14 @@ class TestScoreHelpers:
         scores = score_pair("a b", "a c")
         assert set(scores) == {"rouge1", "rouge2", "rougeL"}
 
+    @given(candidate=texts, reference=texts)
+    def test_score_pair_equals_single_metric_functions(self, candidate, reference):
+        assert score_pair(candidate, reference) == {
+            "rouge1": rouge_n(candidate, reference, 1),
+            "rouge2": rouge_n(candidate, reference, 2),
+            "rougeL": rouge_l(candidate, reference),
+        }
+
     def test_multi_reference_takes_max_per_metric(self):
         scores = score_multi_reference("the cat sat", ["the cat sat", "dogs bark"])
         assert scores["rouge1"].f1 == 1.0
@@ -227,6 +235,24 @@ class TestEvaluateRun:
         refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "text": "x"}])
         with pytest.raises(RougeError, match="duplicate"):
             evaluate_run(preds, refs)
+
+    def test_duplicate_check_on_large_file_names_only_the_repeat(self, tmp_path):
+        # 30k ids: a list.count scan per id is quadratic and takes seconds at this size.
+        records = [{"id": f"r{i}", "text": "w"} for i in range(30_000)]
+        records.append({"id": "r12345", "text": "w"})
+        preds = write_jsonl(tmp_path / "p.jsonl", records)
+        refs = write_jsonl(tmp_path / "r.jsonl", records[:-1])
+        with pytest.raises(RougeError) as excinfo:
+            evaluate_run(preds, refs)
+        assert str(excinfo.value) == "duplicate prediction ids: ['r12345']"
+
+    def test_unique_ids_pass_duplicate_check(self, tmp_path):
+        records = [{"id": f"r{i}", "text": f"word{i % 7} tail"} for i in range(2_000)]
+        preds = write_jsonl(tmp_path / "p.jsonl", records)
+        refs = write_jsonl(tmp_path / "r.jsonl", records[::-1])
+        report = evaluate_run(preds, refs)
+        assert [row["id"] for row in report.per_example] == [r["id"] for r in records]
+        assert report.means["rougeL"].f1 == 1.0
 
     def test_report_formats(self, tmp_path):
         records = [{"id": "a", "text": "same text"}]

@@ -10,14 +10,19 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .backends import QUERY_GEN_PARAMS, BackendError, CompletionBackend, CompletionParams
+from .backends import (
+    QUERY_GEN_PARAMS,
+    BackendError,
+    CompletionBackend,
+    CompletionParams,
+    map_ordered,
+)
 from .corpus import AnnotatedTriplet, DocumentSummaryPair, normalize_query, segment_sentences
-from .prompts import PromptSpec, build_annotation_prompt
+from .prompts import PromptSpec, build_annotation_prompt, numbered_lines
 from .taxonomy import classify_query
-from .tokenizer import tokenize
+from .tokenizer import nth_token_chunk
 
 log = logging.getLogger(__name__)
 
@@ -32,9 +37,6 @@ ZERO_SHOT_INSTRUCTION = "Summarize by answering the following questions:"
 # before prompting; completion endpoints have finite context.
 DEFAULT_MAX_DOCUMENT_TOKENS = 3000
 
-# "N. text" with mandatory whitespace after the dot, so decimal-leading
-# lines ("1.5 million ...") are not taken for numbering.
-_NUMBERED_LINE = re.compile(r"^\s*(\d+)\.\s+(\S.*\S|\S)\s*$")
 _YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
 
 
@@ -70,11 +72,7 @@ def parse_completion(
     """
     if expected_count is not None and expected_count < 1:
         raise ValueError("expected_count must be >= 1")
-    numbered = []
-    for line in completion.splitlines():
-        match = _NUMBERED_LINE.match(line)
-        if match:
-            numbered.append((int(match.group(1)), match.group(2)))
+    numbered = numbered_lines(completion)
     if expected_count is not None and len(numbered) != expected_count:
         raise ParseMismatchError(
             f"expected {expected_count} numbered queries, found {len(numbered)}"
@@ -101,11 +99,7 @@ def repair_queries(
     extras, and pads the deficit with a generic question derived from the
     uncovered summary sentence. Only used when failure_action="repair".
     """
-    numbered = []
-    for line in completion.splitlines():
-        match = _NUMBERED_LINE.match(line)
-        if match:
-            numbered.append(match.group(2))
+    numbered = [text for _, text in numbered_lines(completion)]
     if mode == "yesno":
         numbered = [_YESNO_LABEL.sub("", q, count=1) for q in numbered]
     queries = numbered[:expected_count]
@@ -120,17 +114,11 @@ def truncate_document(document: str, max_tokens: int) -> str:
     """Cut the document tail at a whitespace boundary after max_tokens tokens."""
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    kept = []
-    seen = 0
-    for chunk in document.split():
-        kept.append(chunk)
-        if tokenize(chunk):
-            seen += 1
-            if seen >= max_tokens:
-                break
-    if seen < max_tokens or len(kept) == len(document.split()):
+    chunks = document.split()
+    end = nth_token_chunk(chunks, max_tokens) + 1
+    if end >= len(chunks):
         return document
-    return " ".join(kept)
+    return " ".join(chunks[:end])
 
 
 def annotate_pair(
@@ -207,8 +195,6 @@ def annotate_corpus(
     """Annotate pairs with bounded parallelism; results come back in input order."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    if not pairs:
-        return []
 
     def work(pair: DocumentSummaryPair) -> AnnotationOutcome:
         return annotate_pair(
@@ -221,11 +207,7 @@ def annotate_corpus(
             failure_action=failure_action,
         )
 
-    if parallelism == 1:
-        outcomes = [work(pair) for pair in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(work, pairs))
+    outcomes = map_ordered(work, pairs, parallelism)
     counts = summarize_outcomes(outcomes)
     log.info(
         "annotated %d pairs: %d ok, %d parse_mismatch, %d backend_error",

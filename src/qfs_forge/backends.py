@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import os
-import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import requests
+
+from .prompts import numbered_lines
 
 API_KEY_ENV = "QFS_FORGE_API_KEY"
 
@@ -61,7 +63,12 @@ class CompletionBackend(Protocol):
     def complete(self, prompt: str, params: CompletionParams) -> str: ...
 
 
-_NUMBERED_LINE = re.compile(r"^\s*(\d+)\.\s+(\S.*\S|\S)\s*$")
+def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
+    """``[fn(item) for item in items]``, with up to ``parallelism`` calls in flight."""
+    if parallelism == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(fn, items))
 
 
 def _stable_rng_choice(seed: int, prompt: str, options: int) -> int:
@@ -118,12 +125,7 @@ class MockBackend:
         end = tail.find(self._query_label)
         if end >= 0:
             tail = tail[:end]
-        sentences = []
-        for line in tail.splitlines():
-            match = _NUMBERED_LINE.match(line)
-            if match:
-                sentences.append(match.group(2))
-        return sentences
+        return [sentence for _, sentence in numbered_lines(tail)]
 
     def _generated_summary(self, prompt: str) -> str:
         # query-focused summarization input: answer with a leading snippet

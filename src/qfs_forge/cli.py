@@ -9,7 +9,6 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -20,8 +19,11 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import (
     CorpusError,
     InvariantError,
+    _require_fields,
     load_corpus,
     load_triplets,
+    read_jsonl,
+    write_jsonl,
     write_triplets,
 )
 from .prompts import PromptError
@@ -58,26 +60,6 @@ _USER_ERRORS = (
     UnifyError,
     OSError,
 )
-
-
-def _write_jsonl(path: str, records) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False))
-            handle.write("\n")
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-    return records
 
 
 def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
@@ -124,7 +106,7 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
         for pair, outcome in outcomes
         if not outcome.ok
     ]
-    _write_jsonl(audit_path, failures)
+    write_jsonl(audit_path, failures)
 
     counts = summarize_outcomes([outcome for _, outcome in outcomes])
     total = len(outcomes)
@@ -148,7 +130,7 @@ def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
         bucket = by_mode.setdefault(triplet.mode, [])
         bucket += [classify_query(q) for q in triplet.queries]
     rows = {mode: aggregate_distribution(types) for mode, types in sorted(by_mode.items())}
-    _write_jsonl(
+    write_jsonl(
         output_path, ({"row": label, **dist.to_record()} for label, dist in rows.items())
     )
     print(format_distribution_table(rows))
@@ -160,7 +142,7 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     output_path = config.path("output", args.output)
     triplets = load_triplets(input_path)
     stats = corpus_stats(triplets, ntp_numerator=config.ntp_numerator)
-    _write_jsonl(output_path, [{"row": "corpus", **stats.to_record()}])
+    write_jsonl(output_path, [{"row": "corpus", **stats.to_record()}])
     print(format_stats_table({"corpus": stats}))
     return 0
 
@@ -168,11 +150,10 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
-    records = _read_jsonl(input_path)
-    for record in records:
-        for key in ("id", "document", "query"):
-            if key not in record:
-                raise CorpusError(f"{input_path}: unify records need {key!r}")
+    records = []
+    for line_no, record in read_jsonl(input_path):
+        _require_fields(record, ("id", "document", "query"), line_no, input_path)
+        records.append(record)
 
     query_format = args.query_format or config.query_format
     if query_format not in FORMAT_NEEDS_UNIFICATION:
@@ -195,7 +176,7 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
             generator,
             parallelism=config.parallelism,
         )
-    _write_jsonl(
+    write_jsonl(
         output_path,
         (
             {"id": record["id"], "document": record["document"], "query": query}
@@ -209,7 +190,15 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
-    clusters = _read_jsonl(input_path)
+    clusters = []
+    for line_no, cluster in read_jsonl(input_path):
+        _require_fields(cluster, ("cluster_id", "query"), line_no, input_path)
+        docs = cluster.get("documents")
+        if not (isinstance(docs, list) and docs and all(isinstance(d, str) for d in docs)):
+            raise CorpusError(
+                f"{input_path}:{line_no}: 'documents' must be a non-empty list of strings"
+            )
+        clusters.append(cluster)
     cfg = CompositionConfig(
         backend=config.backend.build(),
         overlap_threshold=config.overlap_threshold,
@@ -220,10 +209,7 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
     )
     results = []
     for cluster in clusters:
-        for key in ("cluster_id", "query", "documents"):
-            if key not in cluster:
-                raise CorpusError(f"{input_path}: cluster records need {key!r}")
-        result = compose_cluster(list(cluster["documents"]), cluster["query"], cfg)
+        result = compose_cluster(cluster["documents"], cluster["query"], cfg)
         results.append(
             {
                 "cluster_id": cluster["cluster_id"],
@@ -232,7 +218,7 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
                 "truncated": result.truncated,
             }
         )
-    _write_jsonl(output_path, results)
+    write_jsonl(output_path, results)
     print(f"composed {len(results)} clusters -> {output_path}")
     return 0
 
@@ -242,7 +228,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     references = config.path("references", args.references)
     output_path = config.path("output", args.output)
     report = evaluate_run(predictions, references)
-    _write_jsonl(output_path, report.to_records())
+    write_jsonl(output_path, report.to_records())
     print(report.format_table(recall_only=args.recall_only or config.recall_only))
     return 0
 

@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .annotate import build_qfs_input
-from .backends import SUMMARIZATION_PARAMS, BackendError, CompletionBackend, CompletionParams
-from .tokenizer import tokenize
+from .backends import (
+    SUMMARIZATION_PARAMS,
+    BackendError,
+    CompletionBackend,
+    CompletionParams,
+    map_ordered,
+)
+from .tokenizer import nth_token_chunk, tokenize
 
 
 class ComposeError(RuntimeError):
@@ -114,15 +119,8 @@ def truncate_to_tokens(text: str, max_tokens: int) -> str:
     """Prefix of ``text`` containing at most max_tokens countable tokens."""
     if max_tokens <= 0:
         return ""
-    kept = []
-    seen = 0
-    for chunk in text.split():
-        if tokenize(chunk):
-            if seen >= max_tokens:
-                break
-            seen += 1
-        kept.append(chunk)
-    return " ".join(kept)
+    chunks = text.split()
+    return " ".join(chunks[:nth_token_chunk(chunks, max_tokens + 1)])
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,7 @@ def compose_cluster(docs: list[str], query: str, cfg: CompositionConfig) -> Comp
             raise ComposeError(f"summarization returned empty text for document {doc_index}")
         return text.strip()
 
-    if cfg.parallelism > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            summaries = list(pool.map(summarize, order))
-    else:
-        summaries = [summarize(i) for i in order]
+    summaries = map_ordered(summarize, order, cfg.parallelism)
 
     selected: list[str] = []
     selected_indices: list[int] = []

@@ -8,6 +8,7 @@ Both formats are one JSON object per line.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -125,7 +126,8 @@ def _require_fields(record: dict, fields: tuple[str, ...], line_no: int, path: s
             raise CorpusError(f"{path}:{line_no}: field {name!r} must be a string")
 
 
-def _iter_json_lines(path: str):
+def read_jsonl(path: str):
+    """Yield ``(line_no, record)`` per non-blank line; bad lines raise ``path:line`` errors."""
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
@@ -139,6 +141,24 @@ def _iter_json_lines(path: str):
             yield line_no, record
 
 
+def write_jsonl(path: str, records) -> None:
+    """Write one JSON object per line to ``<path>.tmp``, then rename it over ``path``.
+
+    A failed or killed write leaves the old file (no fsync: power loss is not covered).
+    """
+    tmp_path = path + ".tmp"
+    try:
+        with open(tmp_path, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, ensure_ascii=False))
+                handle.write("\n")
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.remove(tmp_path)
+        raise
+
+
 def load_corpus(path: str, format: str = "jsonl") -> list[DocumentSummaryPair]:
     """Load document-summary pairs, preserving file order.
 
@@ -149,7 +169,7 @@ def load_corpus(path: str, format: str = "jsonl") -> list[DocumentSummaryPair]:
         raise CorpusError(f"unsupported corpus format {format!r}")
     pairs = []
     seen: set[str] = set()
-    for line_no, record in _iter_json_lines(path):
+    for line_no, record in read_jsonl(path):
         _require_fields(record, ("id", "document", "summary", "domain"), line_no, path)
         if record["id"] in seen:
             raise CorpusError(f"{path}:{line_no}: duplicate id {record['id']!r}")
@@ -184,10 +204,7 @@ def write_triplets(triplets: list[AnnotatedTriplet], path: str) -> None:
     for triplet in triplets:
         triplet.validate()
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for triplet in triplets:
-                handle.write(json.dumps(triplet_to_record(triplet), ensure_ascii=False))
-                handle.write("\n")
+        write_jsonl(path, (triplet_to_record(triplet) for triplet in triplets))
     except OSError as exc:
         raise CorpusError(f"cannot write triplets to {path}: {exc}") from exc
 
@@ -196,7 +213,7 @@ def load_triplets(path: str) -> list[AnnotatedTriplet]:
     """Inverse of write_triplets; round-trips value-identically."""
     triplets = []
     seen: set[str] = set()
-    for line_no, record in _iter_json_lines(path):
+    for line_no, record in read_jsonl(path):
         _require_fields(record, ("id", "document", "summary", "mode"), line_no, path)
         queries = record.get("queries")
         if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):

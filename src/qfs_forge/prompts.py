@@ -9,6 +9,7 @@ backend fills in the numbered queries.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -28,6 +29,10 @@ YESNO_INSTRUCTION = (
 DEFAULT_SUMMARY_LABEL = "Summary:"
 DEFAULT_QUERY_LABEL = "Questions:"
 DOCUMENT_LABELS = {"news": "Article:", "dialogue": "Dialogue:"}
+
+# "N. text" with mandatory whitespace after the dot, so decimal-leading
+# lines ("1.5 million ...") are not taken for numbering.
+_NUMBERED_LINE = re.compile(r"^\s*(\d+)\.\s+(\S.*\S|\S)\s*$")
 
 
 class PromptError(ValueError):
@@ -161,6 +166,12 @@ def number_sentences(sentences) -> str:
     if not sentences:
         raise PromptError("cannot number an empty sentence list")
     return "\n".join(f"{i}. {s}" for i, s in enumerate(sentences, start=1))
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """``(number, text)`` of each "N. text" line, the format number_sentences writes."""
+    matches = map(_NUMBERED_LINE.match, text.splitlines())
+    return [(int(match.group(1)), match.group(2)) for match in matches if match]
 
 
 def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:

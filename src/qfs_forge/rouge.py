@@ -7,13 +7,13 @@ headline statistic; a recall-only view exists for DUC-style conventions.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
+from .corpus import read_jsonl
 from .tokenizer import tokenize
 
 METRICS = ("rouge1", "rouge2", "rougeL")
@@ -146,17 +146,10 @@ class EvalReport:
 
 def _load_id_text_records(path: str) -> list[tuple[str, str]]:
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RougeError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise RougeError(f"{path}:{line_no}: record needs 'id' and 'text'")
-            records.append((str(record["id"]), str(record["text"])))
+    for line_no, record in read_jsonl(path):
+        if "id" not in record or not isinstance(record.get("text"), str):
+            raise RougeError(f"{path}:{line_no}: record needs 'id' and a string 'text'")
+        records.append((str(record["id"]), record["text"]))
     return records
 
 

@@ -37,6 +37,22 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def nth_token_chunk(chunks: list[str], n: int) -> int:
+    """Index of the chunk of ``text.split()`` holding the n-th token, or ``len(chunks)``.
+
+    A chunk holds a token exactly when it is not all punctuation; lowercasing
+    never changes that, so no chunk needs tokenizing.
+    """
+    if len(chunks) < n:
+        return len(chunks)
+    for index, chunk in enumerate(chunks):
+        if _strip_punct(chunk):
+            n -= 1
+            if n == 0:
+                return index
+    return len(chunks)
+
+
 def count_tokens(text: str) -> int:
     return len(tokenize(text))
 

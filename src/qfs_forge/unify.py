@@ -11,11 +11,10 @@ template fallback exists for ablation comparisons.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from typing import Protocol, runtime_checkable
 
 from .annotate import ParseMismatchError, parse_completion
-from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams
+from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
 from .corpus import DocumentSummaryPair
 from .prompts import PromptSpec, build_annotation_prompt
 
@@ -145,8 +144,6 @@ def unify_batch(
         raise UnifyError("documents and raw_queries must be aligned")
     if parallelism < 1:
         raise UnifyError("parallelism must be >= 1")
-    if parallelism == 1 or len(documents) <= 1:
-        return [unify_query(d, q, gen) for d, q in zip(documents, raw_queries)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(lambda dq: unify_query(dq[0], dq[1], gen),
-                             zip(documents, raw_queries)))
+    return map_ordered(
+        lambda dq: unify_query(dq[0], dq[1], gen), list(zip(documents, raw_queries)), parallelism
+    )

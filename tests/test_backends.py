@@ -1,6 +1,7 @@
 import http.server
 import json
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -13,6 +14,7 @@ from qfs_forge.backends import (
     LiveBackend,
     MockBackend,
     QUERY_GEN_PARAMS,
+    map_ordered,
 )
 
 PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions:\n"
@@ -73,6 +75,35 @@ class TestMockBackend:
             results = list(pool.map(lambda _: backend.complete("p", QUERY_GEN_PARAMS), range(64)))
         assert sorted(results, key=int) == [str(i) for i in range(64)]
         assert backend.calls == 64
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_results_in_input_order(self, parallelism):
+        threads = set()
+
+        def slow_square(x):
+            threads.add(threading.get_ident())
+            time.sleep(0.001 * (8 - x))  # later items finish first
+            return x * x
+
+        assert map_ordered(slow_square, list(range(8)), parallelism) == [x * x for x in range(8)]
+        assert (len(threads) > 1) == (parallelism > 1)
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_worker_exception_reaches_caller(self, parallelism):
+        def fail_on_three(x):
+            if x == 3:
+                raise BackendError("item 3 failed")
+            return x
+
+        with pytest.raises(BackendError, match="item 3 failed"):
+            map_ordered(fail_on_three, list(range(6)), parallelism)
+
+    def test_empty_and_single_item_run_inline(self):
+        caller = threading.get_ident()
+        assert map_ordered(lambda x: x, [], 4) == []
+        assert map_ordered(lambda x: threading.get_ident(), ["only"], 4) == [caller]
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

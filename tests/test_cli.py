@@ -225,6 +225,53 @@ class TestPipelineCommands:
         assert "mean\t1.0000\t1.0000\t1.0000" in capsys.readouterr().out
 
 
+class TestMalformedRecords:
+    """A malformed input record exits 2 naming ``path:line``, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, record",
+        [
+            ("unify", 42),
+            ("unify", {"id": 7, "document": "Snow fell.", "query": "snow"}),
+            ("compose", {"cluster_id": "c1", "query": "q", "documents": "abc def"}),
+            ("compose", {"cluster_id": "c1", "query": "q", "documents": 5}),
+            ("compose", {"cluster_id": "c1", "query": "q", "documents": []}),
+            ("compose", {"cluster_id": "c1", "query": "q"}),
+        ],
+    )
+    def test_unify_and_compose(self, tmp_path, mock_config, capsys, command, record):
+        path = write_jsonl(tmp_path / "in.jsonl", [record])
+        out = tmp_path / "out.jsonl"
+        extra = ["--strategy", "template", "--query-format", "words"] if command == "unify" else []
+        code = run(["--config", mock_config, command, "--input", path, "--output", str(out)] + extra)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:1:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (json.dumps({"id": "1", "text": None}), "record needs 'id' and a string 'text'"),
+            ("{broken", "invalid JSON"),
+            ("[1, 2]", "record must be a JSON object"),
+        ],
+    )
+    def test_evaluate(self, tmp_path, mock_config, capsys, line, message):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(line + "\n")
+        refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "1", "text": "None"}])
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", mock_config, "evaluate", "--predictions", str(preds),
+                    "--references", refs, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{preds}:1: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCliPlumbing:
     def test_missing_input_path_is_error(self, mock_config, capsys):
         assert run(["--config", mock_config, "stats"]) == 2

@@ -12,7 +12,9 @@ from qfs_forge.corpus import (
     load_corpus,
     load_triplets,
     normalize_query,
+    read_jsonl,
     segment_sentences,
+    write_jsonl as corpus_write_jsonl,
     write_triplets,
 )
 from conftest import make_triplet, write_jsonl
@@ -124,6 +126,50 @@ class TestLoadCorpus:
         path.write_text('{"id": "a", "document": "d.", "summary": "s.", "domain": "news"}\n{broken\n')
         with pytest.raises(CorpusError, match=":2:"):
             load_corpus(str(path))
+
+
+class TestJsonl:
+    def test_read_skips_blank_lines_and_numbers_file_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": "é"}\n', encoding="utf-8")
+        assert list(read_jsonl(str(path))) == [(1, {"a": 1}), (4, {"b": "é"})]
+
+    @pytest.mark.parametrize("line", ["42", '"text"', "[1, 2]", "null"])
+    def test_read_rejects_non_object_line(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: record must be a JSON object")):
+            list(read_jsonl(str(path)))
+
+    def test_read_names_path_and_line_of_invalid_json(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n{broken\n')
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: invalid JSON")):
+            list(read_jsonl(str(path)))
+
+    def test_write_format_is_one_unescaped_object_per_line(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        corpus_write_jsonl(str(path), iter([{"t": "café “q”"}, {"n": [1, 2]}]))
+        assert path.read_bytes() == '{"t": "café “q”"}\n{"n": [1, 2]}\n'.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+
+    def test_interrupted_write_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_bytes(b'{"old": true}\n')
+
+        def records():
+            yield {"new": 1}
+            yield {"new": 2}
+            raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="killed mid-write"):
+            corpus_write_jsonl(str(path), records())
+        assert path.read_bytes() == b'{"old": true}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
+
+    def test_unwritable_triplet_path_is_corpus_error(self, tmp_path):
+        with pytest.raises(CorpusError, match="cannot write triplets"):
+            write_triplets([make_triplet()], str(tmp_path / "missing-dir" / "t.jsonl"))
 
 
 class TestTripletRoundTrip:

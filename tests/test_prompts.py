@@ -13,6 +13,7 @@ from qfs_forge.prompts import (
     builtin_example,
     default_spec,
     number_sentences,
+    numbered_lines,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -55,6 +56,16 @@ class TestNumberSentences:
     def test_empty_list_errors(self):
         with pytest.raises(PromptError):
             number_sentences([])
+
+
+class TestNumberedLines:
+    def test_reads_back_number_sentences(self):
+        sentences = ["The mayor spoke.", "Rates rose 1.5 percent.", "x"]
+        assert numbered_lines(number_sentences(sentences)) == list(enumerate(sentences, start=1))
+
+    def test_skips_unnumbered_and_decimal_lines_and_strips_text(self):
+        text = "Questions:\n  2.  Who won?  \n1.5 million voted\n3.\n10. Why?"
+        assert numbered_lines(text) == [(2, "Who won?"), (10, "Why?")]
 
 
 class TestOneShotExamples:

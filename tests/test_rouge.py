@@ -1,10 +1,12 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfs_forge.corpus import CorpusError
 from qfs_forge.rouge import (
     RougeError,
     RougeScore,
@@ -229,6 +231,20 @@ class TestEvaluateRun:
             evaluate_run(preds, refs)
         assert "'b'" in str(excinfo.value)
         assert "'c'" in str(excinfo.value)
+
+    def test_non_string_text_rejected_with_line(self, tmp_path):
+        # a null text used to be scored as the string "None"
+        preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "1", "text": None}])
+        refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "1", "text": "None"}])
+        with pytest.raises(RougeError, match=re.escape(f"{preds}:1: record needs 'id' and a string 'text'")):
+            evaluate_run(preds, refs)
+
+    def test_malformed_json_is_corpus_error_with_line(self, tmp_path):
+        preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "1", "text": "x"}])
+        refs = tmp_path / "r.jsonl"
+        refs.write_text('{"id": "1", "text": "x"}\n{broken\n')
+        with pytest.raises(CorpusError, match=re.escape(f"{refs}:2: invalid JSON")):
+            evaluate_run(preds, str(refs))
 
     def test_duplicate_prediction_ids_rejected(self, tmp_path):
         preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])

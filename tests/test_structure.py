@@ -1,0 +1,38 @@
+"""Each format or concurrency decision has one home in the package source.
+
+Parallel backend calls, JSONL serialization and the numbered-line format
+each used to be implemented in two or three modules; these checks keep a
+new copy from appearing next to the shared helper.
+"""
+
+import re
+from pathlib import Path
+
+SOURCES = {
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted((Path(__file__).parent.parent / "src" / "qfs_forge").glob("*.py"))
+}
+
+
+def modules_matching(pattern: str) -> list[str]:
+    return [name for name, source in SOURCES.items() if re.search(pattern, source)]
+
+
+def test_sources_found():
+    assert "corpus.py" in SOURCES and "backends.py" in SOURCES
+
+
+def test_thread_pool_only_in_backends():
+    assert modules_matching(r"ThreadPoolExecutor") == ["backends.py"]
+
+
+def test_jsonl_writer_only_in_corpus():
+    assert modules_matching(r"json\.dumps") == ["corpus.py"]
+
+
+def test_numbered_line_regex_only_in_prompts():
+    assert modules_matching(r"re\.compile\([^)]*\(\\d\+\)\\\.") == ["prompts.py"]
+
+
+def test_former_jsonl_helpers_are_gone():
+    assert modules_matching(r"def (_read_jsonl|_write_jsonl|_iter_json_lines)\b") == []

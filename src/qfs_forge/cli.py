@@ -199,14 +199,19 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
                 f"{input_path}:{line_no}: 'documents' must be a non-empty list of strings"
             )
         clusters.append(cluster)
-    cfg = CompositionConfig(
-        backend=config.backend.build(),
-        overlap_threshold=config.overlap_threshold,
-        token_budget=args.token_budget or config.token_budget,
-        params=config.summarization_params(),
-        on_overflow=config.on_overflow,
-        parallelism=config.parallelism,
-    )
+    backend = config.backend.build()
+    token_budget = config.token_budget if args.token_budget is None else args.token_budget
+    try:
+        cfg = CompositionConfig(
+            backend=backend,
+            overlap_threshold=config.overlap_threshold,
+            token_budget=token_budget,
+            params=config.summarization_params(),
+            on_overflow=config.on_overflow,
+            parallelism=config.parallelism,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results = []
     for cluster in clusters:
         result = compose_cluster(cluster["documents"], cluster["query"], cfg)

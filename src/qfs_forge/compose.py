@@ -8,6 +8,7 @@ threshold, until the token budget is reached.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,6 +22,8 @@ from .backends import (
     map_ordered,
 )
 from .tokenizer import nth_token_chunk, tokenize
+
+log = logging.getLogger(__name__)
 
 
 class ComposeError(RuntimeError):
@@ -105,12 +108,12 @@ def rank_documents(docs: list[str], query: str) -> list[int]:
 
 def overlap_pct(candidate: str, selected: str) -> float:
     """Share of candidate token occurrences whose type appears in selected."""
-    tokens = tokenize(candidate)
+    return _overlap_pct(tokenize(candidate), set(tokenize(selected)))
+
+
+def _overlap_pct(tokens: list[str], selected_types: set[str]) -> float:
     if not tokens:
         raise ComposeError("overlap_pct: candidate has no tokens")
-    if not selected:
-        return 0.0
-    selected_types = set(tokenize(selected))
     hits = sum(1 for t in tokens if t in selected_types)
     return 100.0 * hits / len(tokens)
 
@@ -141,35 +144,34 @@ def compose_cluster(docs: list[str], query: str, cfg: CompositionConfig) -> Comp
             text = cfg.backend.complete(build_qfs_input(query, docs[doc_index]), cfg.params)
         except BackendError as exc:
             raise ComposeError(f"summarization failed for document {doc_index}: {exc}") from exc
-        if not text.strip():
-            raise ComposeError(f"summarization returned empty text for document {doc_index}")
         return text.strip()
 
     summaries = map_ordered(summarize, order, cfg.parallelism)
 
     selected: list[str] = []
     selected_indices: list[int] = []
+    selected_types: set[str] = set()
     used_tokens = 0
     truncated = False
     for doc_index, candidate in zip(order, summaries):
-        if overlap_pct(candidate, " ".join(selected)) >= cfg.overlap_threshold:
+        tokens = tokenize(candidate)
+        if not tokens:
+            log.warning("summary of document %d has no tokens; not selected", doc_index)
             continue
-        candidate_tokens = len(tokenize(candidate))
-        if used_tokens + candidate_tokens > cfg.token_budget:
-            if cfg.on_overflow == "drop":
-                truncated = True
-                break
-            remaining = cfg.token_budget - used_tokens
-            cut = truncate_to_tokens(candidate, remaining)
-            if cut:
-                selected.append(cut)
-                selected_indices.append(doc_index)
-                used_tokens += len(tokenize(cut))
+        if _overlap_pct(tokens, selected_types) >= cfg.overlap_threshold:
+            continue
+        if used_tokens + len(tokens) > cfg.token_budget:
+            if cfg.on_overflow == "truncate":
+                cut = truncate_to_tokens(candidate, cfg.token_budget - used_tokens)
+                if cut:
+                    selected.append(cut)
+                    selected_indices.append(doc_index)
             truncated = True
             break
         selected.append(candidate)
         selected_indices.append(doc_index)
-        used_tokens += candidate_tokens
+        selected_types.update(tokens)
+        used_tokens += len(tokens)
     return ComposeResult(
         summary=" ".join(selected),
         selected_doc_indices=tuple(selected_indices),

@@ -91,6 +91,8 @@ class RunConfig:
             raise ConfigError("failure_ceiling must be a rate in [0, 1]")
         if self.failure_action not in ("drop", "repair"):
             raise ConfigError("failure_action must be 'drop' or 'repair'")
+        if self.max_document_tokens < 1:
+            raise ConfigError("max_document_tokens must be >= 1")
         if self.query_format not in QUERY_FORMATS:
             raise ConfigError(f"query_format must be one of {QUERY_FORMATS}")
         if self.ntp_numerator not in ("occurrences", "types"):

@@ -159,14 +159,12 @@ def write_jsonl(path: str, records) -> None:
         raise
 
 
-def load_corpus(path: str, format: str = "jsonl") -> list[DocumentSummaryPair]:
+def load_corpus(path: str) -> list[DocumentSummaryPair]:
     """Load document-summary pairs, preserving file order.
 
     Raises CorpusError with the offending line number on malformed records
     and on duplicate ids.
     """
-    if format != "jsonl":
-        raise CorpusError(f"unsupported corpus format {format!r}")
     pairs = []
     seen: set[str] = set()
     for line_no, record in read_jsonl(path):

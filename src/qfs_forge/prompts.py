@@ -32,7 +32,8 @@ DOCUMENT_LABELS = {"news": "Article:", "dialogue": "Dialogue:"}
 
 # "N. text" with mandatory whitespace after the dot, so decimal-leading
 # lines ("1.5 million ...") are not taken for numbering.
-_NUMBERED_LINE = re.compile(r"^\s*(\d+)\.\s+(\S.*\S|\S)\s*$")
+# More than 9 digits is not a line number (and int() refuses over 4300 digits).
+_NUMBERED_LINE = re.compile(r"^\s*(\d{1,9})\.\s+(\S.*\S|\S)\s*$")
 
 
 class PromptError(ValueError):

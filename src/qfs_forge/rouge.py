@@ -49,7 +49,8 @@ def _encode(candidate_tokens: list[str], reference_tokens: list[str]):
     def ids(tokens: list[str]) -> np.ndarray:
         return np.array([vocab.setdefault(token, len(vocab)) for token in tokens], dtype=np.int64)
 
-    return ids(candidate_tokens), ids(reference_tokens), vocab
+    cand_ids, ref_ids = ids(candidate_tokens), ids(reference_tokens)
+    return cand_ids, ref_ids, len(vocab) + 1
 
 
 def _ngram_codes(ids: np.ndarray, n: int, vocab_size: int) -> np.ndarray:
@@ -72,28 +73,27 @@ def _rouge_l_ids(cand_ids: np.ndarray, ref_ids: np.ndarray) -> RougeScore:
     return RougeScore.from_counts(lcs, cand_ids.size, ref_ids.size)
 
 
-def _encode_texts(candidate: str, reference: str):
-    cand_ids, ref_ids, vocab = _encode(tokenize(candidate), tokenize(reference))
-    return cand_ids, ref_ids, len(vocab) + 1
-
-
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand_ids, ref_ids, vocab_size = _encode_texts(candidate, reference)
+    cand_ids, ref_ids, vocab_size = _encode(tokenize(candidate), tokenize(reference))
     return _rouge_n_ids(cand_ids, ref_ids, n, vocab_size)
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Longest-common-subsequence score over token sequences."""
-    cand_ids, ref_ids, _ = _encode_texts(candidate, reference)
+    cand_ids, ref_ids, _ = _encode(tokenize(candidate), tokenize(reference))
     return _rouge_l_ids(cand_ids, ref_ids)
 
 
 def score_pair(candidate: str, reference: str) -> dict[str, RougeScore]:
     """All three metrics from one tokenization and id encoding of each text."""
-    cand_ids, ref_ids, vocab_size = _encode_texts(candidate, reference)
+    return _scores(tokenize(candidate), tokenize(reference))
+
+
+def _scores(cand_tokens: list[str], ref_tokens: list[str]) -> dict[str, RougeScore]:
+    cand_ids, ref_ids, vocab_size = _encode(cand_tokens, ref_tokens)
     return {
         "rouge1": _rouge_n_ids(cand_ids, ref_ids, 1, vocab_size),
         "rouge2": _rouge_n_ids(cand_ids, ref_ids, 2, vocab_size),
@@ -105,9 +105,10 @@ def score_multi_reference(candidate: str, references: list[str]) -> dict[str, Ro
     """Per metric, the best (by F1) score over the references."""
     if not references:
         raise RougeError("need at least one reference")
+    cand_tokens = tokenize(candidate)
     best: dict[str, RougeScore] = {}
     for reference in references:
-        scores = score_pair(candidate, reference)
+        scores = _scores(cand_tokens, tokenize(reference))
         for metric in METRICS:
             if metric not in best or scores[metric].f1 > best[metric].f1:
                 best[metric] = scores[metric]

@@ -7,12 +7,13 @@ appear in ``b``; it is asymmetric by design and quantifies how much of
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import AnnotatedTriplet, joined_query_text
-from .tokenizer import token_types, tokenize
+from .tokenizer import tokenize
 
 
 class StatsError(ValueError):
@@ -25,10 +26,12 @@ def ntp(a: str, b: str, numerator: str = "occurrences") -> float:
     The numerator counts token occurrences by default; pass
     numerator="types" to count distinct token types instead.
     """
-    tokens_a = tokenize(a)
+    return _ntp(tokenize(a), set(tokenize(b)), numerator)
+
+
+def _ntp(tokens_a: list[str], types_b: set[str], numerator: str) -> float:
     if not tokens_a:
         raise StatsError("ntp: first string has no tokens")
-    types_b = token_types(b)
     if numerator == "occurrences":
         novel = sum(1 for t in tokens_a if t not in types_b)
         return 100.0 * novel / len(tokens_a)
@@ -94,6 +97,13 @@ class CorpusStats:
         }
 
 
+# (a, b) of each NTP column, in report order: a bad triplet fails on the first of them.
+_NTP_PAIRS = (
+    ("sum", "doc"), ("query", "doc"), ("doc", "sum"),
+    ("doc", "query"), ("query", "sum"), ("sum", "query"),
+)
+
+
 def corpus_stats(
     triplets: list[AnnotatedTriplet], ntp_numerator: str = "occurrences"
 ) -> CorpusStats:
@@ -105,24 +115,18 @@ def corpus_stats(
     """
     if not triplets:
         raise StatsError("corpus_stats: empty triplet list")
-    columns = {name: [] for name in (
-        "len_doc", "len_query", "len_sum",
-        "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
-        "ntp_doc_query", "ntp_query_sum", "ntp_sum_query",
-    )}
+    columns: dict[str, list] = defaultdict(list)
     for triplet in triplets:
-        doc = triplet.document
-        summary = triplet.summary
-        query = joined_query_text(triplet)
-        columns["len_doc"].append(len(tokenize(doc)))
-        columns["len_query"].append(len(tokenize(query)))
-        columns["len_sum"].append(len(tokenize(summary)))
-        columns["ntp_sum_doc"].append(ntp(summary, doc, ntp_numerator))
-        columns["ntp_query_doc"].append(ntp(query, doc, ntp_numerator))
-        columns["ntp_doc_sum"].append(ntp(doc, summary, ntp_numerator))
-        columns["ntp_doc_query"].append(ntp(doc, query, ntp_numerator))
-        columns["ntp_query_sum"].append(ntp(query, summary, ntp_numerator))
-        columns["ntp_sum_query"].append(ntp(summary, query, ntp_numerator))
+        tokens = {
+            "doc": tokenize(triplet.document),
+            "query": tokenize(joined_query_text(triplet)),
+            "sum": tokenize(triplet.summary),
+        }
+        types = {name: set(toks) for name, toks in tokens.items()}
+        for name, toks in tokens.items():
+            columns[f"len_{name}"].append(len(toks))
+        for a, b in _NTP_PAIRS:
+            columns[f"ntp_{a}_{b}"].append(_ntp(tokens[a], types[b], ntp_numerator))
 
     # np.mean sums pairwise, keeping the reduction order-stable.
     means = {name: float(np.mean(values)) for name, values in columns.items()}

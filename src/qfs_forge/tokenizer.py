@@ -51,12 +51,3 @@ def nth_token_chunk(chunks: list[str], n: int) -> int:
             if n == 0:
                 return index
     return len(chunks)
-
-
-def count_tokens(text: str) -> int:
-    return len(tokenize(text))
-
-
-def token_types(text: str) -> set[str]:
-    """The set of distinct token strings occurring in ``text``."""
-    return set(tokenize(text))

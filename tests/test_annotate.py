@@ -136,6 +136,13 @@ class TestAnnotatePair:
         assert outcome.triplet is None
         assert outcome.raw_completion == "1. only one?"
 
+    def test_overlong_line_number_is_a_parse_mismatch(self):
+        # int() refuses more than 4300 digits; such a line is simply not numbered
+        backend = MockBackend(script=["1" * 4301 + ". What is point one?"] * 3)
+        outcome = annotate_pair(self.make_pair(1), default_spec("news", "wh"), backend, retries=2)
+        assert outcome.status == STATUS_PARSE_MISMATCH
+        assert outcome.attempts == 3
+
     def test_backend_error_status(self):
         pair = self.make_pair()
         outcome = annotate_pair(pair, default_spec("news", "wh"), FailingBackend(), retries=1)

@@ -272,6 +272,34 @@ class TestMalformedRecords:
         assert not out.exists()
 
 
+class TestOutOfRangeConfig:
+    """An out-of-range config value or flag exits 2 with ``error:``, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, settings, flags",
+        [
+            ("annotate", {"max_document_tokens": 0}, []),
+            ("compose", {"token_budget": 0}, []),
+            ("compose", {"overlap_threshold": 150}, []),
+            ("compose", {"on_overflow": "bogus"}, []),
+            ("compose", {}, ["--token-budget", "0"]),
+        ],
+    )
+    def test_exits_2(self, tmp_path, corpus, capsys, command, settings, flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "seed": 1}, **settings}))
+        if command == "compose":
+            cluster = {"cluster_id": "c1", "query": "what fell", "documents": ["Snow fell."]}
+            corpus = write_jsonl(tmp_path / "clusters.jsonl", [cluster])
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), command, "--input", corpus, "--output", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCliPlumbing:
     def test_missing_input_path_is_error(self, mock_config, capsys):
         assert run(["--config", mock_config, "stats"]) == 2

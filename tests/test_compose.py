@@ -193,6 +193,15 @@ class TestComposeSummary:
         assert result.selected_doc_indices == (0,)
         assert result.truncated is True
 
+    @pytest.mark.parametrize("odd", ["\u2014", "", "  ...  "])
+    def test_summary_without_tokens_is_skipped(self, odd, caplog):
+        mapping = {"doc one": "alpha beta", "doc two": odd, "doc three": "gamma delta"}
+        with caplog.at_level("WARNING", logger="qfs_forge.compose"):
+            result = compose_cluster(["doc one", "doc two", "doc three"], "query", config(mapping))
+        assert result.summary == "alpha beta gamma delta"
+        assert result.selected_doc_indices == (0, 2)
+        assert "document 1" in caplog.text
+
     def test_backend_failure_names_document_index(self):
         cfg = config({"doc one": "fine summary"})
         with pytest.raises(ComposeError, match="document 1"):

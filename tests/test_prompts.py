@@ -64,8 +64,11 @@ class TestNumberedLines:
         assert numbered_lines(number_sentences(sentences)) == list(enumerate(sentences, start=1))
 
     def test_skips_unnumbered_and_decimal_lines_and_strips_text(self):
-        text = "Questions:\n  2.  Who won?  \n1.5 million voted\n3.\n10. Why?"
-        assert numbered_lines(text) == [(2, "Who won?"), (10, "Why?")]
+        text = (
+            "Questions:\n  2.  Who won?  \n1.5 million voted\n3.\n10. Why?\n"
+            "999999999. Most?\n1000000000. Too many digits?"
+        )
+        assert numbered_lines(text) == [(2, "Who won?"), (10, "Why?"), (999999999, "Most?")]
 
 
 class TestOneShotExamples:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qfs_forge.corpus import CorpusError
 from qfs_forge.rouge import (
+    METRICS,
     RougeError,
     RougeScore,
     evaluate_run,
@@ -170,6 +171,16 @@ class TestScoreHelpers:
         assert scores["rouge1"].f1 == 1.0
         only_bad = score_multi_reference("the cat sat", ["dogs bark"])
         assert only_bad["rouge1"].f1 == 0.0
+
+    @given(candidate=texts, references=st.lists(texts, min_size=1, max_size=4))
+    def test_multi_reference_is_first_best_score_pair(self, candidate, references):
+        best = {}
+        for reference in references:
+            scores = score_pair(candidate, reference)
+            for metric in METRICS:
+                if metric not in best or scores[metric].f1 > best[metric].f1:
+                    best[metric] = scores[metric]
+        assert score_multi_reference(candidate, references) == best
 
 
 class TestEvaluateRun:

@@ -1,10 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfs_forge.stats import StatsError, corpus_stats, format_stats_table, ntp, pearson
+from qfs_forge.corpus import joined_query_text
+from qfs_forge.stats import (
+    CorpusStats,
+    StatsError,
+    corpus_stats,
+    format_stats_table,
+    ntp,
+    pearson,
+)
 from qfs_forge.tokenizer import tokenize
 
 from conftest import make_triplet
@@ -90,6 +99,95 @@ class TestPearson:
     def test_affine_transform_gives_unit_correlation(self, xs):
         ys = [2.5 * x + 1.0 for x in xs]
         assert pearson(xs, ys) == pytest.approx(1.0, abs=1e-9)
+
+
+def _oracle_ntp(a, b, numerator="occurrences"):
+    """The former string-level ntp body, kept as the reference."""
+    tokens_a = tokenize(a)
+    if not tokens_a:
+        raise StatsError("ntp: first string has no tokens")
+    types_b = set(tokenize(b))
+    if numerator == "occurrences":
+        novel = sum(1 for t in tokens_a if t not in types_b)
+        return 100.0 * novel / len(tokens_a)
+    if numerator == "types":
+        types_a = set(tokens_a)
+        return 100.0 * len(types_a - types_b) / len(types_a)
+    raise StatsError(f"unknown ntp numerator mode {numerator!r}")
+
+
+def _oracle_corpus_stats(triplets, ntp_numerator="occurrences"):
+    """The former corpus_stats body, which tokenized each text five times."""
+    if not triplets:
+        raise StatsError("corpus_stats: empty triplet list")
+    columns = {name: [] for name in (
+        "len_doc", "len_query", "len_sum",
+        "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
+        "ntp_doc_query", "ntp_query_sum", "ntp_sum_query",
+    )}
+    for triplet in triplets:
+        doc = triplet.document
+        summary = triplet.summary
+        query = joined_query_text(triplet)
+        columns["len_doc"].append(len(tokenize(doc)))
+        columns["len_query"].append(len(tokenize(query)))
+        columns["len_sum"].append(len(tokenize(summary)))
+        columns["ntp_sum_doc"].append(_oracle_ntp(summary, doc, ntp_numerator))
+        columns["ntp_query_doc"].append(_oracle_ntp(query, doc, ntp_numerator))
+        columns["ntp_doc_sum"].append(_oracle_ntp(doc, summary, ntp_numerator))
+        columns["ntp_doc_query"].append(_oracle_ntp(doc, query, ntp_numerator))
+        columns["ntp_query_sum"].append(_oracle_ntp(query, summary, ntp_numerator))
+        columns["ntp_sum_query"].append(_oracle_ntp(summary, query, ntp_numerator))
+
+    means = {name: float(np.mean(values)) for name, values in columns.items()}
+    try:
+        correlation = (
+            pearson(columns["len_query"], columns["len_sum"])
+            if len(triplets) >= 2
+            else None
+        )
+    except StatsError:
+        correlation = None
+    return CorpusStats(
+        count=len(triplets),
+        mean_len_doc=means["len_doc"],
+        mean_len_query=means["len_query"],
+        mean_len_sum=means["len_sum"],
+        ntp_sum_doc=means["ntp_sum_doc"],
+        ntp_query_doc=means["ntp_query_doc"],
+        ntp_doc_sum=means["ntp_doc_sum"],
+        ntp_doc_query=means["ntp_doc_query"],
+        ntp_query_sum=means["ntp_query_sum"],
+        ntp_sum_query=means["ntp_sum_query"],
+        pearson_len_query_vs_sum=correlation,
+    )
+
+
+# Pieces mix letters with ASCII and Unicode punctuation, so some are punctuation only.
+_pieces = st.text(alphabet="abcAB" ".,'-\"" "—…«»¿·", min_size=1, max_size=4)
+_unicode_texts = st.lists(_pieces, min_size=1, max_size=8).map(" ".join)
+_triplets = st.lists(
+    st.tuples(_unicode_texts, _unicode_texts, st.lists(_unicode_texts, min_size=1, max_size=3)),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda rows: [
+        make_triplet(id=f"t{i}", document=d, summary=s, queries=q, query_types=())
+        for i, (d, s, q) in enumerate(rows)
+    ]
+)
+
+
+@given(triplets=_triplets, numerator=st.sampled_from(["occurrences", "types", "chars"]))
+def test_corpus_stats_equals_former_body(triplets, numerator):
+    try:
+        expected = _oracle_corpus_stats(triplets, numerator)
+    except StatsError as exc:
+        with pytest.raises(StatsError) as raised:
+            corpus_stats(triplets, numerator)
+        assert str(raised.value) == str(exc)
+    else:
+        assert corpus_stats(triplets, numerator) == expected
 
 
 class TestCorpusStats:

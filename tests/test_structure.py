@@ -31,7 +31,7 @@ def test_jsonl_writer_only_in_corpus():
 
 
 def test_numbered_line_regex_only_in_prompts():
-    assert modules_matching(r"re\.compile\([^)]*\(\\d\+\)\\\.") == ["prompts.py"]
+    assert modules_matching(r"re\.compile\([^)]*\(\\d(\+|\{[\d,]+\})\)\\\.") == ["prompts.py"]
 
 
 def test_former_jsonl_helpers_are_gone():

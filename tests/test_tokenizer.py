@@ -2,9 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qfs_forge import compose, rouge, stats
 from qfs_forge.annotate import truncate_document
 from qfs_forge.compose import truncate_to_tokens
-from qfs_forge.tokenizer import count_tokens, nth_token_chunk, token_types, tokenize
+from qfs_forge.tokenizer import nth_token_chunk, tokenize
+
+from conftest import make_triplet
 
 
 def test_lowercases_and_splits_on_whitespace():
@@ -24,11 +27,6 @@ def test_crlf_and_unicode_whitespace_are_separators():
 def test_punctuation_only_pieces_drop():
     assert tokenize("-- ... !!! a") == ["a"]
     assert tokenize("") == []
-
-
-def test_count_and_types():
-    assert count_tokens("a b a") == 3
-    assert token_types("a b a") == {"a", "b"}
 
 
 @given(st.text(max_size=80))
@@ -109,3 +107,42 @@ def test_nth_token_chunk_counts_tokens_without_tokenizing_chunks(text, n):
     else:
         assert len(tokenize(" ".join(chunks[: index + 1]))) == n
         assert tokenize(chunks[index])
+
+
+class TestEachTextTokenizedOnce:
+    """Each stage tokenizes every text it measures exactly once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for module in (stats, compose, rouge):
+            monkeypatch.setattr(module, "tokenize", counting)
+        return calls
+
+    def test_corpus_stats(self, calls):
+        triplets = [make_triplet(id=f"t{i}", document=f"doc {i} words here") for i in range(5)]
+        stats.corpus_stats(triplets)
+        assert len(calls) == 3 * len(triplets)
+
+    def test_score_multi_reference(self, calls):
+        references = ["the cat sat", "a cat sat down", "dogs bark"]
+        rouge.score_multi_reference("the cat sat on the mat", references)
+        assert len(calls) == 1 + len(references)
+
+    @pytest.mark.parametrize("budget, examined", [(100, 4), (5, 2)])
+    def test_compose_cluster(self, calls, budget, examined):
+        class Backend:
+            name = "echo"
+
+            def complete(self, prompt, params):
+                return prompt.split("context:\n", 1)[1]
+
+        docs = ["alpha beta gamma", "delta epsilon zeta", "eta theta iota", "kappa lambda mu"]
+        cfg = compose.CompositionConfig(backend=Backend(), token_budget=budget)
+        compose.compose_cluster(docs, "alpha query", cfg)
+        assert len(calls) == len(docs) + 1 + examined

@@ -49,6 +49,10 @@ class TestUnifyQuery:
         gen = ListGenerator("2. Second?\n3. Third?")
         assert unify_query("doc", "q", gen) == "2. Second?\n3. Third?"
 
+    def test_overlong_line_number_is_not_numbering(self):
+        gen = ListGenerator("1. What about snow?\n" + "1" * 4301 + ". What about cold?")
+        assert unify_query("doc", "snow. cold.", gen) == "What about snow?"
+
     def test_empty_generation_errors(self):
         with pytest.raises(UnifyError):
             unify_query("doc", "query", ListGenerator("   "))

@@ -66,19 +66,14 @@ class TfIdfIndex:
         for counts in self.doc_counts:
             self.df.update(counts.keys())
         self.n_docs = len(docs)
+        self._idf = {term: math.log(self.n_docs / df) + 1.0 for term, df in self.df.items()}
 
     def idf(self, term: str) -> float:
-        df = self.df.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log(self.n_docs / df) + 1.0
+        return self._idf.get(term, 0.0)
 
     def vector(self, counts: Counter) -> dict[str, float]:
-        return {
-            term: tf * self.idf(term)
-            for term, tf in counts.items()
-            if term in self.df
-        }
+        idf = self._idf
+        return {term: tf * idf[term] for term, tf in counts.items() if term in idf}
 
 
 def _cosine(u: dict[str, float], v: dict[str, float]) -> float:
@@ -114,7 +109,7 @@ def overlap_pct(candidate: str, selected: str) -> float:
 def _overlap_pct(tokens: list[str], selected_types: set[str]) -> float:
     if not tokens:
         raise ComposeError("overlap_pct: candidate has no tokens")
-    hits = sum(1 for t in tokens if t in selected_types)
+    hits = sum(map(selected_types.__contains__, tokens))
     return 100.0 * hits / len(tokens)
 
 

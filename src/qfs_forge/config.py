@@ -50,8 +50,11 @@ class BackendConfig:
             return LiveBackend(self.endpoint, timeout=self.timeout)
         script = None
         if self.script:
-            with open(self.script, encoding="utf-8") as handle:
-                script = json.load(handle)
+            try:
+                with open(self.script, encoding="utf-8") as handle:
+                    script = json.load(handle)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"backend.script {self.script!r} is not valid JSON: {exc}") from exc
             if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
                 raise ConfigError(f"backend.script {self.script!r} must be a JSON list of strings")
         return MockBackend(script=script, seed=self.seed)
@@ -124,22 +127,47 @@ class RunConfig:
         return value
 
 
+def _number(raw: dict, key: str, default: int | float, where: str = ""):
+    """``raw[key]`` as the type of ``default``; a float key also takes a JSON integer."""
+    value = raw.get(key, default)
+    allowed = (int, float) if isinstance(default, float) else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        kind = "a number" if isinstance(default, float) else "an integer"
+        raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
+    return type(default)(value)
+
+
+def _object(raw: dict, key: str, where: str = "") -> dict:
+    """``raw[key]`` as a dict; absent or ``null`` is empty."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _backend_from_dict(raw: dict) -> BackendConfig:
     params = None
-    if raw.get("params"):
-        p = raw["params"]
-        params = CompletionParams(
-            max_tokens=p.get("max_tokens", 256),
-            temperature=p.get("temperature", 0.0),
-            top_p=p.get("top_p", 1.0),
-            stop_sequences=tuple(p.get("stop", ())),
-        )
+    p = _object(raw, "params", "backend.")
+    if p:
+        stop = p.get("stop", [])
+        if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
+            raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
+        numbers = {
+            key: _number(p, key, default, "backend.params.")
+            for key, default in (("max_tokens", 256), ("temperature", 0.0), ("top_p", 1.0))
+        }
+        try:
+            params = CompletionParams(**numbers, stop_sequences=tuple(stop))
+        except ValueError as exc:
+            raise ConfigError(f"backend.params: {exc}") from exc
     return BackendConfig(
         kind=raw.get("kind", "mock"),
         endpoint=raw.get("endpoint", ""),
         script=raw.get("script", ""),
-        seed=int(raw.get("seed", 0)),
-        timeout=float(raw.get("timeout", 60.0)),
+        seed=_number(raw, "seed", 0, "backend."),
+        timeout=_number(raw, "timeout", 60.0, "backend."),
         params=params,
     )
 
@@ -171,23 +199,23 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"unknown config keys: {unknown}")
 
     config = RunConfig(
-        backend=_backend_from_dict(raw.get("backend", {})),
+        backend=_backend_from_dict(_object(raw, "backend")),
         mode=raw.get("mode", "wh"),
-        parallelism=int(raw.get("parallelism", 1)),
-        retries=int(raw.get("retries", 2)),
-        failure_ceiling=float(raw.get("failure_ceiling", 0.0)),
+        parallelism=_number(raw, "parallelism", 1),
+        retries=_number(raw, "retries", 2),
+        failure_ceiling=_number(raw, "failure_ceiling", 0.0),
         failure_action=raw.get("failure_action", "drop"),
-        max_document_tokens=int(raw.get("max_document_tokens", 3000)),
+        max_document_tokens=_number(raw, "max_document_tokens", 3000),
         query_format=raw.get("query_format", "natural"),
         ntp_numerator=raw.get("ntp_numerator", "occurrences"),
         recall_only=bool(raw.get("recall_only", False)),
         instruction=raw.get("instruction", ""),
         example_path=raw.get("example_path", ""),
-        labels=raw.get("labels", {}),
-        overlap_threshold=float(raw.get("overlap_threshold", 50.0)),
-        token_budget=int(raw.get("token_budget", 250)),
+        labels=_object(raw, "labels"),
+        overlap_threshold=_number(raw, "overlap_threshold", 50.0),
+        token_budget=_number(raw, "token_budget", 250),
         on_overflow=raw.get("on_overflow", "truncate"),
-        paths=raw.get("paths", {}),
+        paths=_object(raw, "paths"),
     )
     config.validate()
     return config

@@ -33,7 +33,7 @@ def _ntp(tokens_a: list[str], types_b: set[str], numerator: str) -> float:
     if not tokens_a:
         raise StatsError("ntp: first string has no tokens")
     if numerator == "occurrences":
-        novel = sum(1 for t in tokens_a if t not in types_b)
+        novel = len(tokens_a) - sum(map(types_b.__contains__, tokens_a))
         return 100.0 * novel / len(tokens_a)
     if numerator == "types":
         types_a = set(tokens_a)

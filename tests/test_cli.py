@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qfs_forge.cli import main
+from qfs_forge.config import load_config
 from qfs_forge.tokenizer import tokenize
 
 from conftest import read_jsonl, write_jsonl
@@ -298,6 +299,54 @@ class TestOutOfRangeConfig:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+
+class TestMalformedConfig:
+    """A config value of the wrong JSON type, a params value out of range or an
+    unparseable script file exits 2 with ``error:`` naming it, never a traceback."""
+
+    def assert_exits_2(self, tmp_path, corpus, capsys, settings, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"token_budget": "ten"}, "token_budget must be an integer, got 'ten'"),
+            ({"parallelism": True}, "parallelism must be an integer, got True"),
+            ({"max_document_tokens": 2.5}, "max_document_tokens must be an integer, got 2.5"),
+            ({"failure_ceiling": "0.5"}, "failure_ceiling must be a number, got '0.5'"),
+            ({"backend": {"seed": 1.0}}, "backend.seed must be an integer, got 1.0"),
+            ({"backend": 5}, "backend must be a JSON object, got 5"),
+            ({"paths": "out.jsonl"}, "paths must be a JSON object, got 'out.jsonl'"),
+            ({"backend": {"params": {"temperature": -1}}}, "backend.params: temperature must be >= 0"),
+            ({"backend": {"params": {"top_p": "high"}}}, "backend.params.top_p must be a number"),
+            ({"backend": {"params": {"stop": "\n"}}}, "backend.params.stop must be a list of strings"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):
+        self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
+
+    def test_unparseable_script_exits_2(self, tmp_path, corpus, capsys):
+        script = tmp_path / "script.json"
+        script.write_text("{broken")
+        settings = {"backend": {"kind": "mock", "script": str(script)}}
+        self.assert_exits_2(tmp_path, corpus, capsys, settings, f"backend.script {str(script)!r}")
+
+    def test_integer_accepted_for_a_float_key(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"overlap_threshold": 40, "backend": {"timeout": 5}}))
+        loaded = load_config(str(config))
+        assert loaded.overlap_threshold == 40.0 and isinstance(loaded.overlap_threshold, float)
+        assert loaded.backend.timeout == 5.0 and isinstance(loaded.backend.timeout, float)
 
 
 class TestCliPlumbing:

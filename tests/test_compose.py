@@ -2,10 +2,13 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfs_forge.backends import BackendError, SUMMARIZATION_PARAMS
 from qfs_forge.compose import (
     ComposeError,
+    _cosine,
     CompositionConfig,
     TfIdfIndex,
     compose_cluster,
@@ -63,6 +66,42 @@ def brute_force_rank(docs, query):
     return sorted(range(n), key=lambda i: (-scores[i], i))
 
 
+class OracleTfIdfIndex:
+    """Verbatim TfIdfIndex from when idf was recomputed per term and document."""
+
+    def __init__(self, docs: list[str]):
+        if not docs:
+            raise ComposeError("cannot index an empty cluster")
+        self.doc_counts = [Counter(tokenize(doc)) for doc in docs]
+        self.df = Counter()
+        for counts in self.doc_counts:
+            self.df.update(counts.keys())
+        self.n_docs = len(docs)
+
+    def idf(self, term: str) -> float:
+        df = self.df.get(term, 0)
+        if df == 0:
+            return 0.0
+        return math.log(self.n_docs / df) + 1.0
+
+    def vector(self, counts: Counter) -> dict[str, float]:
+        return {
+            term: tf * self.idf(term)
+            for term, tf in counts.items()
+            if term in self.df
+        }
+
+
+def cosine_scores(index, query: str) -> list[float]:
+    query_vec = index.vector(Counter(tokenize(query)))
+    return [_cosine(index.vector(counts), query_vec) for counts in index.doc_counts]
+
+
+# Few words and short documents, so clusters repeat documents and tie often.
+_WORDS = st.sampled_from(["snow", "Snow,", "market", "river", "the", "a", "apples", "—"])
+_DOCS = st.lists(st.lists(_WORDS, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=7)
+
+
 class TestRankDocuments:
     def test_single_document(self):
         assert rank_documents(["only doc"], "any query") == [0]
@@ -115,6 +154,16 @@ class TestRankDocuments:
             rank_documents([], "q")
         with pytest.raises(ComposeError):
             rank_documents(["d"], "  ")
+
+    @settings(max_examples=300)
+    @given(docs=_DOCS, query=st.lists(_WORDS, min_size=1, max_size=4).map(" ".join))
+    def test_idf_table_keeps_scores_and_order_bit_identical(self, docs, query):
+        index, oracle = TfIdfIndex(docs), OracleTfIdfIndex(docs)
+        scores, expected = cosine_scores(index, query), cosine_scores(oracle, query)
+        assert [s.hex() for s in scores] == [s.hex() for s in expected]
+        assert rank_documents(docs, query) == sorted(range(len(docs)), key=lambda i: (-expected[i], i))
+        for term in [*oracle.df, "unseen"]:
+            assert index.idf(term).hex() == oracle.idf(term).hex()
 
     def test_index_df_at_least_one(self):
         index = TfIdfIndex(["a b", "b c"])

@@ -2,7 +2,8 @@
 
 Parallel backend calls, JSONL serialization and the numbered-line format
 each used to be implemented in two or three modules; these checks keep a
-new copy from appearing next to the shared helper.
+new copy from appearing next to the shared helper. The punctuation rule
+(Unicode category ``P*``) lives in the tokenizer alone.
 """
 
 import re
@@ -36,3 +37,11 @@ def test_numbered_line_regex_only_in_prompts():
 
 def test_former_jsonl_helpers_are_gone():
     assert modules_matching(r"def (_read_jsonl|_write_jsonl|_iter_json_lines)\b") == []
+
+
+def test_unicode_categories_only_in_tokenizer():
+    assert modules_matching(r"\bunicodedata\b") == ["tokenizer.py"]
+
+
+def test_character_loop_strip_is_gone():
+    assert modules_matching(r"def _strip_punct\b") == []

@@ -1,5 +1,8 @@
+import sys
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfs_forge import compose, rouge, stats
@@ -107,6 +110,88 @@ def test_nth_token_chunk_counts_tokens_without_tokenizing_chunks(text, n):
     else:
         assert len(tokenize(" ".join(chunks[: index + 1]))) == n
         assert tokenize(chunks[index])
+
+
+# Verbatim bodies of tokenize and nth_token_chunk when they stripped each
+# piece character by character; kept as oracles for the per-text
+# punctuation set that str.strip now uses.
+def _oracle_is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def _oracle_strip_punct(piece: str) -> str:
+    start = 0
+    end = len(piece)
+    while start < end and _oracle_is_punct(piece[start]):
+        start += 1
+    while end > start and _oracle_is_punct(piece[end - 1]):
+        end -= 1
+    return piece[start:end]
+
+
+def _oracle_tokenize(text: str) -> list[str]:
+    tokens = []
+    for piece in text.lower().split():
+        piece = _oracle_strip_punct(piece)
+        if piece:
+            tokens.append(piece)
+    return tokens
+
+
+def _oracle_nth_token_chunk(chunks: list[str], n: int) -> int:
+    if len(chunks) < n:
+        return len(chunks)
+    for index, chunk in enumerate(chunks):
+        if _oracle_strip_punct(chunk):
+            n -= 1
+            if n == 0:
+                return index
+    return len(chunks)
+
+
+# One or more characters of every punctuation subcategory (Pc Pd Ps Pe Pi Pf
+# Po), symbols that must survive, every separator str.split() knows,
+# combining marks, and letters whose lowercase changes length or shape.
+_PUNCTUATION = "_‿＿⁀" "-–—" "([{「" ")]}」" "«‘“" "»’”" ".,!?'\"…·¿¡%&*@#/\\:;"
+_SYMBOLS = "$+<=>^`|~©€"
+_SEPARATORS = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+_MARKS = "\u0301\u0307\u0308\u20dd"
+_LETTERS = "abAB09İẞǅΣ"
+_EDGE = st.text(alphabet=_PUNCTUATION + _MARKS, max_size=3)
+_CORE = st.text(alphabet=_PUNCTUATION + _SYMBOLS + _MARKS + _LETTERS, max_size=4)
+# Raw mixtures, and pieces with punctuation runs at their edges (often
+# nothing else) so that every strip decision comes up.
+_MIXED_TEXT = st.one_of(
+    st.text(alphabet=_PUNCTUATION + _SYMBOLS + _SEPARATORS + _MARKS + _LETTERS, max_size=60),
+    st.lists(st.tuples(_EDGE, _CORE, _EDGE, st.sampled_from(_SEPARATORS)).map("".join), max_size=12)
+    .map("".join),
+)
+
+
+def test_oracle_alphabet_covers_every_punctuation_subcategory():
+    categories = {unicodedata.category(ch) for ch in _PUNCTUATION}
+    assert categories == {"Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po"}
+    assert all(unicodedata.category(ch).startswith("S") for ch in _SYMBOLS)
+    assert {"\x1c", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"} <= set(_SEPARATORS)
+
+
+@settings(max_examples=300)
+@given(_MIXED_TEXT)
+def test_tokenize_matches_the_character_loop(text):
+    assert tokenize(text) == _oracle_tokenize(text)
+
+
+@settings(max_examples=300)
+@given(text=_MIXED_TEXT, n=st.integers(min_value=-1, max_value=12))
+def test_nth_token_chunk_matches_the_character_loop(text, n):
+    chunks = text.split()
+    assert nth_token_chunk(chunks, n) == _oracle_nth_token_chunk(chunks, n)
+
+
+def test_symbols_survive_and_underscore_is_stripped():
+    assert tokenize("<y> $5") == ["<y>", "$5"]
+    assert tokenize("_init_ ‿x‿ ＿") == ["init", "x"]
+    assert tokenize("«Oui» ‘no’") == ["oui", "no"]
 
 
 class TestEachTextTokenizedOnce:

@@ -8,14 +8,17 @@ seeded prompt-echo mock, or a live HTTP endpoint are interchangeable.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
-
-import requests
 
 from .prompts import numbered_lines
 
@@ -159,29 +162,32 @@ class LiveBackend:
     Request: POST {prompt, max_tokens, temperature, top_p, stop};
     response: {"text": ...}. The auth token comes from the environment and
     is never logged. Transport failures and 5xx/429 responses are retried
-    with fixed exponential backoff (1s, 2s, 4s), then raised.
+    with fixed exponential backoff (1s, 2s, 4s), then raised. Every
+    precondition on the endpoint, timeout and key is checked here, at
+    construction, so a bad value fails before the first call.
     """
 
     def __init__(self, endpoint: str, timeout: float = 60.0, api_key: str | None = None):
         if not endpoint:
             raise BackendError("live backend requires an endpoint URL")
+        if not _is_http_url(endpoint):
+            raise BackendError(
+                "live backend endpoint must be an http or https URL with a host, in printable"
+                f" ASCII without spaces or user info, got {endpoint!r}"
+            )
+        if not (isinstance(timeout, (int, float)) and 0 < timeout < float("inf")):
+            raise BackendError(f"live backend timeout must be finite and > 0, got {timeout!r}")
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise BackendError(
                 f"live backend requires the {API_KEY_ENV} environment variable"
             )
+        if not key.isascii() or not key.isprintable():
+            raise BackendError(f"the {API_KEY_ENV} value must be printable ASCII")
         self.name = f"live({endpoint})"
         self._endpoint = endpoint
         self._timeout = timeout
         self._key = key
-        self._local = threading.local()
-
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
 
     def complete(self, prompt: str, params: CompletionParams) -> str:
         payload = {
@@ -191,31 +197,66 @@ class LiveBackend:
             "top_p": params.top_p,
             "stop": list(params.stop_sequences),
         }
-        headers = {"Authorization": f"Bearer {self._key}"}
+        request = urllib.request.Request(
+            self._endpoint,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={
+                "Content-Type": "application/json",
+                "Authorization": f"Bearer {self._key}",
+            },
+            method="POST",
+        )
         delay = BACKOFF_BASE_SECONDS
         last_error = "unknown error"
         for attempt in range(BACKOFF_MAX_SLEEPS + 1):
+            # IncompleteRead and LineTooLong are HTTPExceptions, not OSErrors
             try:
-                response = self._session().post(
-                    self._endpoint, json=payload, headers=headers, timeout=self._timeout
-                )
-            except requests.RequestException as exc:
+                status, body = self._post(request)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
             else:
-                if response.status_code // 100 == 2:
-                    try:
-                        text = response.json()["text"]
-                    except (ValueError, KeyError) as exc:
-                        raise BackendError(
-                            f"malformed completion response: {exc}"
-                        ) from exc
-                    if not isinstance(text, str):
-                        raise BackendError("completion response 'text' is not a string")
-                    return text
-                last_error = f"HTTP {response.status_code}: {response.text}"
-                if response.status_code != 429 and response.status_code < 500:
+                if status // 100 == 2:
+                    return _completion_text(body)
+                last_error = f"HTTP {status}: {body.decode('utf-8', 'replace')}"
+                if status != 429 and status < 500:
                     break
             if attempt < BACKOFF_MAX_SLEEPS:
                 time.sleep(delay)
                 delay *= BACKOFF_FACTOR
         raise BackendError(last_error)
+
+    def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
+        """Status and body of one POST; an HTTP error status is returned, not raised."""
+        try:
+            with urllib.request.urlopen(request, timeout=self._timeout) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                return exc.code, exc.read()
+
+
+def _is_http_url(endpoint) -> bool:
+    """An http(s) URL with a host and no user info, in printable ASCII without
+    spaces: a URL that urllib sends as given."""
+    if not isinstance(endpoint, str) or not all("!" <= char <= "~" for char in endpoint):
+        return False
+    try:
+        url = urllib.parse.urlsplit(endpoint)
+        url.port  # raises ValueError for a port that is not a number in range
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname) and "@" not in url.netloc
+
+
+def _completion_text(body: bytes) -> str:
+    try:
+        reply = json.loads(body)
+    except ValueError as exc:
+        raise BackendError(f"malformed completion response: {exc}") from exc
+    if not isinstance(reply, dict) or "text" not in reply:
+        raise BackendError(
+            f"malformed completion response: expected a JSON object with 'text', got {body[:200]!r}"
+        )
+    if not isinstance(reply["text"], str):
+        raise BackendError("completion response 'text' is not a string")
+    return reply["text"]

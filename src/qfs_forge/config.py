@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass, field, fields
 
 from .backends import (
-    API_KEY_ENV,
     CompletionBackend,
     CompletionParams,
     LiveBackend,
@@ -34,15 +34,9 @@ class BackendConfig:
     params: CompletionParams | None = None
 
     def validate(self) -> None:
+        # LiveBackend checks its own endpoint, timeout and key
         if self.kind not in ("mock", "live"):
             raise ConfigError(f"backend.kind must be mock or live, got {self.kind!r}")
-        if self.kind == "live":
-            if not self.endpoint:
-                raise ConfigError("live backend requires backend.endpoint")
-            if not os.environ.get(API_KEY_ENV):
-                raise ConfigError(
-                    f"live backend requires the {API_KEY_ENV} environment variable"
-                )
 
     def build(self) -> CompletionBackend:
         self.validate()
@@ -127,14 +121,19 @@ class RunConfig:
         return value
 
 
-def _number(raw: dict, key: str, default: int | float, where: str = ""):
-    """``raw[key]`` as the type of ``default``; a float key also takes a JSON integer."""
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(raw: dict, key: str, default, where: str = ""):
+    """``raw[key]``, which must have the JSON type of ``default``: a boolean,
+    integer, string or finite number. A number key also takes a JSON integer."""
     value = raw.get(key, default)
-    allowed = (int, float) if isinstance(default, float) else int
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        kind = "a number" if isinstance(default, float) else "an integer"
-        raise ConfigError(f"{where}{key} must be {kind}, got {value!r}")
-    return type(default)(value)
+    kind = type(default)
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ConfigError(f"{where}{key} must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _object(raw: dict, key: str, where: str = "") -> dict:
@@ -155,7 +154,7 @@ def _backend_from_dict(raw: dict) -> BackendConfig:
         if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
             raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
         numbers = {
-            key: _number(p, key, default, "backend.params.")
+            key: _typed(p, key, default, "backend.params.")
             for key, default in (("max_tokens", 256), ("temperature", 0.0), ("top_p", 1.0))
         }
         try:
@@ -163,11 +162,11 @@ def _backend_from_dict(raw: dict) -> BackendConfig:
         except ValueError as exc:
             raise ConfigError(f"backend.params: {exc}") from exc
     return BackendConfig(
-        kind=raw.get("kind", "mock"),
-        endpoint=raw.get("endpoint", ""),
-        script=raw.get("script", ""),
-        seed=_number(raw, "seed", 0, "backend."),
-        timeout=_number(raw, "timeout", 60.0, "backend."),
+        kind=_typed(raw, "kind", "mock", "backend."),
+        endpoint=_typed(raw, "endpoint", "", "backend."),
+        script=_typed(raw, "script", "", "backend."),
+        seed=_typed(raw, "seed", 0, "backend."),
+        timeout=_typed(raw, "timeout", 60.0, "backend."),
         params=params,
     )
 
@@ -197,25 +196,30 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
+    labels = _object(raw, "labels")
+    unknown = sorted(set(labels) - {label.name for label in fields(PromptLabels)})
+    if unknown:
+        raise ConfigError(f"unknown labels keys: {unknown}")
+    paths = _object(raw, "paths")
 
     config = RunConfig(
         backend=_backend_from_dict(_object(raw, "backend")),
-        mode=raw.get("mode", "wh"),
-        parallelism=_number(raw, "parallelism", 1),
-        retries=_number(raw, "retries", 2),
-        failure_ceiling=_number(raw, "failure_ceiling", 0.0),
-        failure_action=raw.get("failure_action", "drop"),
-        max_document_tokens=_number(raw, "max_document_tokens", 3000),
-        query_format=raw.get("query_format", "natural"),
-        ntp_numerator=raw.get("ntp_numerator", "occurrences"),
-        recall_only=bool(raw.get("recall_only", False)),
-        instruction=raw.get("instruction", ""),
-        example_path=raw.get("example_path", ""),
-        labels=_object(raw, "labels"),
-        overlap_threshold=_number(raw, "overlap_threshold", 50.0),
-        token_budget=_number(raw, "token_budget", 250),
-        on_overflow=raw.get("on_overflow", "truncate"),
-        paths=_object(raw, "paths"),
+        mode=_typed(raw, "mode", "wh"),
+        parallelism=_typed(raw, "parallelism", 1),
+        retries=_typed(raw, "retries", 2),
+        failure_ceiling=_typed(raw, "failure_ceiling", 0.0),
+        failure_action=_typed(raw, "failure_action", "drop"),
+        max_document_tokens=_typed(raw, "max_document_tokens", 3000),
+        query_format=_typed(raw, "query_format", "natural"),
+        ntp_numerator=_typed(raw, "ntp_numerator", "occurrences"),
+        recall_only=_typed(raw, "recall_only", False),
+        instruction=_typed(raw, "instruction", ""),
+        example_path=_typed(raw, "example_path", ""),
+        labels={key: _typed(labels, key, "", "labels.") for key in labels},
+        overlap_threshold=_typed(raw, "overlap_threshold", 50.0),
+        token_budget=_typed(raw, "token_budget", 250),
+        on_overflow=_typed(raw, "on_overflow", "truncate"),
+        paths={key: _typed(paths, key, "", "paths.") for key in paths},
     )
     config.validate()
     return config

@@ -1,7 +1,12 @@
 import http.server
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -17,6 +22,7 @@ from qfs_forge.backends import (
     map_ordered,
 )
 
+SRC = Path(__file__).parent.parent / "src"
 PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions:\n"
 
 
@@ -138,6 +144,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture
@@ -208,3 +215,92 @@ class TestLiveBackend:
         backend = LiveBackend(self.endpoint(stub_server))
         with pytest.raises(BackendError, match="malformed"):
             backend.complete("p", QUERY_GEN_PARAMS)
+
+    @pytest.mark.parametrize("payload", [[1], "x", None])
+    def test_reply_that_is_not_an_object_raises(self, stub_server, api_key, payload):
+        stub_server.responses = [(200, payload)]
+        backend = LiveBackend(self.endpoint(stub_server))
+        with pytest.raises(BackendError, match="malformed completion response"):
+            backend.complete("p", QUERY_GEN_PARAMS)
+
+    def test_429_is_retried(self, stub_server, api_key, no_sleep):
+        stub_server.responses = [(429, {"error": "slow down"}), (200, {"text": "ok"})]
+        backend = LiveBackend(self.endpoint(stub_server))
+        assert backend.complete("p", QUERY_GEN_PARAMS) == "ok"
+        assert no_sleep == [1.0]
+        assert len(stub_server.requests) == 2
+
+    def test_refused_connection_is_transport_error(self, api_key, no_sleep):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        backend = LiveBackend(f"http://127.0.0.1:{port}/v1/complete")
+        with pytest.raises(BackendError, match="^transport error: "):
+            backend.complete("p", QUERY_GEN_PARAMS)
+        assert no_sleep == [1.0, 2.0, 4.0]
+
+    def test_truncated_reply_is_transport_error(self, api_key, no_sleep):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_truncated_replies():
+            for _ in range(4):
+                connection, _ = listener.accept()
+                with connection:
+                    request = b""
+                    while not request.endswith(b"}"):
+                        request += connection.recv(65536)
+                    connection.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{")
+
+        thread = threading.Thread(target=serve_truncated_replies, daemon=True)
+        thread.start()
+        backend = LiveBackend(f"http://127.0.0.1:{listener.getsockname()[1]}/v1/complete")
+        with listener, pytest.raises(BackendError, match="^transport error: IncompleteRead"):
+            backend.complete("p", QUERY_GEN_PARAMS)
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert no_sleep == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        [
+            5,
+            "127.0.0.1:8080/complete",
+            "localhost:8080/complete",
+            "ftp://127.0.0.1/complete",
+            "http:///complete",
+            "http://127.0.0.1:99999/complete",
+            "http://127.0.0.1:port/complete",
+            "http://[::1/complete",
+            "http://user:pw@127.0.0.1/complete",
+            "http://127.0.0.1/a b",
+            "http://127.0.0.1/caf\u00e9",
+            "http://127.0.0.1/x\n",
+        ],
+    )
+    def test_rejects_endpoint_urllib_cannot_send(self, api_key, endpoint):
+        with pytest.raises(BackendError, match="http or https URL with a host"):
+            LiveBackend(endpoint)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), "60"])
+    def test_rejects_timeout_not_finite_and_positive(self, api_key, timeout):
+        with pytest.raises(BackendError, match="timeout must be finite and > 0"):
+            LiveBackend("http://127.0.0.1:1/complete", timeout=timeout)
+
+    def test_rejects_key_that_cannot_be_a_header(self):
+        with pytest.raises(BackendError, match=f"{API_KEY_ENV} value must be printable ASCII"):
+            LiveBackend("http://127.0.0.1:1/complete", api_key="line\nbreak")
+
+    def test_completes_with_requests_unimportable(self, stub_server):
+        code = (
+            "import sys; sys.modules['requests'] = None\n"
+            "from qfs_forge import LiveBackend, QUERY_GEN_PARAMS\n"
+            f"backend = LiveBackend({self.endpoint(stub_server)!r}, api_key='test-token')\n"
+            "print(backend.complete('p', QUERY_GEN_PARAMS))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1. What happened?\n"
+        assert stub_server.requests[0]["auth"] == "Bearer test-token"

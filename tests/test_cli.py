@@ -330,6 +330,25 @@ class TestMalformedConfig:
             ({"backend": {"params": {"temperature": -1}}}, "backend.params: temperature must be >= 0"),
             ({"backend": {"params": {"top_p": "high"}}}, "backend.params.top_p must be a number"),
             ({"backend": {"params": {"stop": "\n"}}}, "backend.params.stop must be a list of strings"),
+            ({"recall_only": "no"}, "recall_only must be a boolean, got 'no'"),
+            ({"mode": 5}, "mode must be a string, got 5"),
+            ({"failure_action": None}, "failure_action must be a string, got None"),
+            ({"query_format": ["natural"]}, "query_format must be a string, got ['natural']"),
+            ({"ntp_numerator": 1}, "ntp_numerator must be a string, got 1"),
+            ({"instruction": 5}, "instruction must be a string, got 5"),
+            ({"example_path": 5}, "example_path must be a string, got 5"),
+            ({"on_overflow": False}, "on_overflow must be a string, got False"),
+            ({"backend": {"kind": 5}}, "backend.kind must be a string, got 5"),
+            ({"backend": {"kind": "live", "endpoint": 5}}, "backend.endpoint must be a string, got 5"),
+            ({"backend": {"script": 5}}, "backend.script must be a string, got 5"),
+            ({"labels": {"bogus": "x"}}, "unknown labels keys: ['bogus']"),
+            ({"labels": {"summary": 5}}, "labels.summary must be a string, got 5"),
+            ({"paths": {"output": 5}}, "paths.output must be a string, got 5"),
+            ({"backend": {"params": {"temperature": float("nan")}}}, "backend.params.temperature must be a number, got nan"),
+            ({"overlap_threshold": float("inf")}, "overlap_threshold must be a number, got inf"),
+            ({"failure_ceiling": 10**400}, "failure_ceiling must be a number, got 1000"),
+            ({"backend": {"kind": "live", "endpoint": "127.0.0.1:1/complete"}}, "http or https URL with a host"),
+            ({"backend": {"kind": "live", "endpoint": "http://127.0.0.1:1/x", "timeout": 0}}, "timeout must be finite and > 0, got 0.0"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):

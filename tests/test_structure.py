@@ -28,7 +28,8 @@ def test_thread_pool_only_in_backends():
 
 
 def test_jsonl_writer_only_in_corpus():
-    assert modules_matching(r"json\.dumps") == ["corpus.py"]
+    # backends.py serializes the live backend's HTTP request body
+    assert modules_matching(r"json\.dumps") == ["backends.py", "corpus.py"]
 
 
 def test_numbered_line_regex_only_in_prompts():
@@ -45,3 +46,7 @@ def test_unicode_categories_only_in_tokenizer():
 
 def test_character_loop_strip_is_gone():
     assert modules_matching(r"def _strip_punct\b") == []
+
+
+def test_no_module_imports_requests():
+    assert modules_matching(r"(?m)^\s*(import|from)\s+requests\b") == []

@@ -7,13 +7,15 @@ seeded prompt-echo mock, or a live HTTP endpoint are interchangeable.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import http.client
 import json
 import os
+import selectors
+import ssl
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -162,9 +164,10 @@ class LiveBackend:
     Request: POST {prompt, max_tokens, temperature, top_p, stop};
     response: {"text": ...}. The auth token comes from the environment and
     is never logged. Transport failures and 5xx/429 responses are retried
-    with fixed exponential backoff (1s, 2s, 4s), then raised. Every
-    precondition on the endpoint, timeout and key is checked here, at
-    construction, so a bad value fails before the first call.
+    with fixed exponential backoff (1s, 2s, 4s), then raised; a 3xx reply is
+    not followed. Every precondition on the endpoint, timeout, key and proxy
+    is checked here, at construction, so a bad value fails before the first
+    call. Each thread keeps one keep-alive connection.
     """
 
     def __init__(self, endpoint: str, timeout: float = 60.0, api_key: str | None = None):
@@ -185,9 +188,25 @@ class LiveBackend:
         if not key.isascii() or not key.isprintable():
             raise BackendError(f"the {API_KEY_ENV} value must be printable ASCII")
         self.name = f"live({endpoint})"
-        self._endpoint = endpoint
         self._timeout = timeout
-        self._key = key
+        self._headers = {"Content-Type": "application/json", "Authorization": f"Bearer {key}"}
+        url = urllib.parse.urlsplit(endpoint)
+        # one TLS context for every connection, so the CA store is loaded once
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._host = url.netloc
+        self._target = url.path or "/"
+        if url.query:
+            self._target += "?" + url.query
+        self._tunnel = None
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            self._host, proxy_headers = _proxy_route(proxy)
+            if self._tls is not None:
+                self._tunnel = (url.netloc, proxy_headers)  # CONNECT, then TLS to the endpoint
+            else:
+                self._target = endpoint  # the proxy forwards an absolute-URL request
+                self._headers.update(proxy_headers)
+        self._local = threading.local()
 
     def complete(self, prompt: str, params: CompletionParams) -> str:
         payload = {
@@ -197,27 +216,19 @@ class LiveBackend:
             "top_p": params.top_p,
             "stop": list(params.stop_sequences),
         }
-        request = urllib.request.Request(
-            self._endpoint,
-            data=json.dumps(payload).encode("utf-8"),
-            headers={
-                "Content-Type": "application/json",
-                "Authorization": f"Bearer {self._key}",
-            },
-            method="POST",
-        )
+        body = json.dumps(payload).encode("utf-8")
         delay = BACKOFF_BASE_SECONDS
         last_error = "unknown error"
         for attempt in range(BACKOFF_MAX_SLEEPS + 1):
             # IncompleteRead and LineTooLong are HTTPExceptions, not OSErrors
             try:
-                status, body = self._post(request)
+                status, reply = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = f"transport error: {exc}"
             else:
                 if status // 100 == 2:
-                    return _completion_text(body)
-                last_error = f"HTTP {status}: {body.decode('utf-8', 'replace')}"
+                    return _completion_text(reply)
+                last_error = f"HTTP {status}: {reply.decode('utf-8', 'replace')}"
                 if status != 429 and status < 500:
                     break
             if attempt < BACKOFF_MAX_SLEEPS:
@@ -225,19 +236,62 @@ class LiveBackend:
                 delay *= BACKOFF_FACTOR
         raise BackendError(last_error)
 
-    def _post(self, request: urllib.request.Request) -> tuple[int, bytes]:
-        """Status and body of one POST; an HTTP error status is returned, not raised."""
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """Status and body of one POST on this thread's connection; a failed
+        exchange closes it, and the next one reconnects."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connect()
+        elif connection.sock is not None and _readable(connection.sock):
+            connection.close()  # an idle connection the server has closed
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                return exc.code, exc.read()
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            return response.status, response.read()
+        except BaseException:
+            connection.close()
+            raise
+
+    def _connect(self) -> http.client.HTTPConnection:
+        if self._tls is None:
+            return http.client.HTTPConnection(self._host, timeout=self._timeout)
+        connection = http.client.HTTPSConnection(
+            self._host, timeout=self._timeout, context=self._tls
+        )
+        if self._tunnel:
+            host, headers = self._tunnel
+            connection.set_tunnel(host, headers=headers)
+        return connection
+
+
+def _readable(sock) -> bool:
+    """Whether an idle keep-alive socket has input waiting: the server's close."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
+
+
+def _proxy_route(proxy: str) -> tuple[str, dict]:
+    """The ``host:port`` to connect to for a proxy URL from the environment,
+    and the ``Proxy-Authorization`` header its user info asks for."""
+    url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        port = url.port or 80
+    except ValueError:
+        port = None
+    if not url.hostname or port is None:
+        raise BackendError(f"live backend proxy must be a URL with a host, got {proxy!r}")
+    host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+    headers = {}
+    if url.username is not None:
+        credentials = urllib.parse.unquote(f"{url.username}:{url.password or ''}")
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+    return f"{host}:{port}", headers
 
 
 def _is_http_url(endpoint) -> bool:
     """An http(s) URL with a host and no user info, in printable ASCII without
-    spaces: a URL that urllib sends as given."""
+    spaces: a URL that http.client sends as given."""
     if not isinstance(endpoint, str) or not all("!" <= char <= "~" for char in endpoint):
         return False
     try:

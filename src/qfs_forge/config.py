@@ -126,8 +126,11 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
 
 def _typed(raw: dict, key: str, default, where: str = ""):
     """``raw[key]``, which must have the JSON type of ``default``: a boolean,
-    integer, string or finite number. A number key also takes a JSON integer."""
-    value = raw.get(key, default)
+    integer, string or finite number. A number key also takes a JSON integer;
+    absent or ``null`` is ``default``."""
+    value = raw.get(key)
+    if value is None:
+        return default
     kind = type(default)
     if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
         value = float(value)
@@ -146,11 +149,19 @@ def _object(raw: dict, key: str, where: str = "") -> dict:
     return value
 
 
+def _strings(raw: dict, key: str) -> dict:
+    """``raw[key]`` as a JSON object of strings; a ``null`` value is absent."""
+    value = _object(raw, key)
+    return {name: _typed(value, name, "", f"{key}.") for name in value if value[name] is not None}
+
+
 def _backend_from_dict(raw: dict) -> BackendConfig:
     params = None
     p = _object(raw, "params", "backend.")
     if p:
-        stop = p.get("stop", [])
+        stop = p.get("stop")
+        if stop is None:
+            stop = []
         if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
             raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
         numbers = {
@@ -196,11 +207,10 @@ def load_config(path: str | None) -> RunConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    labels = _object(raw, "labels")
+    labels = _strings(raw, "labels")
     unknown = sorted(set(labels) - {label.name for label in fields(PromptLabels)})
     if unknown:
         raise ConfigError(f"unknown labels keys: {unknown}")
-    paths = _object(raw, "paths")
 
     config = RunConfig(
         backend=_backend_from_dict(_object(raw, "backend")),
@@ -215,11 +225,11 @@ def load_config(path: str | None) -> RunConfig:
         recall_only=_typed(raw, "recall_only", False),
         instruction=_typed(raw, "instruction", ""),
         example_path=_typed(raw, "example_path", ""),
-        labels={key: _typed(labels, key, "", "labels.") for key in labels},
+        labels=labels,
         overlap_threshold=_typed(raw, "overlap_threshold", 50.0),
         token_budget=_typed(raw, "token_budget", 250),
         on_overflow=_typed(raw, "on_overflow", "truncate"),
-        paths={key: _typed(paths, key, "", "paths.") for key in paths},
+        paths=_strings(raw, "paths"),
     )
     config.validate()
     return config

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qfs_forge.cli import main
-from qfs_forge.config import load_config
+from qfs_forge.config import RunConfig, load_config
 from qfs_forge.tokenizer import tokenize
 
 from conftest import read_jsonl, write_jsonl
@@ -332,7 +332,7 @@ class TestMalformedConfig:
             ({"backend": {"params": {"stop": "\n"}}}, "backend.params.stop must be a list of strings"),
             ({"recall_only": "no"}, "recall_only must be a boolean, got 'no'"),
             ({"mode": 5}, "mode must be a string, got 5"),
-            ({"failure_action": None}, "failure_action must be a string, got None"),
+            ({"failure_action": 0}, "failure_action must be a string, got 0"),
             ({"query_format": ["natural"]}, "query_format must be a string, got ['natural']"),
             ({"ntp_numerator": 1}, "ntp_numerator must be a string, got 1"),
             ({"instruction": 5}, "instruction must be a string, got 5"),
@@ -366,6 +366,21 @@ class TestMalformedConfig:
         loaded = load_config(str(config))
         assert loaded.overlap_threshold == 40.0 and isinstance(loaded.overlap_threshold, float)
         assert loaded.backend.timeout == 5.0 and isinstance(loaded.backend.timeout, float)
+
+
+    def test_null_is_the_default(self, tmp_path):
+        backend = dict.fromkeys(["kind", "endpoint", "script", "seed", "timeout", "params"])
+        settings = dict.fromkeys(
+            ["mode", "parallelism", "retries", "failure_ceiling", "failure_action",
+             "max_document_tokens", "query_format", "ntp_numerator", "recall_only",
+             "instruction", "example_path", "overlap_threshold", "token_budget", "on_overflow"]
+        )
+        settings.update(
+            backend=backend, labels={"summary": None}, paths={"input": None, "output": "o.jsonl"}
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        assert load_config(str(config)) == RunConfig(paths={"output": "o.jsonl"})
 
 
 class TestCliPlumbing:

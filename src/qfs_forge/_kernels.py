@@ -1,52 +1,122 @@
-"""Integer-sequence kernels behind the ROUGE scorer.
+"""Pure-Python kernels behind the ROUGE scorer and the corpus means.
 
-Token sequences are encoded as 1-D int64 id arrays before they get here.
-The two kernels are the LCS length for ROUGE-L, a bit-parallel recurrence
-over Python ints, and the clipped multiset overlap for ROUGE-N, a sorted
-``np.unique`` intersection. Neither needs a compiler or a JIT.
+Three kernels, none of which needs a compiler, a JIT or numpy:
+
+- ``lcs_length``: the LCS length for ROUGE-L, a bit-parallel recurrence
+  over Python ints, split into ``match_masks`` and ``lcs_with_masks`` so
+  that one text's masks serve all the texts it is compared with;
+- ``clipped_overlap`` / ``counts_overlap``: the clipped multiset overlap
+  for ROUGE-N, the sum of ``min(count_a, count_b)`` over n-gram
+  ``Counter``s (Lin 2004);
+- ``pairwise_mean``: numpy's pairwise summation, ported so that means
+  keep the exact bits ``np.mean`` gave.
+
+The sequence kernels take any sequence of hashables: token strings,
+bigram tuples, or integer ids (numpy int64 arrays included).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
+from collections.abc import Hashable, Sequence
+from itertools import repeat
+
+# numpy's PW_BLOCKSIZE: runs up to this length are summed with eight accumulators.
+_BLOCK = 128
 
 
-def lcs_length(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of the longest common subsequence of two id sequences.
-
-    Bit-vector LCS-length recurrence (Allison & Dix 1986; Hyyrö 2004):
-    bit i of ``M[t]`` marks token t at position i of the longer sequence
-    (length m), and the low m bits of ``v`` hold one zero per LCS step
-    taken so far. One pass over the shorter sequence with
-    ``u = v & M[t]; v = (v + u) | (v - u)`` leaves ``m - popcount(v)`` as
-    the LCS length; carries past bit m are masked off at the end.
-    """
-    if a.size < b.size:
+def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Length of the longest common subsequence of two token sequences."""
+    if len(a) < len(b):
         a, b = b, a
-    if b.size == 0:
-        return 0
-    masks: dict[int, int] = {}
+    return lcs_with_masks(match_masks(a), len(a), b)
+
+
+def match_masks(a: Sequence[Hashable]) -> dict:
+    """Per token t of ``a``, the int whose bit i is set where ``a[i] == t``."""
+    masks: dict = {}
     bit = 1
-    for token in a.tolist():
+    for token in a:
         masks[token] = masks.get(token, 0) | bit
         bit <<= 1
-    full = bit - 1
+    return masks
+
+
+def lcs_with_masks(masks: dict, m: int, b: Sequence[Hashable]) -> int:
+    """LCS length of ``b`` and the length-``m`` sequence ``masks`` was built from.
+
+    Bit-vector LCS-length recurrence (Allison & Dix 1986; Hyyrö 2004): the
+    low m bits of ``v`` hold one zero per LCS step taken so far. One pass
+    over ``b`` with ``u = v & M[t]; v = (v + u) | (v - u)`` leaves
+    ``m - popcount(v)`` as the LCS length; carries past bit m are masked
+    off at the end. ``b`` may be longer or shorter than m, so one sequence's
+    masks serve every sequence it is compared with.
+    """
+    full = (1 << m) - 1
     v = full
-    for token in b.tolist():
+    for token in b:
         match = masks.get(token)
         if match is not None:
             u = v & match
             v = (v + u) | (v - u)
-    return a.size - (v & full).bit_count()
+    return m - (v & full).bit_count()
 
 
-def clipped_overlap(a: np.ndarray, b: np.ndarray) -> int:
-    """Multiset intersection size: sum of min(count_a, count_b) over values."""
-    if a.size == 0 or b.size == 0:
-        return 0
-    values_a, counts_a = np.unique(a, return_counts=True)
-    values_b, counts_b = np.unique(b, return_counts=True)
-    _, idx_a, idx_b = np.intersect1d(
-        values_a, values_b, assume_unique=True, return_indices=True
-    )
-    return int(np.minimum(counts_a[idx_a], counts_b[idx_b]).sum())
+def counts_overlap(a: Counter, b: Counter) -> int:
+    """Clipped overlap of two ``Counter``s: sum of min(a[k], b[k]) over keys.
+
+    Walks the Counter with fewer keys and looks each key up in the other;
+    ``Counter.__and__`` would build a third Counter in a Python loop.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(map(min, a.values(), map(b.get, a, repeat(0))))
+
+
+def clipped_overlap(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    """Multiset intersection size of two sequences: ``counts_overlap`` of their counts."""
+    return counts_overlap(Counter(a), Counter(b))
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    # numpy's pairwise_sum (Higham 1993), step for step: short runs add left
+    # to right, runs up to _BLOCK use eight strided accumulators, longer runs
+    # split at n/2 rounded down to a multiple of 8. Plain `+` throughout:
+    # sum() is compensated from Python 3.12 on and would round differently.
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= _BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def pairwise_mean(values: Sequence[float]) -> float:
+    """Arithmetic mean, bit-identical to ``float(np.mean(values))``.
+
+    Integers are converted to floats first, as numpy does; their sums stay
+    exact while every partial sum is below 2**53. Empty input is an error.
+    """
+    floats = list(map(float, values))
+    if not floats:
+        raise ValueError("pairwise_mean: empty input")
+    # np.mean starts the reduction from the identity 0.0, which turns -0.0 into 0.0.
+    return (0.0 + _pairwise_sum(floats, 0, len(floats))) / len(floats)

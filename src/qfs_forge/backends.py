@@ -112,6 +112,9 @@ class MockBackend:
     def calls(self) -> int:
         return self._calls
 
+    def close(self) -> None:
+        """Nothing to release; here so callers can close any built backend."""
+
     def complete(self, prompt: str, params: CompletionParams) -> str:
         with self._lock:
             index = self._calls
@@ -167,7 +170,9 @@ class LiveBackend:
     with fixed exponential backoff (1s, 2s, 4s), then raised; a 3xx reply is
     not followed. Every precondition on the endpoint, timeout, key and proxy
     is checked here, at construction, so a bad value fails before the first
-    call. Each thread keeps one keep-alive connection.
+    call. Each thread keeps one keep-alive connection; the backend tracks
+    them all, closes those of ended threads when a new one opens, and
+    ``close()`` closes the rest.
     """
 
     def __init__(self, endpoint: str, timeout: float = 60.0, api_key: str | None = None):
@@ -206,7 +211,15 @@ class LiveBackend:
             else:
                 self._target = endpoint  # the proxy forwards an absolute-URL request
                 self._headers.update(proxy_headers)
-        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+
+    def close(self) -> None:
+        """Close every open connection; a later call opens a new one."""
+        with self._lock:
+            connections, self._connections = self._connections, {}
+        for connection in connections.values():
+            connection.close()
 
     def complete(self, prompt: str, params: CompletionParams) -> str:
         payload = {
@@ -239,10 +252,8 @@ class LiveBackend:
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """Status and body of one POST on this thread's connection; a failed
         exchange closes it, and the next one reconnects."""
-        connection = getattr(self._local, "connection", None)
-        if connection is None:
-            connection = self._local.connection = self._connect()
-        elif connection.sock is not None and _readable(connection.sock):
+        connection = self._thread_connection()
+        if connection.sock is not None and _readable(connection.sock):
             connection.close()  # an idle connection the server has closed
         try:
             connection.request("POST", self._target, body, self._headers)
@@ -251,6 +262,16 @@ class LiveBackend:
         except BaseException:
             connection.close()
             raise
+
+    def _thread_connection(self) -> http.client.HTTPConnection:
+        thread = threading.current_thread()
+        with self._lock:
+            connection = self._connections.get(thread)
+            if connection is None:
+                for ended in [t for t in self._connections if not t.is_alive()]:
+                    self._connections.pop(ended).close()
+                connection = self._connections[thread] = self._connect()
+        return connection
 
     def _connect(self) -> http.client.HTTPConnection:
         if self._tls is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import closing
 
 from .annotate import STATUS_OK, annotate_corpus, summarize_outcomes
 from .backends import BackendError
@@ -68,28 +69,28 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
     audit_path = args.audit or config.paths.get("audit", output_path + ".failures.jsonl")
 
     pairs = load_corpus(input_path)
-    backend = config.backend.build()
     domains = {pair.domain for pair in pairs}
     specs = {domain: config.prompt_spec(domain) for domain in domains}
 
     outcomes = []
-    for domain in sorted(domains):
-        domain_pairs = [p for p in pairs if p.domain == domain]
-        outcomes += list(
-            zip(
-                domain_pairs,
-                annotate_corpus(
+    with closing(config.backend.build()) as backend:
+        for domain in sorted(domains):
+            domain_pairs = [p for p in pairs if p.domain == domain]
+            outcomes += list(
+                zip(
                     domain_pairs,
-                    specs[domain],
-                    backend,
-                    parallelism=config.parallelism,
-                    retries=config.retries,
-                    params=config.completion_params(),
-                    max_document_tokens=config.max_document_tokens,
-                    failure_action=config.failure_action,
-                ),
+                    annotate_corpus(
+                        domain_pairs,
+                        specs[domain],
+                        backend,
+                        parallelism=config.parallelism,
+                        retries=config.retries,
+                        params=config.completion_params(),
+                        max_document_tokens=config.max_document_tokens,
+                        failure_action=config.failure_action,
+                    ),
+                )
             )
-        )
     # restore input order across domains
     position = {pair.id: i for i, pair in enumerate(pairs)}
     outcomes.sort(key=lambda item: position[item[0].id])
@@ -165,17 +166,16 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
         style = FORMAT_TEMPLATE_STYLE[query_format]
         unified = [template_fallback(record["query"], style) for record in records]
     else:
-        generator = PromptedGenerator(
-            config.backend.build(),
-            config.prompt_spec(args.domain),
-            params=config.completion_params(),
-        )
-        unified = unify_batch(
-            [record["document"] for record in records],
-            [record["query"] for record in records],
-            generator,
-            parallelism=config.parallelism,
-        )
+        with closing(config.backend.build()) as backend:
+            generator = PromptedGenerator(
+                backend, config.prompt_spec(args.domain), params=config.completion_params()
+            )
+            unified = unify_batch(
+                [record["document"] for record in records],
+                [record["query"] for record in records],
+                generator,
+                parallelism=config.parallelism,
+            )
     write_jsonl(
         output_path,
         (
@@ -199,30 +199,30 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
                 f"{input_path}:{line_no}: 'documents' must be a non-empty list of strings"
             )
         clusters.append(cluster)
-    backend = config.backend.build()
     token_budget = config.token_budget if args.token_budget is None else args.token_budget
-    try:
-        cfg = CompositionConfig(
-            backend=backend,
-            overlap_threshold=config.overlap_threshold,
-            token_budget=token_budget,
-            params=config.summarization_params(),
-            on_overflow=config.on_overflow,
-            parallelism=config.parallelism,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    results = []
-    for cluster in clusters:
-        result = compose_cluster(cluster["documents"], cluster["query"], cfg)
-        results.append(
-            {
-                "cluster_id": cluster["cluster_id"],
-                "summary": result.summary,
-                "selected_doc_indices": list(result.selected_doc_indices),
-                "truncated": result.truncated,
-            }
-        )
+    with closing(config.backend.build()) as backend:
+        try:
+            cfg = CompositionConfig(
+                backend=backend,
+                overlap_threshold=config.overlap_threshold,
+                token_budget=token_budget,
+                params=config.summarization_params(),
+                on_overflow=config.on_overflow,
+                parallelism=config.parallelism,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        results = []
+        for cluster in clusters:
+            result = compose_cluster(cluster["documents"], cluster["query"], cfg)
+            results.append(
+                {
+                    "cluster_id": cluster["cluster_id"],
+                    "summary": result.summary,
+                    "selected_doc_indices": list(result.selected_doc_indices),
+                    "truncated": result.truncated,
+                }
+            )
     write_jsonl(output_path, results)
     print(f"composed {len(results)} clusters -> {output_path}")
     return 0

@@ -121,30 +121,51 @@ def _load_builtin(domain: str) -> dict:
 
 
 def load_example(path: str, mode: str) -> OneShotExample:
-    """Load a one-shot example from a JSON file (same schema as the built-ins)."""
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return _example_from_raw(raw, mode)
+    """Load a one-shot example from a JSON file (same schema as the built-ins).
+
+    A file that is not UTF-8 JSON, or does not follow the schema, is a
+    ``PromptError`` naming the file.
+    """
+    source = f"one-shot example file {path!r}"
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise PromptError(f"{source} is not valid JSON: {exc}") from exc
+    return _example_from_raw(raw, mode, source)
 
 
 def builtin_example(domain: str, mode: str) -> OneShotExample:
     """The shipped worked example for the domain, with wh or yes/no queries."""
-    return _example_from_raw(_load_builtin(domain), mode)
+    return _example_from_raw(_load_builtin(domain), mode, f"built-in {domain} example")
 
 
-def _example_from_raw(raw: dict, mode: str) -> OneShotExample:
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
     if mode not in MODES:
         raise PromptError(f"unknown mode {mode!r}")
-    try:
-        return OneShotExample(
-            document=raw["document"],
-            summary_sentences=tuple(raw["summary_sentences"]),
-            query_sentences=tuple(raw["queries"][mode]),
-            domain=raw["domain"],
-            mode=mode,
-        )
-    except KeyError as exc:
-        raise PromptError(f"one-shot example file missing key {exc}") from exc
+    if not isinstance(raw, dict):
+        raise PromptError(f"{source} must hold a JSON object, got {type(raw).__name__}")
+    for key in ("document", "summary_sentences", "queries", "domain"):
+        if key not in raw:
+            raise PromptError(f"{source} missing key {key!r}")
+    queries = raw["queries"]
+    if not isinstance(queries, dict) or mode not in queries:
+        raise PromptError(f"{source}: queries must be an object with a {mode!r} list")
+    if not isinstance(raw["document"], str) or not isinstance(raw["domain"], str):
+        raise PromptError(f"{source}: document and domain must be strings")
+    if not _is_strings(raw["summary_sentences"]) or not _is_strings(queries[mode]):
+        raise PromptError(f"{source}: summary_sentences and queries.{mode} must be lists of strings")
+    return OneShotExample(
+        document=raw["document"],
+        summary_sentences=tuple(raw["summary_sentences"]),
+        query_sentences=tuple(queries[mode]),
+        domain=raw["domain"],
+        mode=mode,
+    )
 
 
 def default_spec(

@@ -10,9 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
+from ._kernels import counts_overlap, lcs_length, lcs_with_masks, match_masks, pairwise_mean
 from .corpus import read_jsonl
 from .tokenizer import tokenize
 
@@ -43,61 +41,47 @@ class RougeScore:
         return {"p": self.precision, "r": self.recall, "f1": self.f1}
 
 
-def _encode(candidate_tokens: list[str], reference_tokens: list[str]):
-    vocab: dict[str, int] = {}
+def _grams(tokens: list[str]) -> tuple[list[str], Counter, Counter]:
+    """A text's tokens, unigram and bigram Counters: ``grams[n]`` counts its n-grams.
 
-    def ids(tokens: list[str]) -> np.ndarray:
-        return np.array([vocab.setdefault(token, len(vocab)) for token in tokens], dtype=np.int64)
-
-    cand_ids, ref_ids = ids(candidate_tokens), ids(reference_tokens)
-    return cand_ids, ref_ids, len(vocab) + 1
+    Built once per text, so a candidate is counted once for all its references.
+    """
+    return tokens, Counter(tokens), Counter(zip(tokens, tokens[1:]))
 
 
-def _ngram_codes(ids: np.ndarray, n: int, vocab_size: int) -> np.ndarray:
-    if ids.size < n:
-        return np.empty(0, dtype=np.int64)
-    if n == 1:
-        return ids
-    return ids[:-1] * np.int64(vocab_size) + ids[1:]
-
-
-def _rouge_n_ids(cand_ids: np.ndarray, ref_ids: np.ndarray, n: int, vocab_size: int) -> RougeScore:
-    cand_grams = _ngram_codes(cand_ids, n, vocab_size)
-    ref_grams = _ngram_codes(ref_ids, n, vocab_size)
-    matches = _kernels.clipped_overlap(cand_grams, ref_grams)
-    return RougeScore.from_counts(matches, cand_grams.size, ref_grams.size)
-
-
-def _rouge_l_ids(cand_ids: np.ndarray, ref_ids: np.ndarray) -> RougeScore:
-    lcs = _kernels.lcs_length(cand_ids, ref_ids)
-    return RougeScore.from_counts(lcs, cand_ids.size, ref_ids.size)
+def _rouge_n(cand: tuple, ref: tuple, n: int) -> RougeScore:
+    matches = counts_overlap(cand[n], ref[n])
+    return RougeScore.from_counts(
+        matches, max(len(cand[0]) - n + 1, 0), max(len(ref[0]) - n + 1, 0)
+    )
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand_ids, ref_ids, vocab_size = _encode(tokenize(candidate), tokenize(reference))
-    return _rouge_n_ids(cand_ids, ref_ids, n, vocab_size)
+    return _rouge_n(_grams(tokenize(candidate)), _grams(tokenize(reference)), n)
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Longest-common-subsequence score over token sequences."""
-    cand_ids, ref_ids, _ = _encode(tokenize(candidate), tokenize(reference))
-    return _rouge_l_ids(cand_ids, ref_ids)
+    cand, ref = tokenize(candidate), tokenize(reference)
+    return RougeScore.from_counts(lcs_length(cand, ref), len(cand), len(ref))
 
 
 def score_pair(candidate: str, reference: str) -> dict[str, RougeScore]:
-    """All three metrics from one tokenization and id encoding of each text."""
-    return _scores(tokenize(candidate), tokenize(reference))
+    """All three metrics from one tokenization and one n-gram count of each text."""
+    cand = _grams(tokenize(candidate))
+    return _scores(cand, match_masks(cand[0]), _grams(tokenize(reference)))
 
 
-def _scores(cand_tokens: list[str], ref_tokens: list[str]) -> dict[str, RougeScore]:
-    cand_ids, ref_ids, vocab_size = _encode(cand_tokens, ref_tokens)
+def _scores(cand: tuple, cand_masks: dict, ref: tuple) -> dict[str, RougeScore]:
+    # cand_masks: the candidate's LCS match masks, built once for all its references
+    lcs = lcs_with_masks(cand_masks, len(cand[0]), ref[0])
     return {
-        "rouge1": _rouge_n_ids(cand_ids, ref_ids, 1, vocab_size),
-        "rouge2": _rouge_n_ids(cand_ids, ref_ids, 2, vocab_size),
-        "rougeL": _rouge_l_ids(cand_ids, ref_ids),
+        "rouge1": _rouge_n(cand, ref, 1),
+        "rouge2": _rouge_n(cand, ref, 2),
+        "rougeL": RougeScore.from_counts(lcs, len(cand[0]), len(ref[0])),
     }
 
 
@@ -105,10 +89,11 @@ def score_multi_reference(candidate: str, references: list[str]) -> dict[str, Ro
     """Per metric, the best (by F1) score over the references."""
     if not references:
         raise RougeError("need at least one reference")
-    cand_tokens = tokenize(candidate)
+    cand = _grams(tokenize(candidate))
+    cand_masks = match_masks(cand[0])
     best: dict[str, RougeScore] = {}
     for reference in references:
-        scores = _scores(cand_tokens, tokenize(reference))
+        scores = _scores(cand, cand_masks, _grams(tokenize(reference)))
         for metric in METRICS:
             if metric not in best or scores[metric].f1 > best[metric].f1:
                 best[metric] = scores[metric]
@@ -190,9 +175,8 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
 
     means = {}
     for metric in METRICS:
-        # np.mean keeps the reduction pairwise and order-stable.
-        precision = float(np.mean([row[metric].precision for row in per_example]))
-        recall = float(np.mean([row[metric].recall for row in per_example]))
-        f1 = float(np.mean([row[metric].f1 for row in per_example]))
+        precision = pairwise_mean([row[metric].precision for row in per_example])
+        recall = pairwise_mean([row[metric].recall for row in per_example])
+        f1 = pairwise_mean([row[metric].f1 for row in per_example])
         means[metric] = RougeScore(precision, recall, f1)
     return EvalReport(per_example=per_example, means=means)

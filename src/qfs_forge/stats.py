@@ -7,11 +7,13 @@ appear in ``b``; it is asymmetric by design and quantifies how much of
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
-import numpy as np
-
+from ._kernels import pairwise_mean
 from .corpus import AnnotatedTriplet, joined_query_text
 from .tokenizer import tokenize
 
@@ -41,28 +43,45 @@ def _ntp(tokens_a: list[str], types_b: set[str], numerator: str) -> float:
     raise StatsError(f"unknown ntp numerator mode {numerator!r}")
 
 
+def _exact(value) -> int | Fraction:
+    if isinstance(value, int):
+        return value
+    if not math.isfinite(value):
+        raise StatsError(f"pearson: non-finite value {value!r}")
+    return Fraction(value)
+
+
 def pearson(xs, ys) -> float:
     """Sample Pearson correlation coefficient.
 
-    Errors on mismatched lengths, fewer than two points, or two constant
-    inputs. With exactly one constant input the coefficient is undefined
-    (zero variance); 0.0 is returned as the no-linear-relationship value.
+    Computed from exact sums: integers stay ints and floats become exact
+    ``Fraction``s, so r**2 is exact until one final division rounds it and
+    one ``math.sqrt`` takes its root. The result has the same bits on every
+    machine and for every order of the points.
+
+    Errors on mismatched lengths, fewer than two points, non-finite values
+    or two constant inputs. With exactly one constant input the coefficient
+    is undefined (zero variance); 0.0 is returned as the
+    no-linear-relationship value.
     """
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape:
-        raise StatsError(f"pearson: length mismatch ({x.size} vs {y.size})")
-    if x.size < 2:
+    x = [_exact(v) for v in xs]
+    y = [_exact(v) for v in ys]
+    if len(x) != len(y):
+        raise StatsError(f"pearson: length mismatch ({len(x)} vs {len(y)})")
+    n = len(x)
+    if n < 2:
         raise StatsError("pearson: need at least two points")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(dx @ dx)
-    sy = float(dy @ dy)
-    if sx == 0.0 and sy == 0.0:
+    sum_x, sum_y = sum(x), sum(y)
+    # n**2 times the covariance and the two variances
+    cov = n * sum(map(mul, x, y)) - sum_x * sum_y
+    var_x = n * sum(map(mul, x, x)) - sum_x * sum_x
+    var_y = n * sum(map(mul, y, y)) - sum_y * sum_y
+    if var_x == 0 and var_y == 0:
         raise StatsError("pearson: both inputs are constant")
-    if sx == 0.0 or sy == 0.0:
+    if var_x == 0 or var_y == 0:
         return 0.0
-    return float((dx @ dy) / np.sqrt(sx * sy))
+    r = math.sqrt((cov * cov) / (var_x * var_y))
+    return -r if cov < 0 else r
 
 
 @dataclass(frozen=True)
@@ -128,8 +147,7 @@ def corpus_stats(
         for a, b in _NTP_PAIRS:
             columns[f"ntp_{a}_{b}"].append(_ntp(tokens[a], types[b], ntp_numerator))
 
-    # np.mean sums pairwise, keeping the reduction order-stable.
-    means = {name: float(np.mean(values)) for name, values in columns.items()}
+    means = {name: pairwise_mean(values) for name, values in columns.items()}
     try:
         correlation = (
             pearson(columns["len_query"], columns["len_sum"])

@@ -325,8 +325,9 @@ class TestLiveBackend:
         assert no_sleep == []
 
     def test_thread_reuses_its_keep_alive_connection(self, api_key):
-        with _serving(_KeepAliveHandler) as server:
-            backend = LiveBackend(self.endpoint(server))
+        with _serving(_KeepAliveHandler) as server, contextlib.closing(
+            LiveBackend(self.endpoint(server))
+        ) as backend:
             for _ in range(3):
                 assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
             assert len({request["client"] for request in server.requests}) == 1
@@ -337,13 +338,73 @@ class TestLiveBackend:
             assert len({request["client"] for request in server.requests}) <= 3
 
     def test_connection_closed_while_idle_reconnects_at_once(self, api_key, no_sleep):
-        with _serving(_IdleCloseHandler) as server:
-            backend = LiveBackend(self.endpoint(server))
+        with _serving(_IdleCloseHandler) as server, contextlib.closing(
+            LiveBackend(self.endpoint(server))
+        ) as backend:
             assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
             assert server.closed.wait(timeout=10)
             assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
             assert no_sleep == []
             assert server.requests[0]["client"] != server.requests[1]["client"]
+
+    def test_close_closes_every_thread_connection(self, api_key):
+        with _serving(_KeepAliveHandler) as server:
+            backend = LiveBackend(self.endpoint(server))
+            opened = []
+            connect = backend._connect
+            backend._connect = lambda: opened.append(connect()) or opened[-1]
+            backend.complete("p", QUERY_GEN_PARAMS)
+            worker = threading.Thread(target=backend.complete, args=("p", QUERY_GEN_PARAMS))
+            worker.start()
+            worker.join()
+            assert len(opened) == 2 and all(c.sock is not None for c in opened)
+            backend.close()
+            assert all(c.sock is None for c in opened)
+            # still usable: the next call opens (and tracks) a new connection
+            assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
+            assert len(opened) == 3
+            backend.close()
+            assert opened[2].sock is None
+
+    def test_concurrent_threads_all_tracked_and_closed(self, api_key):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with _serving(_KeepAliveHandler) as server:
+                backend = LiveBackend(self.endpoint(server))
+                opened = []
+                connect = backend._connect
+                backend._connect = lambda: opened.append(connect()) or opened[-1]
+                workers = [
+                    threading.Thread(
+                        target=lambda: [backend.complete("p", QUERY_GEN_PARAMS) for _ in range(3)]
+                    )
+                    for _ in range(8)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                assert not any(worker.is_alive() for worker in workers)
+                assert len(server.requests) == 24
+                backend.close()
+                assert len(opened) == 8
+                assert all(connection.sock is None for connection in opened)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_connections_of_ended_threads_close_when_a_new_one_opens(self, api_key):
+        with _serving(_KeepAliveHandler) as server, contextlib.closing(
+            LiveBackend(self.endpoint(server))
+        ) as backend:
+            opened = []
+            connect = backend._connect
+            backend._connect = lambda: opened.append(connect()) or opened[-1]
+            for _ in range(3):  # a fresh pool, as compose makes per cluster
+                map_ordered(lambda _: backend.complete("p", QUERY_GEN_PARAMS), [0, 1], 2)
+            backend.complete("p", QUERY_GEN_PARAMS)
+            assert sum(c.sock is not None for c in opened) <= 3
+            assert opened[0].sock is None
 
     def test_http_proxy_gets_absolute_url_and_proxy_credentials(
         self, stub_server, api_key, no_proxy_env

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qfs_forge.backends import MockBackend
 from qfs_forge.cli import main
 from qfs_forge.config import RunConfig, load_config
 from qfs_forge.tokenizer import tokenize
@@ -360,6 +361,28 @@ class TestMalformedConfig:
         settings = {"backend": {"kind": "mock", "script": str(script)}}
         self.assert_exits_2(tmp_path, corpus, capsys, settings, f"backend.script {str(script)!r}")
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{broken", "is not valid JSON"),
+            (b"\xff\xfe{}", "is not valid JSON"),
+            (b"[1]", "must hold a JSON object, got list"),
+            (b'{"document": "d", "summary_sentences": ["s"], "domain": "news"}', "missing key 'queries'"),
+            (b'{"document": "d", "summary_sentences": ["s"], "queries": [], "domain": "news"}',
+             "queries must be an object with a 'wh' list"),
+            (b'{"document": 1, "summary_sentences": ["s"], "queries": {"wh": ["q"]}, "domain": "news"}',
+             "document and domain must be strings"),
+            (b'{"document": "d", "summary_sentences": 5, "queries": {"wh": ["q"]}, "domain": "news"}',
+             "summary_sentences and queries.wh must be lists of strings"),
+        ],
+    )
+    def test_malformed_example_file_exits_2(self, tmp_path, corpus, capsys, content, message):
+        example = tmp_path / "example.json"
+        example.write_bytes(content)
+        settings = {"example_path": str(example)}
+        self.assert_exits_2(tmp_path, corpus, capsys, settings, f"one-shot example file {str(example)!r}")
+        self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
+
     def test_integer_accepted_for_a_float_key(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"overlap_threshold": 40, "backend": {"timeout": 5}}))
@@ -419,3 +442,23 @@ class TestCliPlumbing:
         before = open(corpus, "rb").read()
         run(["--config", mock_config, "annotate", "--input", corpus, "--output", str(tmp_path / "o.jsonl")])
         assert open(corpus, "rb").read() == before
+
+    def test_backend_closed_when_command_ends(self, tmp_path, corpus, mock_config, monkeypatch):
+        closed = []
+        monkeypatch.setattr(MockBackend, "close", lambda backend: closed.append(backend))
+        out = str(tmp_path / "out.jsonl")
+        assert run(["--config", mock_config, "annotate", "--input", corpus, "--output", out]) == 0
+        assert len(closed) == 1
+        records = write_jsonl(
+            tmp_path / "q.jsonl", [{"id": "u1", "document": "Snow fell.", "query": "snow"}]
+        )
+        unify = ["unify", "--input", records, "--output", out, "--query-format", "words"]
+        assert run(["--config", mock_config, *unify]) == 0
+        assert len(closed) == 2
+        clusters = write_jsonl(
+            tmp_path / "c.jsonl", [{"cluster_id": "c", "query": "snow", "documents": ["Snow fell."]}]
+        )
+        compose = ["compose", "--input", clusters, "--output", out]
+        assert run(["--config", mock_config, *compose]) == 0
+        assert run(["--config", mock_config, *compose, "--token-budget", "0"]) == 2
+        assert len(closed) == 4

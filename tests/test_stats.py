@@ -1,4 +1,6 @@
+import decimal
 import math
+import random
 
 import numpy as np
 import pytest
@@ -100,6 +102,68 @@ class TestPearson:
         ys = [2.5 * x + 1.0 for x in xs]
         assert pearson(xs, ys) == pytest.approx(1.0, abs=1e-9)
 
+    def test_constant_floats_are_exactly_constant(self):
+        # a float mean of [0.1] * 3 is not 0.1; exact sums still see zero variance
+        with pytest.raises(StatsError, match="both inputs are constant"):
+            pearson([0.1] * 3, [0.7] * 3)
+        assert pearson([0.1] * 3, [1.0, 2.0, 4.0]) == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_errors(self, bad):
+        with pytest.raises(StatsError, match="non-finite"):
+            pearson([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+            min_size=2, max_size=200,
+        ) | st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=2, max_size=200
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_bit_identical_under_permutation(self, points, rng):
+        xs, ys = map(list, zip(*points))
+        try:
+            r = pearson(xs, ys)
+        except StatsError:
+            assert len(set(xs)) == 1 and len(set(ys)) == 1
+            return
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        assert pearson(*map(list, zip(*shuffled))).hex() == r.hex()
+
+    @pytest.mark.parametrize("kind", ["int", "float"])
+    def test_close_to_corrcoef_on_random_vectors(self, kind):
+        rng = random.Random(kind)
+        for _ in range(300):
+            n = rng.randint(2, 400)
+            if kind == "int":
+                xs = [rng.randint(0, 500) for _ in range(n)]
+                ys = [x // 2 + rng.randint(0, 300) for x in xs]
+            else:
+                xs = [rng.gauss(0.0, 10.0 ** rng.randint(-3, 4)) for _ in range(n)]
+                ys = [x * rng.uniform(-2.0, 2.0) + rng.gauss(0.0, 1.0) for x in xs]
+            if len(set(xs)) > 1 and len(set(ys)) > 1:
+                assert pearson(xs, ys) == pytest.approx(np.corrcoef(xs, ys)[0, 1], abs=1e-12)
+
+    def test_within_one_ulp_of_the_exact_coefficient(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            n = rng.randint(2, 300)
+            xs = [rng.randint(1, 60) for _ in range(n)]
+            ys = [x + rng.randint(0, 120) for x in xs]
+            sum_x, sum_y = sum(xs), sum(ys)
+            cov = n * sum(x * y for x, y in zip(xs, ys)) - sum_x * sum_y
+            var_x = n * sum(x * x for x in xs) - sum_x**2
+            var_y = n * sum(y * y for y in ys) - sum_y**2
+            if not var_x or not var_y:
+                continue
+            with decimal.localcontext() as context:
+                context.prec = 60
+                exact = decimal.Decimal(cov) / decimal.Decimal(var_x * var_y).sqrt()
+                r = pearson(xs, ys)
+                assert abs(decimal.Decimal(r) - exact) < decimal.Decimal(math.ulp(r))
 
 def _oracle_ntp(a, b, numerator="occurrences"):
     """The former string-level ntp body, kept as the reference."""

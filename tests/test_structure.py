@@ -3,10 +3,14 @@
 Parallel backend calls, JSONL serialization and the numbered-line format
 each used to be implemented in two or three modules; these checks keep a
 new copy from appearing next to the shared helper. The punctuation rule
-(Unicode category ``P*``) lives in the tokenizer alone.
+(Unicode category ``P*``) lives in the tokenizer alone. The runtime needs
+only the standard library: neither ``requests`` nor ``numpy`` is imported.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = {
@@ -50,3 +54,43 @@ def test_character_loop_strip_is_gone():
 
 def test_no_module_imports_requests():
     assert modules_matching(r"(?m)^\s*(import|from)\s+requests\b") == []
+
+
+def test_no_module_imports_numpy():
+    assert modules_matching(r"(?m)^\s*(import|from)\s+numpy\b") == []
+
+
+def test_runtime_needs_no_numpy(tmp_path):
+    # the package imports and evaluates with numpy unimportable, and never loads it
+    code = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "import json, qfs_forge\n"
+        "from qfs_forge.corpus import AnnotatedTriplet\n"
+        f"root = {str(tmp_path)!r}\n"
+        "for name, text in (('pred', 'the cat sat on the mat'), ('ref', 'the cat is on the mat')):\n"
+        "    with open(f'{root}/{name}.jsonl', 'w') as handle:\n"
+        "        handle.write(json.dumps({'id': 'a', 'text': text}) + '\\n')\n"
+        "report = qfs_forge.evaluate_run(f'{root}/pred.jsonl', f'{root}/ref.jsonl')\n"
+        "triplets = [AnnotatedTriplet(id=str(i), document='a b c d ' * i, summary='b c. ' * i,\n"
+        "                             queries=('What is ' + 'b ' * i + '?',), mode='wh',\n"
+        "                             query_types=('what',)) for i in (1, 2, 3)]\n"
+        "stats = qfs_forge.corpus_stats(triplets)\n"
+        "print(round(report.means['rouge1'].f1, 4), stats.mean_len_doc,\n"
+        "      round(stats.pearson_len_query_vs_sum, 6))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0.8333 8.0 1.0\n"
+
+
+def test_import_does_not_load_numpy():
+    code = "import sys, qfs_forge; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

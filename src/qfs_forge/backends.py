@@ -87,24 +87,17 @@ class MockBackend:
     Two layers: an ordered script of canned completions consumed in call
     order, and, once the script is exhausted (or when none is given), a
     generated completion derived purely from ``(prompt, seed)``. The
-    generated path reads the numbered summary block at the tail of the
-    prompt and emits one matching numbered query per sentence, so parse
-    success does not depend on call order -- which is what makes corpus
-    runs reproducible at any parallelism.
+    generated path reads the numbered summary block just before the
+    prompt's closing label and emits one matching numbered query per
+    sentence, whatever labels the prompt was built with, so parse success
+    does not depend on call order -- which is what makes corpus runs
+    reproducible at any parallelism.
     """
 
-    def __init__(
-        self,
-        script: list[str] | None = None,
-        seed: int = 0,
-        summary_label: str = "Summary:",
-        query_label: str = "Questions:",
-    ):
+    def __init__(self, script: list[str] | None = None, seed: int = 0):
         self.name = f"mock(seed={seed})"
         self.seed = seed
         self._script = list(script or [])
-        self._summary_label = summary_label
-        self._query_label = query_label
         self._calls = 0
         self._lock = threading.Lock()
 
@@ -125,15 +118,14 @@ class MockBackend:
             return self._generated_summary(prompt)
         return self._generated(prompt)
 
-    def _target_summary_sentences(self, prompt: str) -> list[str]:
-        start = prompt.rfind(self._summary_label)
-        if start < 0:
+    @staticmethod
+    def _target_summary_sentences(prompt: str) -> list[str]:
+        # an annotation prompt ends "<summary label>\n1. ...\n\n<query label>\n";
+        # split from the end only, as the document before it can be long
+        blocks = prompt.rstrip().rsplit("\n\n", 2)
+        if len(blocks) < 2:
             return []
-        tail = prompt[start + len(self._summary_label):]
-        end = tail.find(self._query_label)
-        if end >= 0:
-            tail = tail[:end]
-        return [sentence for _, sentence in numbered_lines(tail)]
+        return [sentence for _, sentence in numbered_lines(blocks[-2])]
 
     def _generated_summary(self, prompt: str) -> str:
         # query-focused summarization input: answer with a leading snippet

@@ -38,8 +38,8 @@ from .taxonomy import (
     format_distribution_table,
 )
 from .unify import (
-    FORMAT_NEEDS_UNIFICATION,
     FORMAT_TEMPLATE_STYLE,
+    QUERY_FORMATS,
     PromptedGenerator,
     UnifyError,
     template_fallback,
@@ -157,10 +157,7 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
         records.append(record)
 
     query_format = args.query_format or config.query_format
-    if query_format not in FORMAT_NEEDS_UNIFICATION:
-        raise ConfigError(f"unknown query format {query_format!r}")
-
-    if not FORMAT_NEEDS_UNIFICATION[query_format]:
+    if query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
         unified = [record["query"] for record in records]
     elif args.strategy == "template":
         style = FORMAT_TEMPLATE_STYLE[query_format]
@@ -271,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     unify.add_argument("--output", help="unified records path (jsonl)")
     unify.add_argument(
         "--query-format",
-        choices=sorted(FORMAT_NEEDS_UNIFICATION),
+        choices=sorted(QUERY_FORMATS),
         help="format tag of the incoming queries (default from config)",
     )
     unify.add_argument(

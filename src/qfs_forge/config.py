@@ -78,6 +78,7 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        self.backend.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallelism < 1:
@@ -155,80 +156,66 @@ def _strings(raw: dict, key: str) -> dict:
     return {name: _typed(value, name, "", f"{key}.") for name in value if value[name] is not None}
 
 
-def _backend_from_dict(raw: dict) -> BackendConfig:
-    params = None
-    p = _object(raw, "params", "backend.")
-    if p:
-        stop = p.get("stop")
-        if stop is None:
-            stop = []
-        if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
-            raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
-        numbers = {
-            key: _typed(p, key, default, "backend.params.")
-            for key, default in (("max_tokens", 256), ("temperature", 0.0), ("top_p", 1.0))
-        }
-        try:
-            params = CompletionParams(**numbers, stop_sequences=tuple(stop))
-        except ValueError as exc:
-            raise ConfigError(f"backend.params: {exc}") from exc
-    return BackendConfig(
-        kind=_typed(raw, "kind", "mock", "backend."),
-        endpoint=_typed(raw, "endpoint", "", "backend."),
-        script=_typed(raw, "script", "", "backend."),
-        seed=_typed(raw, "seed", 0, "backend."),
-        timeout=_typed(raw, "timeout", 60.0, "backend."),
-        params=params,
-    )
+def _check_keys(raw: dict, known, where: str) -> None:
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {where.rstrip('.') or 'config'} keys: {unknown}")
+
+
+def _scalars(cls, raw: dict, where: str = "", nested: tuple[str, ...] = ()) -> dict:
+    """Each field of dataclass ``cls`` whose default is a boolean, integer,
+    number or string, read from ``raw`` with the JSON type of that default. A
+    key of ``raw`` that is neither such a field nor in ``nested`` is an error."""
+    defaults = {f.name: f.default for f in fields(cls) if type(f.default) in _KINDS}
+    _check_keys(raw, [*defaults, *nested], where)
+    return {name: _typed(raw, name, default, where) for name, default in defaults.items()}
+
+
+def _params(raw: dict) -> CompletionParams | None:
+    """``backend.params``; absent or empty is no override."""
+    if not raw:
+        return None
+    numbers = _scalars(CompletionParams, raw, "backend.params.", ("stop",))
+    stop = raw.get("stop")
+    if stop is None:
+        stop = []
+    if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
+        raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
+    try:
+        return CompletionParams(**numbers, stop_sequences=tuple(stop))
+    except ValueError as exc:
+        raise ConfigError(f"backend.params: {exc}") from exc
 
 
 def load_config(path: str | None) -> RunConfig:
-    """Read the JSON config file; a missing path yields the defaults."""
-    if not path:
-        config = RunConfig()
-        config.validate()
-        return config
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+    """Read the JSON config file; a missing path yields the defaults.
 
-    known = {
-        "backend", "mode", "parallelism", "retries", "failure_ceiling",
-        "failure_action", "max_document_tokens", "query_format", "ntp_numerator",
-        "recall_only", "instruction", "example_path", "labels",
-        "overlap_threshold", "token_budget", "on_overflow", "paths",
-    }
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+    Each boolean, integer, number or string field of ``RunConfig``,
+    ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
+    its default; a key the reader does not know is an error at every level."""
+    raw = {}
+    if path:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
+
+    settings = _scalars(RunConfig, raw, nested=("backend", "labels", "paths"))
     labels = _strings(raw, "labels")
-    unknown = sorted(set(labels) - {label.name for label in fields(PromptLabels)})
-    if unknown:
-        raise ConfigError(f"unknown labels keys: {unknown}")
-
+    _check_keys(labels, [label.name for label in fields(PromptLabels)], "labels.")
+    backend = _object(raw, "backend")
     config = RunConfig(
-        backend=_backend_from_dict(_object(raw, "backend")),
-        mode=_typed(raw, "mode", "wh"),
-        parallelism=_typed(raw, "parallelism", 1),
-        retries=_typed(raw, "retries", 2),
-        failure_ceiling=_typed(raw, "failure_ceiling", 0.0),
-        failure_action=_typed(raw, "failure_action", "drop"),
-        max_document_tokens=_typed(raw, "max_document_tokens", 3000),
-        query_format=_typed(raw, "query_format", "natural"),
-        ntp_numerator=_typed(raw, "ntp_numerator", "occurrences"),
-        recall_only=_typed(raw, "recall_only", False),
-        instruction=_typed(raw, "instruction", ""),
-        example_path=_typed(raw, "example_path", ""),
+        **settings,
+        backend=BackendConfig(
+            **_scalars(BackendConfig, backend, "backend.", ("params",)),
+            params=_params(_object(backend, "params", "backend.")),
+        ),
         labels=labels,
-        overlap_threshold=_typed(raw, "overlap_threshold", 50.0),
-        token_budget=_typed(raw, "token_budget", 250),
-        on_overflow=_typed(raw, "on_overflow", "truncate"),
         paths=_strings(raw, "paths"),
     )
     config.validate()

@@ -18,22 +18,15 @@ from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map
 from .corpus import DocumentSummaryPair
 from .prompts import PromptSpec, build_annotation_prompt
 
-QUERY_FORMATS = ("natural", "words", "phrases", "sentence", "instruction")
-
-# Formats that already are natural questions pass through untouched.
-FORMAT_NEEDS_UNIFICATION = {
-    "natural": False,
-    "words": True,
-    "phrases": True,
-    "sentence": True,
-    "instruction": True,
-}
+# Every query format but natural questions, with the template style that
+# turns it into one; natural questions pass through untouched.
 FORMAT_TEMPLATE_STYLE = {
     "words": "newts",
     "phrases": "newts",
     "sentence": "newts",
     "instruction": "duc",
 }
+QUERY_FORMATS = ("natural", *FORMAT_TEMPLATE_STYLE)
 
 _DUC_VERB_MAP = {
     "describe": "What is",

@@ -77,6 +77,16 @@ class TestMockBackend:
         }
         assert len(outputs) > 1
 
+    def test_generated_follows_custom_labels(self):
+        prompt = "intro\n\nGist:\n1. The mayor spoke.\n2. The town listened.\n\nAsks:\n"
+        completion = MockBackend(seed=3).complete(prompt, QUERY_GEN_PARAMS)
+        assert [line[:3] for line in completion.split("\n")] == ["1. ", "2. "]
+        assert "The mayor spoke" in completion
+
+    @pytest.mark.parametrize("prompt", ["p", "1. A lone numbered line.\n", "\n\nQuestions:\n"])
+    def test_prompt_without_summary_block_gets_fallback_query(self, prompt):
+        assert MockBackend().complete(prompt, QUERY_GEN_PARAMS) == "1. What is this text about?"
+
     def test_thread_safe_script_consumption(self):
         backend = MockBackend(script=[str(i) for i in range(64)])
         with ThreadPoolExecutor(max_workers=8) as pool:

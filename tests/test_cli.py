@@ -1,13 +1,18 @@
 import json
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 
-from qfs_forge.backends import MockBackend
+import qfs_forge.config as config_module
+from qfs_forge.backends import CompletionParams, MockBackend
 from qfs_forge.cli import main
-from qfs_forge.config import RunConfig, load_config
+from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
 from qfs_forge.tokenizer import tokenize
 
 from conftest import read_jsonl, write_jsonl
+
+SAMPLE_PAIRS = str(Path(__file__).parent.parent / "sample_data" / "pairs.jsonl")
 
 PAIRS = [
     {
@@ -97,6 +102,21 @@ class TestAnnotateCommand:
         )
         out = tmp_path / "t.jsonl"
         assert run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)]) == 0
+
+    def test_custom_labels_with_mock_backend(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "backend": {"kind": "mock", "seed": 13},
+                    "labels": {"summary": "Gist:", "query": "Asks:"},
+                }
+            )
+        )
+        out = tmp_path / "t.jsonl"
+        assert run(["--config", str(config), "annotate", "--input", SAMPLE_PAIRS, "--output", str(out)]) == 0
+        assert "annotated 3 pairs: 3 ok, 0 parse_mismatch" in capsys.readouterr().out
+        assert len(read_jsonl(out)) == 3
 
     def test_live_backend_without_key_is_config_error(self, tmp_path, corpus, monkeypatch, capsys):
         monkeypatch.delenv("QFS_FORGE_API_KEY", raising=False)
@@ -350,6 +370,9 @@ class TestMalformedConfig:
             ({"failure_ceiling": 10**400}, "failure_ceiling must be a number, got 1000"),
             ({"backend": {"kind": "live", "endpoint": "127.0.0.1:1/complete"}}, "http or https URL with a host"),
             ({"backend": {"kind": "live", "endpoint": "http://127.0.0.1:1/x", "timeout": 0}}, "timeout must be finite and > 0, got 0.0"),
+            ({"backend": {"sede": 5}}, "unknown backend keys: ['sede']"),
+            ({"backend": {"params": {"max_token": 10}}}, "unknown backend.params keys: ['max_token']"),
+            ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):
@@ -390,6 +413,57 @@ class TestMalformedConfig:
         assert loaded.overlap_threshold == 40.0 and isinstance(loaded.overlap_threshold, float)
         assert loaded.backend.timeout == 5.0 and isinstance(loaded.backend.timeout, float)
 
+    def test_every_scalar_field_round_trips(self, tmp_path):
+        # a valid non-default value of each field's type; enum strings need a member
+        members = {
+            "mode": "yesno", "failure_action": "repair", "query_format": "words",
+            "ntp_numerator": "types", "on_overflow": "drop", "kind": "live",
+        }
+
+        def other(field):
+            default = field.default
+            if isinstance(default, bool):
+                return not default
+            if isinstance(default, int):
+                return default + 1
+            if isinstance(default, float):
+                return default / 2 or 0.5
+            return members.get(field.name, f"custom {field.name}")
+
+        def values(cls):
+            scalars = [f for f in fields(cls) if isinstance(f.default, (bool, int, float, str))]
+            return {f.name: other(f) for f in scalars}
+
+        run_values, backend_values, param_values = map(
+            values, (RunConfig, BackendConfig, CompletionParams)
+        )
+        # the fields left out are the nested objects, read by name
+        assert {f.name for f in fields(RunConfig)} - set(run_values) == {"backend", "labels", "paths"}
+        assert {f.name for f in fields(BackendConfig)} - set(backend_values) == {"params"}
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({**run_values, "backend": {**backend_values, "params": param_values}})
+        )
+        loaded = load_config(str(config))
+        params = CompletionParams(**param_values)
+        assert loaded == RunConfig(**run_values, backend=BackendConfig(**backend_values, params=params))
+        for obj, values in (
+            (loaded, run_values), (loaded.backend, backend_values), (loaded.backend.params, param_values)
+        ):
+            assert all(type(getattr(obj, name)) is type(value) for name, value in values.items())
+
+    def test_a_new_scalar_field_is_loaded_and_type_checked(self, tmp_path, monkeypatch):
+        @dataclass
+        class Extended(RunConfig):
+            new_knob: int = 7
+
+        monkeypatch.setattr(config_module, "RunConfig", Extended)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"new_knob": 8}))
+        assert load_config(str(config)).new_knob == 8
+        config.write_text(json.dumps({"new_knob": "8"}))
+        with pytest.raises(ConfigError, match="new_knob must be an integer, got '8'"):
+            load_config(str(config))
 
     def test_null_is_the_default(self, tmp_path):
         backend = dict.fromkeys(["kind", "endpoint", "script", "seed", "timeout", "params"])
@@ -438,10 +512,23 @@ class TestCliPlumbing:
         assert run(["--config", str(config), "stats", "--input", corpus, "--output", "x"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_unknown_backend_kind_rejected_by_a_command_without_backend(self, tmp_path, capsys):
+        triplet = {
+            "id": "t", "document": "a b c", "summary": "A thing happened.",
+            "queries": ["What happened?"], "mode": "wh", "query_types": ["what"],
+        }
+        triplets = write_jsonl(tmp_path / "t.jsonl", [triplet])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "bogus"}}))
+        out = tmp_path / "s.jsonl"
+        assert run(["--config", str(config), "stats", "--input", triplets, "--output", str(out)]) == 2
+        assert "error: backend.kind must be mock or live" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inputs_never_mutated(self, tmp_path, corpus, mock_config):
-        before = open(corpus, "rb").read()
+        before = Path(corpus).read_bytes()
         run(["--config", mock_config, "annotate", "--input", corpus, "--output", str(tmp_path / "o.jsonl")])
-        assert open(corpus, "rb").read() == before
+        assert Path(corpus).read_bytes() == before
 
     def test_backend_closed_when_command_ends(self, tmp_path, corpus, mock_config, monkeypatch):
         closed = []

@@ -5,6 +5,9 @@ each used to be implemented in two or three modules; these checks keep a
 new copy from appearing next to the shared helper. The punctuation rule
 (Unicode category ``P*``) lives in the tokenizer alone. The runtime needs
 only the standard library: neither ``requests`` nor ``numpy`` is imported.
+Each run option is written once: the config reader takes every key, type
+and default from the dataclass field, and the mock backend reads the prompt
+labels from the prompt rather than keeping its own copy.
 """
 
 import os
@@ -50,6 +53,15 @@ def test_unicode_categories_only_in_tokenizer():
 
 def test_character_loop_strip_is_gone():
     assert modules_matching(r"def _strip_punct\b") == []
+
+
+def test_mock_backend_keeps_no_copy_of_the_prompt_labels():
+    assert "Summary:" not in SOURCES["backends.py"]
+    assert "Questions:" not in SOURCES["backends.py"]
+
+
+def test_config_reads_no_key_by_literal_name():
+    assert not re.search(r"_typed\([^,()]+,\s*[\"']", SOURCES["config.py"])
 
 
 def test_no_module_imports_requests():

@@ -5,7 +5,8 @@ from qfs_forge.prompts import default_spec
 from qfs_forge.taxonomy import QueryType, classify_query
 from qfs_forge.unify import (
     EchoGenerator,
-    FORMAT_NEEDS_UNIFICATION,
+    FORMAT_TEMPLATE_STYLE,
+    QUERY_FORMATS,
     PromptedGenerator,
     UnifyError,
     template_fallback,
@@ -139,6 +140,8 @@ class TestUnifyBatch:
 
 
 def test_format_tags_cover_known_dataset_styles():
-    assert FORMAT_NEEDS_UNIFICATION["natural"] is False
+    # natural questions pass through; every other format has a template style
+    assert "natural" in QUERY_FORMATS and "natural" not in FORMAT_TEMPLATE_STYLE
     for tag in ("words", "phrases", "sentence", "instruction"):
-        assert FORMAT_NEEDS_UNIFICATION[tag] is True
+        assert tag in QUERY_FORMATS
+        assert FORMAT_TEMPLATE_STYLE[tag] in ("newts", "duc")

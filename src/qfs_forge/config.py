@@ -192,7 +192,8 @@ def load_config(path: str | None) -> RunConfig:
 
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
-    its default; a key the reader does not know is an error at every level."""
+    its default. An unknown key is an error at the top level and under
+    ``backend``, ``backend.params`` and ``labels``."""
     raw = {}
     if path:
         try:

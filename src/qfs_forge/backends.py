@@ -162,9 +162,10 @@ class LiveBackend:
     with fixed exponential backoff (1s, 2s, 4s), then raised; a 3xx reply is
     not followed. Every precondition on the endpoint, timeout, key and proxy
     is checked here, at construction, so a bad value fails before the first
-    call. Each thread keeps one keep-alive connection; the backend tracks
-    them all, closes those of ended threads when a new one opens, and
-    ``close()`` closes the rest.
+    call. Idle keep-alive connections wait on one shared stack: a call takes
+    one or opens one, and puts it back after a successful exchange, so no
+    more are open than calls were in flight at once. ``close()`` closes the
+    idle ones; call it once every call has returned.
     """
 
     def __init__(self, endpoint: str, timeout: float = 60.0, api_key: str | None = None):
@@ -204,13 +205,13 @@ class LiveBackend:
                 self._target = endpoint  # the proxy forwards an absolute-URL request
                 self._headers.update(proxy_headers)
         self._lock = threading.Lock()
-        self._connections: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._idle: list[http.client.HTTPConnection] = []
 
     def close(self) -> None:
-        """Close every open connection; a later call opens a new one."""
+        """Close every idle connection; a later call opens a new one."""
         with self._lock:
-            connections, self._connections = self._connections, {}
-        for connection in connections.values():
+            idle, self._idle = self._idle, []
+        for connection in idle:
             connection.close()
 
     def complete(self, prompt: str, params: CompletionParams) -> str:
@@ -242,28 +243,24 @@ class LiveBackend:
         raise BackendError(last_error)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
-        """Status and body of one POST on this thread's connection; a failed
-        exchange closes it, and the next one reconnects."""
-        connection = self._thread_connection()
-        if connection.sock is not None and _readable(connection.sock):
+        """Status and body of one POST on an idle connection, or a new one;
+        a failed exchange closes and drops it."""
+        with self._lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is None:
+            connection = self._connect()
+        elif connection.sock is not None and _readable(connection.sock):
             connection.close()  # an idle connection the server has closed
         try:
             connection.request("POST", self._target, body, self._headers)
             response = connection.getresponse()
-            return response.status, response.read()
+            reply = response.status, response.read()
         except BaseException:
             connection.close()
             raise
-
-    def _thread_connection(self) -> http.client.HTTPConnection:
-        thread = threading.current_thread()
         with self._lock:
-            connection = self._connections.get(thread)
-            if connection is None:
-                for ended in [t for t in self._connections if not t.is_alive()]:
-                    self._connections.pop(ended).close()
-                connection = self._connections[thread] = self._connect()
-        return connection
+            self._idle.append(connection)
+        return reply
 
     def _connect(self) -> http.client.HTTPConnection:
         if self._tls is None:

@@ -13,8 +13,8 @@ import logging
 import sys
 from contextlib import closing
 
-from .annotate import STATUS_OK, annotate_corpus, summarize_outcomes
-from .backends import BackendError
+from .annotate import STATUS_OK, annotate_pair, summarize_outcomes
+from .backends import BackendError, map_ordered
 from .compose import ComposeError, CompositionConfig, compose_cluster
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
@@ -69,33 +69,23 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
     audit_path = args.audit or config.paths.get("audit", output_path + ".failures.jsonl")
 
     pairs = load_corpus(input_path)
-    domains = {pair.domain for pair in pairs}
-    specs = {domain: config.prompt_spec(domain) for domain in domains}
-
-    outcomes = []
+    specs = {domain: config.prompt_spec(domain) for domain in {pair.domain for pair in pairs}}
     with closing(config.backend.build()) as backend:
-        for domain in sorted(domains):
-            domain_pairs = [p for p in pairs if p.domain == domain]
-            outcomes += list(
-                zip(
-                    domain_pairs,
-                    annotate_corpus(
-                        domain_pairs,
-                        specs[domain],
-                        backend,
-                        parallelism=config.parallelism,
-                        retries=config.retries,
-                        params=config.completion_params(),
-                        max_document_tokens=config.max_document_tokens,
-                        failure_action=config.failure_action,
-                    ),
-                )
-            )
-    # restore input order across domains
-    position = {pair.id: i for i, pair in enumerate(pairs)}
-    outcomes.sort(key=lambda item: position[item[0].id])
+        outcomes = map_ordered(
+            lambda pair: annotate_pair(
+                pair,
+                specs[pair.domain],
+                backend,
+                retries=config.retries,
+                params=config.completion_params(),
+                max_document_tokens=config.max_document_tokens,
+                failure_action=config.failure_action,
+            ),
+            pairs,
+            config.parallelism,
+        )
 
-    triplets = [outcome.triplet for _, outcome in outcomes if outcome.ok]
+    triplets = [outcome.triplet for outcome in outcomes if outcome.ok]
     write_triplets(triplets, output_path)
     failures = [
         {
@@ -104,12 +94,12 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
             "attempts": outcome.attempts,
             "raw_completion": outcome.raw_completion,
         }
-        for pair, outcome in outcomes
+        for pair, outcome in zip(pairs, outcomes)
         if not outcome.ok
     ]
     write_jsonl(audit_path, failures)
 
-    counts = summarize_outcomes([outcome for _, outcome in outcomes])
+    counts = summarize_outcomes(outcomes)
     total = len(outcomes)
     failure_rate = (total - counts[STATUS_OK]) / total if total else 0.0
     print(
@@ -191,9 +181,11 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
     for line_no, cluster in read_jsonl(input_path):
         _require_fields(cluster, ("cluster_id", "query"), line_no, input_path)
         docs = cluster.get("documents")
-        if not (isinstance(docs, list) and docs and all(isinstance(d, str) for d in docs)):
+        if not (
+            isinstance(docs, list) and docs and all(isinstance(d, str) and d.strip() for d in docs)
+        ):
             raise CorpusError(
-                f"{input_path}:{line_no}: 'documents' must be a non-empty list of strings"
+                f"{input_path}:{line_no}: 'documents' must be a non-empty list of non-blank strings"
             )
         clusters.append(cluster)
     token_budget = config.token_budget if args.token_budget is None else args.token_budget

@@ -24,6 +24,10 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys of ``paths``: defaults for the subcommands' file flags
+_PATH_KEYS = ("input", "output", "audit", "predictions", "references")
+
+
 @dataclass
 class BackendConfig:
     kind: str = "mock"  # mock | live
@@ -193,7 +197,7 @@ def load_config(path: str | None) -> RunConfig:
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
     its default. An unknown key is an error at the top level and under
-    ``backend``, ``backend.params`` and ``labels``."""
+    ``backend``, ``backend.params``, ``labels`` and ``paths``."""
     raw = {}
     if path:
         try:
@@ -209,6 +213,8 @@ def load_config(path: str | None) -> RunConfig:
     settings = _scalars(RunConfig, raw, nested=("backend", "labels", "paths"))
     labels = _strings(raw, "labels")
     _check_keys(labels, [label.name for label in fields(PromptLabels)], "labels.")
+    paths = _strings(raw, "paths")
+    _check_keys(paths, _PATH_KEYS, "paths.")
     backend = _object(raw, "backend")
     config = RunConfig(
         **settings,
@@ -217,7 +223,7 @@ def load_config(path: str | None) -> RunConfig:
             params=_params(_object(backend, "params", "backend.")),
         ),
         labels=labels,
-        paths=_strings(raw, "paths"),
+        paths=paths,
     )
     config.validate()
     return config

@@ -213,9 +213,11 @@ def load_triplets(path: str) -> list[AnnotatedTriplet]:
     seen: set[str] = set()
     for line_no, record in read_jsonl(path):
         _require_fields(record, ("id", "document", "summary", "mode"), line_no, path)
-        queries = record.get("queries")
-        if not isinstance(queries, list) or not all(isinstance(q, str) for q in queries):
-            raise CorpusError(f"{path}:{line_no}: 'queries' must be a list of strings")
+        record.setdefault("query_types", [])  # absent: not typed
+        for key in ("queries", "query_types"):
+            value = record.get(key)
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise CorpusError(f"{path}:{line_no}: {key!r} must be a list of strings")
         if record["id"] in seen:
             raise CorpusError(f"{path}:{line_no}: duplicate id {record['id']!r}")
         seen.add(record["id"])
@@ -226,7 +228,7 @@ def load_triplets(path: str) -> list[AnnotatedTriplet]:
                 summary=record["summary"],
                 queries=tuple(record["queries"]),
                 mode=record["mode"],
-                query_types=tuple(record.get("query_types", ())),
+                query_types=tuple(record["query_types"]),
             )
         )
     return triplets

@@ -10,7 +10,6 @@ template fallback exists for ablation comparisons.
 
 from __future__ import annotations
 
-import re
 from typing import Protocol, runtime_checkable
 
 from .annotate import ParseMismatchError, parse_completion
@@ -86,8 +85,9 @@ class PromptedGenerator:
 def unify_query(document: str, raw_query: str, gen: GeneratorBackend) -> str:
     """Generate a natural-question version of an arbitrary-format query.
 
-    When the generator emits numbered lines they are re-segmented to one
-    question per line; otherwise the generation is returned verbatim.
+    When the generator emits lines numbered contiguously from 1, as
+    ``parse_completion`` reads them, they are re-segmented to one question per
+    line; otherwise the generation is returned verbatim.
     """
     if not document.strip():
         raise UnifyError("document must be non-empty")
@@ -97,12 +97,10 @@ def unify_query(document: str, raw_query: str, gen: GeneratorBackend) -> str:
     generated = (generated or "").strip()
     if not generated:
         raise UnifyError("query generator returned empty text")
-    if re.search(r"^\s*1\.\s", generated, flags=re.MULTILINE):
-        try:
-            return "\n".join(parse_completion(generated, expected_count=None))
-        except ParseMismatchError:
-            pass
-    return generated
+    try:
+        return "\n".join(parse_completion(generated, expected_count=None))
+    except ParseMismatchError:
+        return generated
 
 
 def template_fallback(raw_query: str, style: str) -> str:

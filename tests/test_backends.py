@@ -23,6 +23,7 @@ from qfs_forge.backends import (
     QUERY_GEN_PARAMS,
     map_ordered,
 )
+from qfs_forge.compose import CompositionConfig, compose_cluster
 
 SRC = Path(__file__).parent.parent / "src"
 PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions:\n"
@@ -174,6 +175,24 @@ class _IdleCloseHandler(_KeepAliveHandler):
         self.wfile.flush()
         self.connection.shutdown(socket.SHUT_WR)
         self.server.closed.set()
+
+
+class _PairedHandler(_KeepAliveHandler):
+    """Holds each reply until two requests are in flight, while the server
+    has a ``pair`` barrier."""
+
+    def do_POST(self):
+        if self.server.pair:
+            self.server.pair.wait(timeout=10)
+        super().do_POST()
+
+
+def _track_connects(backend):
+    """The list of connections ``backend`` opens from now on."""
+    opened = []
+    connect = backend._connect
+    backend._connect = lambda: opened.append(connect()) or opened[-1]
+    return opened
 
 
 @contextlib.contextmanager
@@ -357,20 +376,20 @@ class TestLiveBackend:
             assert no_sleep == []
             assert server.requests[0]["client"] != server.requests[1]["client"]
 
-    def test_close_closes_every_thread_connection(self, api_key):
-        with _serving(_KeepAliveHandler) as server:
+    def test_close_closes_every_idle_connection(self, api_key):
+        with _serving(_PairedHandler) as server:
+            server.pair = threading.Barrier(2)
             backend = LiveBackend(self.endpoint(server))
-            opened = []
-            connect = backend._connect
-            backend._connect = lambda: opened.append(connect()) or opened[-1]
-            backend.complete("p", QUERY_GEN_PARAMS)
-            worker = threading.Thread(target=backend.complete, args=("p", QUERY_GEN_PARAMS))
-            worker.start()
-            worker.join()
+            opened = _track_connects(backend)
+            answers = map_ordered(
+                lambda _: backend.complete("p", QUERY_GEN_PARAMS), [0, 1], 2
+            )  # the server answers only once both calls are in flight
+            assert answers == ["1. What happened?"] * 2
             assert len(opened) == 2 and all(c.sock is not None for c in opened)
             backend.close()
             assert all(c.sock is None for c in opened)
-            # still usable: the next call opens (and tracks) a new connection
+            # still usable: the next call opens a new connection
+            server.pair = None
             assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
             assert len(opened) == 3
             backend.close()
@@ -382,12 +401,13 @@ class TestLiveBackend:
         try:
             with _serving(_KeepAliveHandler) as server:
                 backend = LiveBackend(self.endpoint(server))
-                opened = []
-                connect = backend._connect
-                backend._connect = lambda: opened.append(connect()) or opened[-1]
+                opened = _track_connects(backend)
+                answers = []
                 workers = [
                     threading.Thread(
-                        target=lambda: [backend.complete("p", QUERY_GEN_PARAMS) for _ in range(3)]
+                        target=lambda: answers.extend(
+                            backend.complete("p", QUERY_GEN_PARAMS) for _ in range(3)
+                        )
                     )
                     for _ in range(8)
                 ]
@@ -396,25 +416,62 @@ class TestLiveBackend:
                 for worker in workers:
                     worker.join(timeout=30)
                 assert not any(worker.is_alive() for worker in workers)
-                assert len(server.requests) == 24
+                assert answers == ["1. What happened?"] * 24
                 backend.close()
-                assert len(opened) == 8
+                assert 1 <= len(opened) <= 8
                 assert all(connection.sock is None for connection in opened)
         finally:
             sys.setswitchinterval(interval)
 
-    def test_connections_of_ended_threads_close_when_a_new_one_opens(self, api_key):
+    def test_pools_in_turn_reuse_idle_connections(self, api_key):
         with _serving(_KeepAliveHandler) as server, contextlib.closing(
             LiveBackend(self.endpoint(server))
         ) as backend:
-            opened = []
-            connect = backend._connect
-            backend._connect = lambda: opened.append(connect()) or opened[-1]
+            opened = _track_connects(backend)
             for _ in range(3):  # a fresh pool, as compose makes per cluster
                 map_ordered(lambda _: backend.complete("p", QUERY_GEN_PARAMS), [0, 1], 2)
-            backend.complete("p", QUERY_GEN_PARAMS)
-            assert sum(c.sock is not None for c in opened) <= 3
-            assert opened[0].sock is None
+            assert len(server.requests) == 6
+            assert len(opened) <= 2
+
+    def test_compose_clusters_share_connections(self, api_key):
+        with _serving(_KeepAliveHandler) as server, contextlib.closing(
+            LiveBackend(self.endpoint(server))
+        ) as backend:
+            cfg = CompositionConfig(backend=backend, parallelism=2)
+            for cluster in range(5):
+                docs = [f"Story {cluster} part {part} ran long." for part in range(3)]
+                compose_cluster(docs, f"What happened in story {cluster}?", cfg)
+            assert len(server.requests) == 15
+            assert len({request["client"] for request in server.requests}) <= 2
+
+    def test_failed_exchange_drops_its_connection(self, api_key, no_sleep):
+        listener = socket.create_server(("127.0.0.1", 0))
+        reply = json.dumps({"text": "1. What happened?"}).encode()
+        answer = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(reply), reply)
+        accepted = []
+
+        def serve():
+            # the first connection answers once, then cuts its second reply short
+            for replies in ([answer, answer[:-1]], [answer]):
+                connection, _ = listener.accept()
+                accepted.append(connection)
+                with connection:
+                    for data in replies:
+                        request = b""
+                        while not request.endswith(b"}"):
+                            request += connection.recv(65536)
+                        connection.sendall(data)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        endpoint = f"http://127.0.0.1:{listener.getsockname()[1]}/v1/complete"
+        with listener, contextlib.closing(LiveBackend(endpoint)) as backend:
+            assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
+            assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(accepted) == 2
+        assert no_sleep == [1.0]
 
     def test_http_proxy_gets_absolute_url_and_proxy_credentials(
         self, stub_server, api_key, no_proxy_env

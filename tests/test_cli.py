@@ -12,7 +12,24 @@ from qfs_forge.tokenizer import tokenize
 
 from conftest import read_jsonl, write_jsonl
 
-SAMPLE_PAIRS = str(Path(__file__).parent.parent / "sample_data" / "pairs.jsonl")
+SAMPLE = Path(__file__).parent.parent / "sample_data"
+SAMPLE_PAIRS = str(SAMPLE / "pairs.jsonl")
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+
+# the README quickstart chain; {out} is the output directory
+QUICKSTART = [
+    ["annotate", "--input", "{sample}/pairs.jsonl", "--output", "{out}/triplets.jsonl",
+     "--audit", "{out}/audit.jsonl"],
+    ["classify", "--input", "{out}/triplets.jsonl", "--output", "{out}/types.jsonl"],
+    ["stats", "--input", "{out}/triplets.jsonl", "--output", "{out}/stats.jsonl"],
+    ["unify", "--input", "{sample}/unify_queries.jsonl", "--output", "{out}/unified_template.jsonl",
+     "--query-format", "words", "--strategy", "template"],
+    ["unify", "--input", "{sample}/unify_queries.jsonl", "--output", "{out}/unified_mock.jsonl",
+     "--query-format", "words"],
+    ["compose", "--input", "{sample}/clusters.jsonl", "--output", "{out}/composed.jsonl"],
+    ["evaluate", "--predictions", "{sample}/predictions.jsonl",
+     "--references", "{sample}/references.jsonl", "--output", "{out}/rouge.jsonl"],
+]
 
 PAIRS = [
     {
@@ -87,6 +104,16 @@ class TestAnnotateCommand:
         assert audit[0]["attempts"] == 3
         assert audit[0]["raw_completion"] == "junk"
 
+    def test_scripted_completions_go_to_pairs_in_input_order(self, tmp_path):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["junk"] * 3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "script": str(script)}}))
+        out = tmp_path / "t.jsonl"
+        run(["--config", str(config), "annotate", "--input", SAMPLE_PAIRS, "--output", str(out)])
+        assert [record["id"] for record in read_jsonl(str(out) + ".failures.jsonl")] == ["news-1"]
+        assert [record["id"] for record in read_jsonl(out)] == ["news-2", "dlg-1"]
+
     def test_generous_ceiling_passes(self, tmp_path, corpus):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["junk"] * 3))
@@ -125,6 +152,18 @@ class TestAnnotateCommand:
         code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert "QFS_FORGE_API_KEY" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallelism", ["1", "4"])
+def test_quickstart_outputs_match_golden_bytes(tmp_path, parallelism):
+    for step in QUICKSTART:
+        argv = [arg.format(sample=SAMPLE, out=tmp_path) for arg in step]
+        config = ["--config", str(SAMPLE / "config.json"), "--parallelism", parallelism]
+        assert run([*config, *argv]) == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in GOLDEN_CLI.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN_CLI / name).read_bytes(), name
 
 
 class TestPipelineCommands:
@@ -259,6 +298,8 @@ class TestMalformedRecords:
             ("compose", {"cluster_id": "c1", "query": "q", "documents": 5}),
             ("compose", {"cluster_id": "c1", "query": "q", "documents": []}),
             ("compose", {"cluster_id": "c1", "query": "q"}),
+            ("compose", {"cluster_id": "c1", "query": "q", "documents": ["Snow fell.", ""]}),
+            ("compose", {"cluster_id": "c1", "query": "q", "documents": ["   "]}),
         ],
     )
     def test_unify_and_compose(self, tmp_path, mock_config, capsys, command, record):
@@ -269,6 +310,20 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}:1:" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("query_types", [5, "what", [1, 2], None])
+    def test_triplet_query_types(self, tmp_path, mock_config, capsys, query_types):
+        triplet = {
+            "id": "t", "document": "a b c", "summary": "A thing happened.",
+            "queries": ["What happened?"], "mode": "wh", "query_types": query_types,
+        }
+        path = write_jsonl(tmp_path / "t.jsonl", [triplet])
+        out = tmp_path / "out.jsonl"
+        assert run(["--config", mock_config, "stats", "--input", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: 'query_types' must be a list of strings" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -373,6 +428,7 @@ class TestMalformedConfig:
             ({"backend": {"sede": 5}}, "unknown backend keys: ['sede']"),
             ({"backend": {"params": {"max_token": 10}}}, "unknown backend.params keys: ['max_token']"),
             ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
+            ({"paths": {"audti": "a.jsonl"}}, "unknown paths keys: ['audti']"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):

@@ -14,6 +14,7 @@ from qfs_forge.corpus import (
     normalize_query,
     read_jsonl,
     segment_sentences,
+    triplet_to_record,
     write_jsonl as corpus_write_jsonl,
     write_triplets,
 )
@@ -205,6 +206,13 @@ class TestTripletRoundTrip:
         write_triplets(triplets, str(path_a))
         write_triplets(load_triplets(str(path_a)), str(path_b))
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_absent_query_types_load_empty(self, tmp_path):
+        record = {key: value for key, value in triplet_to_record(make_triplet()).items()
+                  if key != "query_types"}
+        path = tmp_path / "t.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert load_triplets(str(path)) == [make_triplet(query_types=())]
 
     def test_record_field_order(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -46,6 +46,10 @@ class TestUnifyQuery:
         gen = ListGenerator("Sure!\n1. What about snow?\n2. What about cold?")
         assert unify_query("doc", "snow. cold.", gen) == "What about snow?\nWhat about cold?"
 
+    @pytest.mark.parametrize("numbered", ["01. What fell?", "\u0661. What fell?"])
+    def test_numbering_is_read_as_annotate_reads_it(self, numbered):
+        assert unify_query("doc", "q", ListGenerator(numbered)) == "What fell?"
+
     def test_non_contiguous_numbering_falls_back_verbatim(self):
         gen = ListGenerator("2. Second?\n3. Third?")
         assert unify_query("doc", "q", gen) == "2. Second?\n3. Third?"

@@ -193,8 +193,6 @@ def annotate_corpus(
     failure_action: str = "drop",
 ) -> list[AnnotationOutcome]:
     """Annotate pairs with bounded parallelism; results come back in input order."""
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
 
     def work(pair: DocumentSummaryPair) -> AnnotationOutcome:
         return annotate_pair(

@@ -70,6 +70,8 @@ class CompletionBackend(Protocol):
 
 def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
     """``[fn(item) for item in items]``, with up to ``parallelism`` calls in flight."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:

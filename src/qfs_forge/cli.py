@@ -18,12 +18,14 @@ from .backends import BackendError, map_ordered
 from .compose import ComposeError, CompositionConfig, compose_cluster
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
+    STRING,
+    TEXT,
+    TEXTS,
     CorpusError,
     InvariantError,
-    _require_fields,
     load_corpus,
     load_triplets,
-    read_jsonl,
+    read_records,
     write_jsonl,
     write_triplets,
 )
@@ -141,10 +143,7 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
-    records = []
-    for line_no, record in read_jsonl(input_path):
-        _require_fields(record, ("id", "document", "query"), line_no, input_path)
-        records.append(record)
+    records = read_records(input_path, {"id": STRING, "document": TEXT, "query": TEXT}, dict)
 
     query_format = args.query_format or config.query_format
     if query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
@@ -177,17 +176,9 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
-    clusters = []
-    for line_no, cluster in read_jsonl(input_path):
-        _require_fields(cluster, ("cluster_id", "query"), line_no, input_path)
-        docs = cluster.get("documents")
-        if not (
-            isinstance(docs, list) and docs and all(isinstance(d, str) and d.strip() for d in docs)
-        ):
-            raise CorpusError(
-                f"{input_path}:{line_no}: 'documents' must be a non-empty list of non-blank strings"
-            )
-        clusters.append(cluster)
+    clusters = read_records(
+        input_path, {"cluster_id": STRING, "query": TEXT, "documents": TEXTS}, dict
+    )
     token_budget = config.token_budget if args.token_budget is None else args.token_budget
     with closing(config.backend.build()) as backend:
         try:

@@ -15,7 +15,7 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import MODES
+from .corpus import MODES, is_string_list
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 from .unify import QUERY_FORMATS
 
@@ -53,7 +53,7 @@ class BackendConfig:
                     script = json.load(handle)
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"backend.script {self.script!r} is not valid JSON: {exc}") from exc
-            if not isinstance(script, list) or not all(isinstance(s, str) for s in script):
+            if not is_string_list(script):
                 raise ConfigError(f"backend.script {self.script!r} must be a JSON list of strings")
         return MockBackend(script=script, seed=self.seed)
 
@@ -183,7 +183,7 @@ def _params(raw: dict) -> CompletionParams | None:
     stop = raw.get("stop")
     if stop is None:
         stop = []
-    if not (isinstance(stop, list) and all(isinstance(s, str) for s in stop)):
+    if not is_string_list(stop):
         raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
     try:
         return CompletionParams(**numbers, stop_sequences=tuple(stop))

@@ -11,6 +11,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 DOMAINS = ("news", "dialogue")
 MODES = ("wh", "yesno")
@@ -118,12 +119,26 @@ def normalize_query(query: str) -> str:
     return query
 
 
-def _require_fields(record: dict, fields: tuple[str, ...], line_no: int, path: str):
-    for name in fields:
-        if name not in record:
-            raise CorpusError(f"{path}:{line_no}: missing field {name!r}")
-        if not isinstance(record[name], str):
-            raise CorpusError(f"{path}:{line_no}: field {name!r} must be a string")
+def is_string_list(value) -> bool:
+    """Whether ``value`` is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+class Field(NamedTuple):
+    """What one record field must hold, named as its error names it."""
+
+    description: str
+    check: Callable[[object], bool]
+    required: bool = True  # an optional field may be absent, not null
+
+
+STRING = Field("a string", lambda value: isinstance(value, str))
+TEXT = Field("a non-blank string", lambda value: isinstance(value, str) and bool(value.strip()))
+STRINGS = Field("a list of strings", is_string_list)
+TEXTS = Field(
+    "a non-empty list of non-blank strings",
+    lambda value: is_string_list(value) and bool(value) and all(item.strip() for item in value),
+)
 
 
 def read_jsonl(path: str):
@@ -159,31 +174,47 @@ def write_jsonl(path: str, records) -> None:
         raise
 
 
+def read_records(
+    path: str, fields: dict[str, Field], build: Callable, unique: str | None = None
+) -> list:
+    """``build(**values)`` per record of a JSONL file, in file order.
+
+    ``values`` holds each field of ``fields`` that the record has; a
+    required field must be present, and every present one must pass its
+    check. A missing or ill-typed field, a repeated value of field
+    ``unique`` and an ``InvariantError`` from ``build`` raise CorpusError
+    naming ``path:line``.
+    """
+    records = []
+    seen = set()
+    for line_no, record in read_jsonl(path):
+        try:
+            values = {}
+            for name, kind in fields.items():
+                if name in record:
+                    if not kind.check(record[name]):
+                        raise InvariantError(f"{name!r} must be {kind.description}")
+                    values[name] = record[name]
+                elif kind.required:
+                    raise InvariantError(f"missing field {name!r}")
+            if unique is not None:
+                if values[unique] in seen:
+                    raise InvariantError(f"duplicate {unique} {values[unique]!r}")
+                seen.add(values[unique])
+            records.append(build(**values))
+        except InvariantError as exc:
+            raise CorpusError(f"{path}:{line_no}: {exc}") from exc
+    return records
+
+
 def load_corpus(path: str) -> list[DocumentSummaryPair]:
     """Load document-summary pairs, preserving file order.
 
     Raises CorpusError with the offending line number on malformed records
     and on duplicate ids.
     """
-    pairs = []
-    seen: set[str] = set()
-    for line_no, record in read_jsonl(path):
-        _require_fields(record, ("id", "document", "summary", "domain"), line_no, path)
-        if record["id"] in seen:
-            raise CorpusError(f"{path}:{line_no}: duplicate id {record['id']!r}")
-        seen.add(record["id"])
-        try:
-            pairs.append(
-                DocumentSummaryPair(
-                    id=record["id"],
-                    document=record["document"],
-                    summary=record["summary"],
-                    domain=record["domain"],
-                )
-            )
-        except InvariantError as exc:
-            raise CorpusError(f"{path}:{line_no}: {exc}") from exc
-    return pairs
+    fields = {"id": STRING, "document": STRING, "summary": STRING, "domain": STRING}
+    return read_records(path, fields, DocumentSummaryPair, unique="id")
 
 
 def triplet_to_record(triplet: AnnotatedTriplet) -> dict:
@@ -207,31 +238,26 @@ def write_triplets(triplets: list[AnnotatedTriplet], path: str) -> None:
         raise CorpusError(f"cannot write triplets to {path}: {exc}") from exc
 
 
+_TRIPLET_FIELDS = {
+    "id": STRING,
+    "document": STRING,
+    "summary": STRING,
+    "queries": STRINGS,
+    "mode": STRING,
+    "query_types": STRINGS._replace(required=False),  # absent: not typed
+}
+
+
+def _checked_triplet(**values) -> AnnotatedTriplet:
+    triplet = AnnotatedTriplet(**values)
+    triplet.validate()
+    return triplet
+
+
 def load_triplets(path: str) -> list[AnnotatedTriplet]:
-    """Inverse of write_triplets; round-trips value-identically."""
-    triplets = []
-    seen: set[str] = set()
-    for line_no, record in read_jsonl(path):
-        _require_fields(record, ("id", "document", "summary", "mode"), line_no, path)
-        record.setdefault("query_types", [])  # absent: not typed
-        for key in ("queries", "query_types"):
-            value = record.get(key)
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise CorpusError(f"{path}:{line_no}: {key!r} must be a list of strings")
-        if record["id"] in seen:
-            raise CorpusError(f"{path}:{line_no}: duplicate id {record['id']!r}")
-        seen.add(record["id"])
-        triplets.append(
-            AnnotatedTriplet(
-                id=record["id"],
-                document=record["document"],
-                summary=record["summary"],
-                queries=tuple(record["queries"]),
-                mode=record["mode"],
-                query_types=tuple(record["query_types"]),
-            )
-        )
-    return triplets
+    """Inverse of write_triplets; round-trips value-identically and rejects
+    every triplet that write_triplets would refuse."""
+    return read_records(path, _TRIPLET_FIELDS, _checked_triplet, unique="id")
 
 
 def joined_query_text(triplet: AnnotatedTriplet) -> str:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .corpus import DOMAINS, MODES, DocumentSummaryPair, segment_sentences
+from .corpus import DOMAINS, MODES, DocumentSummaryPair, is_string_list, segment_sentences
 
 WH_INSTRUCTION = (
     "For each summary, write a general question about the article that can be "
@@ -140,10 +140,6 @@ def builtin_example(domain: str, mode: str) -> OneShotExample:
     return _example_from_raw(_load_builtin(domain), mode, f"built-in {domain} example")
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
 def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
     if mode not in MODES:
         raise PromptError(f"unknown mode {mode!r}")
@@ -157,7 +153,7 @@ def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
         raise PromptError(f"{source}: queries must be an object with a {mode!r} list")
     if not isinstance(raw["document"], str) or not isinstance(raw["domain"], str):
         raise PromptError(f"{source}: document and domain must be strings")
-    if not _is_strings(raw["summary_sentences"]) or not _is_strings(queries[mode]):
+    if not is_string_list(raw["summary_sentences"]) or not is_string_list(queries[mode]):
         raise PromptError(f"{source}: summary_sentences and queries.{mode} must be lists of strings")
     return OneShotExample(
         document=raw["document"],

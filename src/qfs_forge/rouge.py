@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._kernels import counts_overlap, lcs_length, lcs_with_masks, match_masks, pairwise_mean
-from .corpus import read_jsonl
+from .corpus import STRING, read_records
 from .tokenizer import tokenize
 
 METRICS = ("rouge1", "rouge2", "rougeL")
@@ -131,12 +131,7 @@ class EvalReport:
 
 
 def _load_id_text_records(path: str) -> list[tuple[str, str]]:
-    records = []
-    for line_no, record in read_jsonl(path):
-        if "id" not in record or not isinstance(record.get("text"), str):
-            raise RougeError(f"{path}:{line_no}: record needs 'id' and a string 'text'")
-        records.append((str(record["id"]), record["text"]))
-    return records
+    return read_records(path, {"id": STRING, "text": STRING}, lambda id, text: (id, text))
 
 
 def evaluate_run(predictions: str, references: str) -> EvalReport:

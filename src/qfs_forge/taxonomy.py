@@ -50,29 +50,7 @@ WH_TYPES = (
 )
 
 _HEAD_TO_TYPE = {
-    "do": QueryType.DO_DOES_DID,
-    "does": QueryType.DO_DOES_DID,
-    "did": QueryType.DO_DOES_DID,
-    "is": QueryType.IS_ARE_WAS_WERE,
-    "are": QueryType.IS_ARE_WAS_WERE,
-    "was": QueryType.IS_ARE_WAS_WERE,
-    "were": QueryType.IS_ARE_WAS_WERE,
-    "can": QueryType.CAN_COULD,
-    "could": QueryType.CAN_COULD,
-    "will": QueryType.WILL_WOULD,
-    "would": QueryType.WILL_WOULD,
-    "have": QueryType.HAVE_HAS_HAD,
-    "has": QueryType.HAVE_HAS_HAD,
-    "had": QueryType.HAVE_HAS_HAD,
-    "what": QueryType.WHAT,
-    "when": QueryType.WHEN,
-    "where": QueryType.WHERE,
-    "who": QueryType.WHO_WHOM,
-    "whom": QueryType.WHO_WHOM,
-    "which": QueryType.WHICH,
-    "whose": QueryType.WHOSE,
-    "why": QueryType.WHY,
-    "how": QueryType.HOW,
+    head: qt for qt in QueryType if qt is not QueryType.OTHER for head in qt.value.split("_")
 }
 
 # Negated auxiliaries whose apostrophe-split head would miss the bucket.

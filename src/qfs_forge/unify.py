@@ -133,8 +133,6 @@ def unify_batch(
     """unify_query over aligned lists; results in input order."""
     if len(documents) != len(raw_queries):
         raise UnifyError("documents and raw_queries must be aligned")
-    if parallelism < 1:
-        raise UnifyError("parallelism must be >= 1")
     return map_ordered(
         lambda dq: unify_query(dq[0], dq[1], gen), list(zip(documents, raw_queries)), parallelism
     )

@@ -119,6 +119,11 @@ class TestMapOrdered:
         with pytest.raises(BackendError, match="item 3 failed"):
             map_ordered(fail_on_three, list(range(6)), parallelism)
 
+    @pytest.mark.parametrize("n_items", [0, 1, 2])
+    def test_rejects_parallelism_below_one(self, n_items):
+        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+            map_ordered(lambda x: x, list(range(n_items)), 0)
+
     def test_empty_and_single_item_run_inline(self):
         caller = threading.get_ident()
         assert map_ordered(lambda x: x, [], 4) == []

@@ -300,18 +300,23 @@ class TestMalformedRecords:
             ("compose", {"cluster_id": "c1", "query": "q"}),
             ("compose", {"cluster_id": "c1", "query": "q", "documents": ["Snow fell.", ""]}),
             ("compose", {"cluster_id": "c1", "query": "q", "documents": ["   "]}),
+            ("compose", {"cluster_id": "c1", "query": " ", "documents": ["Snow fell."]}),
+            ("unify", {"id": "u1", "document": "Snow fell.", "query": ""}),
+            ("unify", {"id": "u1", "document": " ", "query": "snow"}),
         ],
     )
     def test_unify_and_compose(self, tmp_path, mock_config, capsys, command, record):
         path = write_jsonl(tmp_path / "in.jsonl", [record])
         out = tmp_path / "out.jsonl"
-        extra = ["--strategy", "template", "--query-format", "words"] if command == "unify" else []
-        code = run(["--config", mock_config, command, "--input", path, "--output", str(out)] + extra)
-        err = capsys.readouterr().err
-        assert code == 2
-        assert f"{path}:1:" in err
-        assert "Traceback" not in err
-        assert not out.exists()
+        # unify copies natural queries as they are and rewrites the other formats
+        unify_runs = [["--strategy", "template", "--query-format", f] for f in ("natural", "words")]
+        for extra in unify_runs if command == "unify" else [[]]:
+            code = run(["--config", mock_config, command, "--input", path, "--output", str(out)] + extra)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"{path}:1:" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("query_types", [5, "what", [1, 2], None])
     def test_triplet_query_types(self, tmp_path, mock_config, capsys, query_types):
@@ -327,10 +332,34 @@ class TestMalformedRecords:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["classify", "stats"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"mode": "bogus"}, "bad mode 'bogus'"),
+            ({"summary": "Snow fell. Roads closed."}, "1 queries for 2 summary sentences"),
+            ({"query_types": ["what", "what"]}, "query_types length != queries length"),
+        ],
+    )
+    def test_triplet_contract(self, tmp_path, mock_config, capsys, command, change, message):
+        triplet = {
+            "id": "t", "document": "a b c", "summary": "A thing happened.",
+            "queries": ["What happened?"], "mode": "wh", "query_types": ["what"], **change,
+        }
+        path = write_jsonl(tmp_path / "t.jsonl", [triplet])
+        out = tmp_path / "out.jsonl"
+        assert run(["--config", mock_config, command, "--input", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: triplet 't': {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [
-            (json.dumps({"id": "1", "text": None}), "record needs 'id' and a string 'text'"),
+            (json.dumps({"id": "1", "text": None}), "'text' must be a string"),
+            (json.dumps({"id": None, "text": "None"}), "'id' must be a string"),
+            (json.dumps({"id": 1, "text": "None"}), "'id' must be a string"),
             ("{broken", "invalid JSON"),
             ("[1, 2]", "record must be a JSON object"),
         ],

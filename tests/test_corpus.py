@@ -214,6 +214,27 @@ class TestTripletRoundTrip:
         path.write_text(json.dumps(record) + "\n")
         assert load_triplets(str(path)) == [make_triplet(query_types=())]
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"queries": ("Only one?",)},
+            {"queries": ("What is alpha?", "no question mark")},
+            {"mode": "bogus"},
+            {"query_types": ("what",)},
+            {"summary": "  "},
+        ],
+    )
+    def test_load_rejects_what_write_rejects(self, tmp_path, bad):
+        triplet = make_triplet(id="t2", **bad)
+        with pytest.raises(InvariantError) as refused:
+            write_triplets([triplet], str(tmp_path / "refused.jsonl"))
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            "".join(json.dumps(triplet_to_record(t)) + "\n" for t in (make_triplet(), triplet))
+        )
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: {refused.value}")):
+            load_triplets(str(path))
+
     def test_record_field_order(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_triplets([make_triplet()], str(path))

@@ -247,7 +247,7 @@ class TestEvaluateRun:
         # a null text used to be scored as the string "None"
         preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "1", "text": None}])
         refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "1", "text": "None"}])
-        with pytest.raises(RougeError, match=re.escape(f"{preds}:1: record needs 'id' and a string 'text'")):
+        with pytest.raises(CorpusError, match=re.escape(f"{preds}:1: 'text' must be a string")):
             evaluate_run(preds, refs)
 
     def test_malformed_json_is_corpus_error_with_line(self, tmp_path):

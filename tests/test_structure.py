@@ -1,10 +1,11 @@
 """Each format or concurrency decision has one home in the package source.
 
-Parallel backend calls, JSONL serialization and the numbered-line format
-each used to be implemented in two or three modules; these checks keep a
-new copy from appearing next to the shared helper. The punctuation rule
-(Unicode category ``P*``) lives in the tokenizer alone. The runtime needs
-only the standard library: neither ``requests`` nor ``numpy`` is imported.
+Parallel backend calls, JSONL serialization, input record checks and the
+numbered-line format each used to be implemented in two or three modules;
+these checks keep a new copy from appearing next to the shared helper.
+The punctuation rule (Unicode category ``P*``) lives in the tokenizer
+alone. The runtime needs only the standard library: neither ``requests``
+nor ``numpy`` is imported.
 Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, and the mock backend reads the prompt
 labels from the prompt rather than keeping its own copy.
@@ -45,6 +46,13 @@ def test_numbered_line_regex_only_in_prompts():
 
 def test_former_jsonl_helpers_are_gone():
     assert modules_matching(r"def (_read_jsonl|_write_jsonl|_iter_json_lines)\b") == []
+
+
+def test_record_checks_only_in_corpus():
+    # every input record is read and checked by corpus.read_records
+    assert modules_matching(r"\b(_require_fields|_is_strings)\b") == []
+    assert modules_matching(r"\{\w*path\}:\{line_no\}") == ["corpus.py"]
+    assert modules_matching(r"\bread_jsonl\b") == ["corpus.py"]
 
 
 def test_unicode_categories_only_in_tokenizer():

@@ -13,7 +13,6 @@ from .backends import (
     BackendError,
     CompletionBackend,
     CompletionParams,
-    LiveBackend,
     MockBackend,
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
@@ -23,7 +22,6 @@ from .compose import (
     ComposeResult,
     TfIdfIndex,
     compose_cluster,
-    compose_summary,
     overlap_pct,
     rank_documents,
 )
@@ -81,7 +79,6 @@ __all__ = [
     "builtin_example",
     "classify_query",
     "compose_cluster",
-    "compose_summary",
     "corpus_stats",
     "default_spec",
     "evaluate_run",
@@ -102,3 +99,13 @@ __all__ = [
     "write_triplets",
     "zero_shot_summarize_prompt",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: ``LiveBackend`` is imported on first use, so a mock run never
+    # loads http.client, ssl or email
+    if name == "LiveBackend":
+        from .live import LiveBackend
+
+        return LiveBackend
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -173,7 +173,3 @@ def compose_cluster(docs: list[str], query: str, cfg: CompositionConfig) -> Comp
         truncated=truncated,
     )
 
-
-def compose_summary(docs: list[str], query: str, cfg: CompositionConfig) -> str:
-    """The composed summary text (see compose_cluster for the trace)."""
-    return compose_cluster(docs, query, cfg).summary

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field, fields
 from .backends import (
     CompletionBackend,
     CompletionParams,
-    LiveBackend,
     MockBackend,
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
@@ -45,6 +44,8 @@ class BackendConfig:
     def build(self) -> CompletionBackend:
         self.validate()
         if self.kind == "live":
+            from .live import LiveBackend  # loads the HTTP and TLS modules only for a live run
+
             return LiveBackend(self.endpoint, timeout=self.timeout)
         script = None
         if self.script:

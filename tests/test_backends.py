@@ -13,17 +13,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import qfs_forge.backends as backends
+import qfs_forge.live as live
 from qfs_forge.backends import (
-    API_KEY_ENV,
     BackendError,
     CompletionParams,
-    LiveBackend,
     MockBackend,
     QUERY_GEN_PARAMS,
     map_ordered,
 )
 from qfs_forge.compose import CompositionConfig, compose_cluster
+from qfs_forge.live import API_KEY_ENV, LiveBackend
 
 SRC = Path(__file__).parent.parent / "src"
 PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions:\n"
@@ -243,7 +242,7 @@ def api_key(monkeypatch):
 @pytest.fixture
 def no_sleep(monkeypatch):
     sleeps = []
-    monkeypatch.setattr(backends.time, "sleep", sleeps.append)
+    monkeypatch.setattr(live.time, "sleep", sleeps.append)
     return sleeps
 
 

@@ -12,7 +12,6 @@ from qfs_forge.compose import (
     CompositionConfig,
     TfIdfIndex,
     compose_cluster,
-    compose_summary,
     overlap_pct,
     rank_documents,
     truncate_to_tokens,
@@ -201,7 +200,7 @@ class TestTruncateToTokens:
 class TestComposeSummary:
     def test_single_doc_passthrough(self):
         cfg = config({"doc one": "S."})
-        assert compose_summary(["doc one"], "query words", cfg) == "S."
+        assert compose_cluster(["doc one"], "query words", cfg).summary == "S."
 
     def test_identical_summaries_deduplicated(self):
         cfg = config({"doc one": "same summary text", "doc two": "same summary text"})
@@ -254,17 +253,17 @@ class TestComposeSummary:
     def test_backend_failure_names_document_index(self):
         cfg = config({"doc one": "fine summary"})
         with pytest.raises(ComposeError, match="document 1"):
-            compose_summary(["doc one", "unknown doc"], "query", cfg)
+            compose_cluster(["doc one", "unknown doc"], "query", cfg)
 
     def test_deterministic(self):
         mapping = {"doc one": "alpha beta", "doc two": "gamma delta"}
-        first = compose_summary(["doc one", "doc two"], "query", config(mapping))
-        second = compose_summary(["doc one", "doc two"], "query", config(mapping))
+        first = compose_cluster(["doc one", "doc two"], "query", config(mapping)).summary
+        second = compose_cluster(["doc one", "doc two"], "query", config(mapping)).summary
         assert first == second
 
     def test_empty_cluster_errors(self):
         with pytest.raises(ComposeError):
-            compose_summary([], "q", config({}))
+            compose_cluster([], "q", config({}))
 
     def test_parallel_summarization_matches_serial(self):
         mapping = {f"doc {i}": f"summary {i} stands alone{i}" for i in range(6)}

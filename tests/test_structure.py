@@ -5,21 +5,26 @@ numbered-line format each used to be implemented in two or three modules;
 these checks keep a new copy from appearing next to the shared helper.
 The punctuation rule (Unicode category ``P*``) lives in the tokenizer
 alone. The runtime needs only the standard library: neither ``requests``
-nor ``numpy`` is imported.
+nor ``numpy`` is imported, and a run on the mock backend loads none of the
+HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, and the mock backend reads the prompt
 labels from the prompt rather than keeping its own copy.
 """
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+ROOT = Path(__file__).parent.parent
 SOURCES = {
     path.name: path.read_text(encoding="utf-8")
-    for path in sorted((Path(__file__).parent.parent / "src" / "qfs_forge").glob("*.py"))
+    for path in sorted((ROOT / "src" / "qfs_forge").glob("*.py"))
 }
 
 
@@ -36,8 +41,8 @@ def test_thread_pool_only_in_backends():
 
 
 def test_jsonl_writer_only_in_corpus():
-    # backends.py serializes the live backend's HTTP request body
-    assert modules_matching(r"json\.dumps") == ["backends.py", "corpus.py"]
+    # live.py serializes the live backend's HTTP request body
+    assert modules_matching(r"json\.dumps") == ["corpus.py", "live.py"]
 
 
 def test_numbered_line_regex_only_in_prompts():
@@ -114,3 +119,63 @@ def test_import_does_not_load_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+NETWORK_MODULES = (
+    "http.client", "ssl", "socket", "selectors", "urllib.request", "email", "qfs_forge.live"
+)
+
+
+def test_mock_run_loads_no_network_module(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import qfs_forge\n"
+        "from qfs_forge import cli\n"
+        "from qfs_forge.config import BackendConfig\n"
+        f"names = {NETWORK_MODULES!r}\n"
+        "status = cli.main(['--config', 'sample_data/config.json', 'annotate',\n"
+        "                   '--input', 'sample_data/pairs.jsonl',\n"
+        f"                   '--output', {str(tmp_path / 'triplets.jsonl')!r}])\n"
+        "mock = [name for name in names if name in sys.modules]\n"
+        "BackendConfig(kind='live', endpoint='http://127.0.0.1:1/x').build()\n"
+        "live = [name for name in names if name in sys.modules]\n"
+        "print(json.dumps([status, mock, live]))\n"
+    )
+    env = {
+        name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")
+    }
+    env.update(PYTHONPATH=str(ROOT / "src"), QFS_FORGE_API_KEY="test-token")
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    status, mock, live = json.loads(result.stdout.splitlines()[-1])
+    assert status == 0
+    assert mock == []
+    assert "qfs_forge.live" in live and "http.client" in live and "ssl" in live
+
+
+def test_live_backend_name_resolves_lazily():
+    import qfs_forge
+    import qfs_forge.live
+
+    assert qfs_forge.LiveBackend is qfs_forge.live.LiveBackend
+    namespace = {}
+    exec("from qfs_forge import *", namespace)
+    assert namespace["LiveBackend"] is qfs_forge.live.LiveBackend
+    with pytest.raises(AttributeError, match="module 'qfs_forge' has no attribute 'no_such_name'"):
+        qfs_forge.no_such_name
+    assert sorted(qfs_forge.__all__) == [
+        "AnnotatedTriplet", "AnnotationOutcome", "BackendError", "CompletionBackend",
+        "CompletionParams", "ComposeResult", "CompositionConfig", "CorpusStats",
+        "DocumentSummaryPair", "GeneratorBackend", "LiveBackend", "MockBackend",
+        "OneShotExample", "ParseMismatchError", "PromptSpec", "QUERY_GEN_PARAMS", "QueryType",
+        "QueryTypeDistribution", "RougeScore", "SUMMARIZATION_PARAMS", "TfIdfIndex",
+        "aggregate_distribution", "annotate_corpus", "annotate_pair", "build_annotation_prompt",
+        "build_qfs_input", "builtin_example", "classify_query", "compose_cluster",
+        "corpus_stats", "default_spec", "evaluate_run", "load_corpus", "load_triplets", "ntp",
+        "number_sentences", "overlap_pct", "parse_completion", "pearson", "rank_documents",
+        "rouge_l", "rouge_n", "segment_sentences", "template_fallback", "tokenize",
+        "unify_query", "write_triplets", "zero_shot_summarize_prompt",
+    ]

@@ -20,7 +20,6 @@ from .backends import (
 from .compose import (
     CompositionConfig,
     ComposeResult,
-    TfIdfIndex,
     compose_cluster,
     overlap_pct,
     rank_documents,
@@ -45,7 +44,7 @@ from .rouge import RougeScore, evaluate_run, rouge_l, rouge_n
 from .stats import CorpusStats, corpus_stats, ntp, pearson
 from .taxonomy import QueryType, QueryTypeDistribution, aggregate_distribution, classify_query
 from .tokenizer import tokenize
-from .unify import GeneratorBackend, template_fallback, unify_query
+from .unify import template_fallback, unify_query
 
 __version__ = "0.1.0"
 
@@ -59,7 +58,6 @@ __all__ = [
     "CompositionConfig",
     "CorpusStats",
     "DocumentSummaryPair",
-    "GeneratorBackend",
     "LiveBackend",
     "MockBackend",
     "OneShotExample",
@@ -70,7 +68,6 @@ __all__ = [
     "QueryTypeDistribution",
     "RougeScore",
     "SUMMARIZATION_PARAMS",
-    "TfIdfIndex",
     "aggregate_distribution",
     "annotate_corpus",
     "annotate_pair",

@@ -143,7 +143,9 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
-    records = read_records(input_path, {"id": STRING, "document": TEXT, "query": TEXT}, dict)
+    records = read_records(
+        input_path, {"id": STRING, "document": TEXT, "query": TEXT}, dict, unique="id"
+    )
 
     query_format = args.query_format or config.query_format
     if query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
@@ -177,7 +179,10 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     clusters = read_records(
-        input_path, {"cluster_id": STRING, "query": TEXT, "documents": TEXTS}, dict
+        input_path,
+        {"cluster_id": STRING, "query": TEXT, "documents": TEXTS},
+        dict,
+        unique="cluster_id",
     )
     token_budget = config.token_budget if args.token_budget is None else args.token_budget
     with closing(config.backend.build()) as backend:

@@ -50,43 +50,38 @@ class CompositionConfig:
             raise ValueError("parallelism must be >= 1")
 
 
-class TfIdfIndex:
-    """Term statistics over one document cluster.
+def _scores(docs: list[str], query: str) -> list[float]:
+    """TF-IDF cosine of each document with the query.
 
     idf(t) = ln(N / df(t)) + 1, computed on the cluster only; the +1 keeps
-    cluster-universal terms from vanishing. Terms absent from every
-    document carry no weight.
+    cluster-universal terms from vanishing. Query terms absent from every
+    document carry no weight. The dot product runs over whichever side has
+    fewer weighted terms (the document on a tie), in that side's order:
+    another order can move a score by an ulp and so reorder near-ties.
     """
-
-    def __init__(self, docs: list[str]):
-        if not docs:
-            raise ComposeError("cannot index an empty cluster")
-        self.doc_counts = [Counter(tokenize(doc)) for doc in docs]
-        self.df = Counter()
-        for counts in self.doc_counts:
-            self.df.update(counts.keys())
-        self.n_docs = len(docs)
-        self._idf = {term: math.log(self.n_docs / df) + 1.0 for term, df in self.df.items()}
-
-    def idf(self, term: str) -> float:
-        return self._idf.get(term, 0.0)
-
-    def vector(self, counts: Counter) -> dict[str, float]:
-        idf = self._idf
-        return {term: tf * idf[term] for term, tf in counts.items() if term in idf}
-
-
-def _cosine(u: dict[str, float], v: dict[str, float]) -> float:
-    if not u or not v:
-        return 0.0
-    if len(v) < len(u):
-        u, v = v, u
-    dot = sum(weight * v.get(term, 0.0) for term, weight in u.items())
-    if dot == 0.0:
-        return 0.0
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
-    return dot / (norm_u * norm_v)
+    doc_counts = [Counter(tokenize(doc)) for doc in docs]
+    df = Counter()
+    for counts in doc_counts:
+        df.update(counts.keys())
+    idf = {term: math.log(len(docs) / n) + 1.0 for term, n in df.items()}
+    query_weights = {
+        term: tf * idf[term] for term, tf in Counter(tokenize(query)).items() if term in idf
+    }
+    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
+    scores = []
+    for counts in doc_counts:
+        weights = {term: tf * idf[term] for term, tf in counts.items()}
+        if len(query_weights) < len(weights):
+            small, large = query_weights, weights
+        else:
+            small, large = weights, query_weights
+        dot = sum(weight * large.get(term, 0.0) for term, weight in small.items())
+        if dot == 0.0:
+            scores.append(0.0)
+        else:
+            norm = math.sqrt(sum(w * w for w in weights.values()))
+            scores.append(dot / (norm * query_norm))
+    return scores
 
 
 def rank_documents(docs: list[str], query: str) -> list[int]:
@@ -95,9 +90,7 @@ def rank_documents(docs: list[str], query: str) -> list[int]:
         raise ComposeError("rank_documents: empty document list")
     if not query.strip():
         raise ComposeError("rank_documents: empty query")
-    index = TfIdfIndex(docs)
-    query_vec = index.vector(Counter(tokenize(query)))
-    scores = [_cosine(index.vector(counts), query_vec) for counts in index.doc_counts]
+    scores = _scores(docs, query)
     return sorted(range(len(docs)), key=lambda i: (-scores[i], i))
 
 

@@ -15,6 +15,7 @@ from .corpus import STRING, read_records
 from .tokenizer import tokenize
 
 METRICS = ("rouge1", "rouge2", "rougeL")
+_MEAN_ID = "__mean__"  # id of the mean row that ends an evaluation's records
 
 
 class RougeError(ValueError):
@@ -69,12 +70,6 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return RougeScore.from_counts(lcs_length(cand, ref), len(cand), len(ref))
 
 
-def score_pair(candidate: str, reference: str) -> dict[str, RougeScore]:
-    """All three metrics from one tokenization and one n-gram count of each text."""
-    cand = _grams(tokenize(candidate))
-    return _scores(cand, match_masks(cand[0]), _grams(tokenize(reference)))
-
-
 def _scores(cand: tuple, cand_masks: dict, ref: tuple) -> dict[str, RougeScore]:
     # cand_masks: the candidate's LCS match masks, built once for all its references
     lcs = lcs_with_masks(cand_masks, len(cand[0]), ref[0])
@@ -113,7 +108,7 @@ class EvalReport:
                 record[metric] = row[metric].to_record()
             records.append(record)
         records.append(
-            {"id": "__mean__", **{m: self.means[m].to_record() for m in METRICS}}
+            {"id": _MEAN_ID, **{m: self.means[m].to_record() for m in METRICS}}
         )
         return records
 
@@ -138,8 +133,8 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
     """Score a prediction file against a reference file, aligned by id.
 
     References may repeat an id to provide multiple references; the best
-    score per metric is taken. Prediction ids must be unique, and the two
-    id sets must coincide.
+    score per metric is taken. Prediction ids must be unique and must not be
+    ``"__mean__"``, and the two id sets must coincide.
     """
     pred_records = _load_id_text_records(predictions)
     ref_records = _load_id_text_records(references)
@@ -150,6 +145,8 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
     duplicate_preds = sorted(rid for rid, count in Counter(pred_ids).items() if count > 1)
     if duplicate_preds:
         raise RougeError(f"duplicate prediction ids: {duplicate_preds}")
+    if _MEAN_ID in pred_ids:
+        raise RougeError(f"prediction id {_MEAN_ID!r} is reserved for the mean row")
 
     refs_by_id: dict[str, list[str]] = {}
     for rid, text in ref_records:

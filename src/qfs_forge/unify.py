@@ -1,16 +1,13 @@
 """Query unification: turn topic words, phrases, or instructions into
 natural questions.
 
-The raw query is treated as a pseudo-summary and handed to a query
-generator together with the document; whatever that generator is (a
-fine-tuned model behind HTTP, a completion endpoint prompted with the
-annotation prompt, or a mock) it fills the same role. A deterministic
-template fallback exists for ablation comparisons.
+The raw query is treated as a pseudo-summary and handed, together with
+the document, to a completion backend prompted with the annotation prompt
+(``PromptedGenerator``). A deterministic template fallback exists for
+ablation comparisons.
 """
 
 from __future__ import annotations
-
-from typing import Protocol, runtime_checkable
 
 from .annotate import ParseMismatchError, parse_completion
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
@@ -36,21 +33,6 @@ _DUC_VERB_MAP = {
 
 class UnifyError(ValueError):
     pass
-
-
-@runtime_checkable
-class GeneratorBackend(Protocol):
-    """The document+pseudo-summary -> query role."""
-
-    def generate_query(self, document: str, pseudo_summary: str) -> str: ...
-
-
-class EchoGenerator:
-    """Mock generator: returns the pseudo-summary as a question."""
-
-    def generate_query(self, document: str, pseudo_summary: str) -> str:
-        text = pseudo_summary.strip().rstrip(".!")
-        return text if text.endswith("?") else text + "?"
 
 
 class PromptedGenerator:
@@ -82,7 +64,7 @@ class PromptedGenerator:
         return self._backend.complete(prompt, self._params)
 
 
-def unify_query(document: str, raw_query: str, gen: GeneratorBackend) -> str:
+def unify_query(document: str, raw_query: str, gen: PromptedGenerator) -> str:
     """Generate a natural-question version of an arbitrary-format query.
 
     When the generator emits lines numbered contiguously from 1, as
@@ -127,7 +109,7 @@ def template_fallback(raw_query: str, style: str) -> str:
 def unify_batch(
     documents: list[str],
     raw_queries: list[str],
-    gen: GeneratorBackend,
+    gen: PromptedGenerator,
     parallelism: int = 1,
 ) -> list[str]:
     """unify_query over aligned lists; results in input order."""

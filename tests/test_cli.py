@@ -318,6 +318,23 @@ class TestMalformedRecords:
             assert "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, record",
+        [
+            ("unify", {"id": "u1", "document": "Snow fell.", "query": "snow"}),
+            ("compose", {"cluster_id": "c1", "query": "snow", "documents": ["Snow fell."]}),
+        ],
+    )
+    def test_repeated_id(self, tmp_path, mock_config, capsys, command, record):
+        path = write_jsonl(tmp_path / "in.jsonl", [record, record])
+        out = tmp_path / "out.jsonl"
+        key = "id" if command == "unify" else "cluster_id"
+        code = run(["--config", mock_config, command, "--input", path, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}:2: duplicate {key} {record[key]!r}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("query_types", [5, "what", [1, 2], None])
     def test_triplet_query_types(self, tmp_path, mock_config, capsys, query_types):
         triplet = {

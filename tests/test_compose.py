@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from qfs_forge.backends import BackendError, SUMMARIZATION_PARAMS
 from qfs_forge.compose import (
     ComposeError,
-    _cosine,
     CompositionConfig,
-    TfIdfIndex,
+    _scores,
     compose_cluster,
     overlap_pct,
     rank_documents,
@@ -66,7 +65,8 @@ def brute_force_rank(docs, query):
 
 
 class OracleTfIdfIndex:
-    """Verbatim TfIdfIndex from when idf was recomputed per term and document."""
+    """Verbatim ``compose.TfIdfIndex`` and ``_cosine`` (below) from before
+    ``rank_documents`` scored a cluster inline."""
 
     def __init__(self, docs: list[str]):
         if not docs:
@@ -76,29 +76,60 @@ class OracleTfIdfIndex:
         for counts in self.doc_counts:
             self.df.update(counts.keys())
         self.n_docs = len(docs)
+        self._idf = {term: math.log(self.n_docs / df) + 1.0 for term, df in self.df.items()}
 
     def idf(self, term: str) -> float:
-        df = self.df.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log(self.n_docs / df) + 1.0
+        return self._idf.get(term, 0.0)
 
     def vector(self, counts: Counter) -> dict[str, float]:
-        return {
-            term: tf * self.idf(term)
-            for term, tf in counts.items()
-            if term in self.df
-        }
+        idf = self._idf
+        return {term: tf * idf[term] for term, tf in counts.items() if term in idf}
 
 
-def cosine_scores(index, query: str) -> list[float]:
+def oracle_cosine(u: dict[str, float], v: dict[str, float]) -> float:
+    if not u or not v:
+        return 0.0
+    if len(v) < len(u):
+        u, v = v, u
+    dot = sum(weight * v.get(term, 0.0) for term, weight in u.items())
+    if dot == 0.0:
+        return 0.0
+    norm_u = math.sqrt(sum(w * w for w in u.values()))
+    norm_v = math.sqrt(sum(w * w for w in v.values()))
+    return dot / (norm_u * norm_v)
+
+
+def oracle_scores(docs: list[str], query: str) -> list[float]:
+    index = OracleTfIdfIndex(docs)
     query_vec = index.vector(Counter(tokenize(query)))
-    return [_cosine(index.vector(counts), query_vec) for counts in index.doc_counts]
+    return [oracle_cosine(index.vector(counts), query_vec) for counts in index.doc_counts]
+
+
+def dot_over(u: dict[str, float], v: dict[str, float]) -> float:
+    return sum(weight * v.get(term, 0.0) for term, weight in u.items())
 
 
 # Few words and short documents, so clusters repeat documents and tie often.
 _WORDS = st.sampled_from(["snow", "Snow,", "market", "river", "the", "a", "apples", "—"])
 _DOCS = st.lists(st.lists(_WORDS, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=7)
+
+# Clusters where document 1's dot product sums to another float when taken
+# over the other side: the query has more weighted terms than the document,
+# fewer, and as many (a tie runs over the document).
+_SIDE_CASES = {
+    "query-more-terms": (
+        ["cold apples", "market town town snow", "snow a"],
+        "town snow cold the market",
+    ),
+    "query-fewer-terms": (
+        ["cold", "snow apples a river snow", "cold apples snow"],
+        "market a river snow",
+    ),
+    "same-term-count": (
+        ["market", "cold river river town snow river", "snow the the river"],
+        "cold snow market town market cold",
+    ),
+}
 
 
 class TestRankDocuments:
@@ -155,19 +186,19 @@ class TestRankDocuments:
             rank_documents(["d"], "  ")
 
     @settings(max_examples=300)
-    @given(docs=_DOCS, query=st.lists(_WORDS, min_size=1, max_size=4).map(" ".join))
+    @given(docs=_DOCS, query=st.lists(_WORDS, min_size=1, max_size=8).map(" ".join))
     def test_idf_table_keeps_scores_and_order_bit_identical(self, docs, query):
-        index, oracle = TfIdfIndex(docs), OracleTfIdfIndex(docs)
-        scores, expected = cosine_scores(index, query), cosine_scores(oracle, query)
+        scores, expected = _scores(docs, query), oracle_scores(docs, query)
         assert [s.hex() for s in scores] == [s.hex() for s in expected]
         assert rank_documents(docs, query) == sorted(range(len(docs)), key=lambda i: (-expected[i], i))
-        for term in [*oracle.df, "unseen"]:
-            assert index.idf(term).hex() == oracle.idf(term).hex()
 
-    def test_index_df_at_least_one(self):
-        index = TfIdfIndex(["a b", "b c"])
-        assert all(df >= 1 for df in index.df.values())
-        assert index.idf("zzz") == 0.0
+    @pytest.mark.parametrize("docs, query", _SIDE_CASES.values(), ids=_SIDE_CASES)
+    def test_dot_product_runs_over_the_smaller_side(self, docs, query):
+        index = OracleTfIdfIndex(docs)
+        doc_vec = index.vector(index.doc_counts[1])
+        query_vec = index.vector(Counter(tokenize(query)))
+        assert dot_over(doc_vec, query_vec) != dot_over(query_vec, doc_vec)
+        assert _scores(docs, query)[1].hex() == oracle_cosine(doc_vec, query_vec).hex()
 
 
 class TestOverlapPct:

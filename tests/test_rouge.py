@@ -15,7 +15,6 @@ from qfs_forge.rouge import (
     rouge_l,
     rouge_n,
     score_multi_reference,
-    score_pair,
 )
 from qfs_forge.tokenizer import tokenize
 
@@ -155,12 +154,12 @@ class TestRougeL:
 
 class TestScoreHelpers:
     def test_score_pair_has_three_metrics(self):
-        scores = score_pair("a b", "a c")
+        scores = score_multi_reference("a b", ["a c"])
         assert set(scores) == {"rouge1", "rouge2", "rougeL"}
 
     @given(candidate=texts, reference=texts)
     def test_score_pair_equals_single_metric_functions(self, candidate, reference):
-        assert score_pair(candidate, reference) == {
+        assert score_multi_reference(candidate, [reference]) == {
             "rouge1": rouge_n(candidate, reference, 1),
             "rouge2": rouge_n(candidate, reference, 2),
             "rougeL": rouge_l(candidate, reference),
@@ -176,7 +175,7 @@ class TestScoreHelpers:
     def test_multi_reference_is_first_best_score_pair(self, candidate, references):
         best = {}
         for reference in references:
-            scores = score_pair(candidate, reference)
+            scores = score_multi_reference(candidate, [reference])
             for metric in METRICS:
                 if metric not in best or scores[metric].f1 > best[metric].f1:
                     best[metric] = scores[metric]
@@ -272,6 +271,14 @@ class TestEvaluateRun:
         with pytest.raises(RougeError) as excinfo:
             evaluate_run(preds, refs)
         assert str(excinfo.value) == "duplicate prediction ids: ['r12345']"
+
+    def test_mean_row_id_rejected_as_prediction_id(self, tmp_path):
+        # the report ends with a row of this id, so a prediction of it would write two
+        records = [{"id": "a", "text": "x"}, {"id": "__mean__", "text": "y"}]
+        preds = write_jsonl(tmp_path / "p.jsonl", records)
+        refs = write_jsonl(tmp_path / "r.jsonl", records)
+        with pytest.raises(RougeError, match="prediction id '__mean__' is reserved"):
+            evaluate_run(preds, refs)
 
     def test_unique_ids_pass_duplicate_check(self, tmp_path):
         records = [{"id": f"r{i}", "text": f"word{i % 7} tail"} for i in range(2_000)]

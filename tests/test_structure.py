@@ -10,6 +10,8 @@ HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, and the mock backend reads the prompt
 labels from the prompt rather than keeping its own copy.
+The completion backend is the one ``Protocol``, so a new extension point
+cannot appear unnoticed.
 """
 
 import json
@@ -58,6 +60,11 @@ def test_record_checks_only_in_corpus():
     assert modules_matching(r"\b(_require_fields|_is_strings)\b") == []
     assert modules_matching(r"\{\w*path\}:\{line_no\}") == ["corpus.py"]
     assert modules_matching(r"\bread_jsonl\b") == ["corpus.py"]
+
+
+def test_protocol_only_in_backends():
+    # the completion backend is the one extension point
+    assert modules_matching(r"\bProtocol\b") == ["backends.py"]
 
 
 def test_unicode_categories_only_in_tokenizer():
@@ -169,9 +176,9 @@ def test_live_backend_name_resolves_lazily():
     assert sorted(qfs_forge.__all__) == [
         "AnnotatedTriplet", "AnnotationOutcome", "BackendError", "CompletionBackend",
         "CompletionParams", "ComposeResult", "CompositionConfig", "CorpusStats",
-        "DocumentSummaryPair", "GeneratorBackend", "LiveBackend", "MockBackend",
+        "DocumentSummaryPair", "LiveBackend", "MockBackend",
         "OneShotExample", "ParseMismatchError", "PromptSpec", "QUERY_GEN_PARAMS", "QueryType",
-        "QueryTypeDistribution", "RougeScore", "SUMMARIZATION_PARAMS", "TfIdfIndex",
+        "QueryTypeDistribution", "RougeScore", "SUMMARIZATION_PARAMS",
         "aggregate_distribution", "annotate_corpus", "annotate_pair", "build_annotation_prompt",
         "build_qfs_input", "builtin_example", "classify_query", "compose_cluster",
         "corpus_stats", "default_spec", "evaluate_run", "load_corpus", "load_triplets", "ntp",

@@ -4,7 +4,6 @@ from qfs_forge.backends import MockBackend
 from qfs_forge.prompts import default_spec
 from qfs_forge.taxonomy import QueryType, classify_query
 from qfs_forge.unify import (
-    EchoGenerator,
     FORMAT_TEMPLATE_STYLE,
     QUERY_FORMATS,
     PromptedGenerator,
@@ -28,19 +27,24 @@ class ListGenerator:
         return self.text
 
 
+def mock_generator():
+    return PromptedGenerator(MockBackend(seed=4), default_spec("news", "wh"))
+
+
 class TestUnifyQuery:
-    def test_mock_identity_appends_question_mark(self):
-        assert unify_query("doc", "winter temperatures", EchoGenerator()) == "winter temperatures?"
+    def test_unnumbered_generation_is_returned_stripped(self):
+        gen = ListGenerator("  winter temperatures?\n")
+        assert unify_query("doc", "winter temperatures", gen) == "winter temperatures?"
 
     def test_topic_words_give_single_nonempty_question(self):
-        result = unify_query("An article about snowfall.", NEWTS_WORDS, EchoGenerator())
-        assert result
-        assert result.endswith("?")
+        gen = ListGenerator("1. How cold will the winter morning be?")
+        result = unify_query("An article about snowfall.", NEWTS_WORDS, gen)
+        assert result == "How cold will the winter morning be?"
 
     def test_instruction_query_passes_through_unchanged_downstream(self):
-        result = unify_query("Art funding article.", DUC_INSTRUCTION, EchoGenerator())
-        assert result
-        assert result.endswith("?")
+        gen = ListGenerator("1. What is the state of art teaching in public schools?")
+        result = unify_query("Art funding article.", DUC_INSTRUCTION, gen)
+        assert result == "What is the state of art teaching in public schools?"
 
     def test_numbered_generation_resegments(self):
         gen = ListGenerator("Sure!\n1. What about snow?\n2. What about cold?")
@@ -64,28 +68,27 @@ class TestUnifyQuery:
 
     def test_empty_inputs_error(self):
         with pytest.raises(UnifyError):
-            unify_query("", "query", EchoGenerator())
+            unify_query("", "query", ListGenerator("What?"))
         with pytest.raises(UnifyError):
-            unify_query("doc", "  ", EchoGenerator())
+            unify_query("doc", "  ", ListGenerator("What?"))
 
     def test_deterministic_with_mock(self):
-        gen = EchoGenerator()
+        gen = mock_generator()
         first = unify_query("doc text", "raw query", gen)
         assert first == unify_query("doc text", "raw query", gen)
 
     def test_output_classifiable(self):
         for raw in (NEWTS_WORDS, DUC_INSTRUCTION, "is this fine"):
-            out = unify_query("document body", raw, EchoGenerator())
+            out = unify_query("document body", raw, mock_generator())
             assert isinstance(classify_query(out), QueryType)
 
 
 class TestPromptedGenerator:
     def test_uses_completion_backend_and_parses(self):
-        generator = PromptedGenerator(MockBackend(seed=4), default_spec("news", "wh"))
         out = unify_query(
             "Snow fell across the region overnight, closing schools.",
             "snow, weather, cold",
-            generator,
+            mock_generator(),
         )
         assert out.endswith("?")
         assert classify_query(out) == QueryType.WHAT
@@ -134,13 +137,14 @@ class TestUnifyBatch:
     def test_results_in_input_order_any_parallelism(self):
         docs = [f"document number {i} talks about topic {i}" for i in range(6)]
         raws = [f"topic {i}" for i in range(6)]
-        serial = unify_batch(docs, raws, EchoGenerator(), parallelism=1)
-        parallel = unify_batch(docs, raws, EchoGenerator(), parallelism=4)
-        assert serial == parallel == [f"topic {i}?" for i in range(6)]
+        serial = unify_batch(docs, raws, mock_generator(), parallelism=1)
+        parallel = unify_batch(docs, raws, mock_generator(), parallelism=4)
+        assert serial == parallel
+        assert all(query.endswith(f" topic {i}?") for i, query in enumerate(serial))
 
     def test_misaligned_inputs_error(self):
         with pytest.raises(UnifyError):
-            unify_batch(["d"], [], EchoGenerator())
+            unify_batch(["d"], [], ListGenerator("What?"))
 
 
 def test_format_tags_cover_known_dataset_styles():

@@ -27,6 +27,7 @@ from .compose import (
 from .corpus import (
     AnnotatedTriplet,
     DocumentSummaryPair,
+    QfsError,
     load_corpus,
     load_triplets,
     segment_sentences,
@@ -64,6 +65,7 @@ __all__ = [
     "ParseMismatchError",
     "PromptSpec",
     "QUERY_GEN_PARAMS",
+    "QfsError",
     "QueryType",
     "QueryTypeDistribution",
     "RougeScore",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .backends import (
@@ -19,7 +20,13 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import AnnotatedTriplet, DocumentSummaryPair, normalize_query, segment_sentences
+from .corpus import (
+    AnnotatedTriplet,
+    DocumentSummaryPair,
+    QfsError,
+    normalize_query,
+    segment_sentences,
+)
 from .prompts import PromptSpec, build_annotation_prompt, numbered_lines
 from .taxonomy import classify_query
 from .tokenizer import nth_token_chunk
@@ -29,6 +36,8 @@ log = logging.getLogger(__name__)
 STATUS_OK = "ok"
 STATUS_PARSE_MISMATCH = "parse_mismatch"
 STATUS_BACKEND_ERROR = "backend_error"
+# every status an annotated pair can end with, in report order
+STATUSES = (STATUS_OK, STATUS_PARSE_MISMATCH, STATUS_BACKEND_ERROR)
 
 QFS_INPUT_TEMPLATE = "question:\n {query} \n context:\n{document}"
 ZERO_SHOT_INSTRUCTION = "Summarize by answering the following questions:"
@@ -40,7 +49,7 @@ DEFAULT_MAX_DOCUMENT_TOKENS = 3000
 _YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
 
 
-class ParseMismatchError(ValueError):
+class ParseMismatchError(QfsError, ValueError):
     """Completion did not contain the expected contiguous numbered queries."""
 
 
@@ -52,6 +61,8 @@ class AnnotationOutcome:
     raw_completion: str
 
     def __post_init__(self):
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown status {self.status!r}")
         if (self.status == STATUS_OK) != (self.triplet is not None):
             raise ValueError("triplet must be present exactly when status is ok")
 
@@ -68,7 +79,8 @@ def parse_completion(
     Lines must be numbered contiguously from 1. With ``expected_count``
     set, exactly that many queries are required; ``None`` relaxes the
     count (any contiguous list is accepted), which query unification uses.
-    In yesno mode an optional leading "Yes:"/"No:" label is stripped.
+    In yesno mode an optional leading "Yes:"/"No:" label is stripped, and a
+    line holding nothing but the label is a mismatch.
     """
     if expected_count is not None and expected_count < 1:
         raise ValueError("expected_count must be >= 1")
@@ -87,6 +99,8 @@ def parse_completion(
     queries = [text for _, text in numbered]
     if mode == "yesno":
         queries = [_YESNO_LABEL.sub("", q, count=1) for q in queries]
+        if not all(queries):
+            raise ParseMismatchError("a yes/no label with no question after it")
     return queries
 
 
@@ -97,11 +111,12 @@ def repair_queries(
 
     Takes whatever numbered lines exist (ignoring contiguity), trims
     extras, and pads the deficit with a generic question derived from the
-    uncovered summary sentence. Only used when failure_action="repair".
+    uncovered summary sentence. A bare "Yes:"/"No:" line holds no question
+    and is dropped. Only used when failure_action="repair".
     """
     numbered = [text for _, text in numbered_lines(completion)]
     if mode == "yesno":
-        numbered = [_YESNO_LABEL.sub("", q, count=1) for q in numbered]
+        numbered = [q for q in (_YESNO_LABEL.sub("", q, count=1) for q in numbered) if q]
     queries = numbered[:expected_count]
     while len(queries) < expected_count:
         sentence = summary_sentences[len(queries)]
@@ -206,22 +221,14 @@ def annotate_corpus(
         )
 
     outcomes = map_ordered(work, pairs, parallelism)
-    counts = summarize_outcomes(outcomes)
-    log.info(
-        "annotated %d pairs: %d ok, %d parse_mismatch, %d backend_error",
-        len(outcomes),
-        counts[STATUS_OK],
-        counts[STATUS_PARSE_MISMATCH],
-        counts[STATUS_BACKEND_ERROR],
-    )
+    log.info("annotated %s", describe_outcomes(outcomes))
     return outcomes
 
 
-def summarize_outcomes(outcomes: list[AnnotationOutcome]) -> dict[str, int]:
-    counts = {STATUS_OK: 0, STATUS_PARSE_MISMATCH: 0, STATUS_BACKEND_ERROR: 0}
-    for outcome in outcomes:
-        counts[outcome.status] += 1
-    return counts
+def describe_outcomes(outcomes: list[AnnotationOutcome]) -> str:
+    """``"3 pairs: 3 ok, 0 parse_mismatch, 0 backend_error"``: the outcomes counted by status."""
+    counts = Counter(outcome.status for outcome in outcomes)
+    return f"{len(outcomes)} pairs: " + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
 
 
 def build_qfs_input(query: str, document: str) -> str:

@@ -14,10 +14,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
+from .corpus import QfsError
 from .prompts import numbered_lines
 
 
-class BackendError(RuntimeError):
+class BackendError(QfsError, RuntimeError):
     """The backend could not produce a completion."""
 
 

@@ -13,56 +13,34 @@ import logging
 import sys
 from contextlib import closing
 
-from .annotate import STATUS_OK, annotate_pair, summarize_outcomes
-from .backends import BackendError, map_ordered
-from .compose import ComposeError, CompositionConfig, compose_cluster
+from .annotate import annotate_pair, describe_outcomes
+from .backends import map_ordered
+from .compose import CompositionConfig, compose_cluster
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
     STRING,
     TEXT,
     TEXTS,
     CorpusError,
-    InvariantError,
+    QfsError,
     load_corpus,
     load_triplets,
     read_records,
     write_jsonl,
     write_triplets,
 )
-from .prompts import PromptError
-from .rouge import RougeError, evaluate_run
-from .stats import StatsError, corpus_stats, format_stats_table
-from .taxonomy import (
-    QueryType,
-    TaxonomyError,
-    aggregate_distribution,
-    classify_query,
-    format_distribution_table,
-)
+from .rouge import evaluate_run
+from .stats import corpus_stats, format_stats_table
+from .taxonomy import QueryType, aggregate_distribution, classify_query, format_distribution_table
 from .unify import (
     FORMAT_TEMPLATE_STYLE,
     QUERY_FORMATS,
     PromptedGenerator,
-    UnifyError,
     template_fallback,
     unify_batch,
 )
 
 log = logging.getLogger("qfs_forge")
-
-_USER_ERRORS = (
-    ConfigError,
-    CorpusError,
-    InvariantError,
-    PromptError,
-    BackendError,
-    ComposeError,
-    RougeError,
-    StatsError,
-    TaxonomyError,
-    UnifyError,
-    OSError,
-)
 
 
 def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
@@ -101,14 +79,8 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
     ]
     write_jsonl(audit_path, failures)
 
-    counts = summarize_outcomes(outcomes)
-    total = len(outcomes)
-    failure_rate = (total - counts[STATUS_OK]) / total if total else 0.0
-    print(
-        f"annotated {total} pairs: {counts[STATUS_OK]} ok, "
-        f"{counts['parse_mismatch']} parse_mismatch, "
-        f"{counts['backend_error']} backend_error -> {output_path}"
-    )
+    failure_rate = len(failures) / len(outcomes) if outcomes else 0.0
+    print(f"annotated {describe_outcomes(outcomes)} -> {output_path}")
     return 0 if failure_rate <= config.failure_ceiling else 1
 
 
@@ -303,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
             config.parallelism = args.parallelism
         config.validate()
         return args.func(config, args)
-    except _USER_ERRORS as exc:
+    except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

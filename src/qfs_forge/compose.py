@@ -21,12 +21,13 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
+from .corpus import QfsError
 from .tokenizer import nth_token_chunk, tokenize
 
 log = logging.getLogger(__name__)
 
 
-class ComposeError(RuntimeError):
+class ComposeError(QfsError, RuntimeError):
     pass
 
 

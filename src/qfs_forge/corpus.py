@@ -24,11 +24,15 @@ _PURE_NUMBER = re.compile(r"^\d+[.)]$")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 
 
-class CorpusError(ValueError):
+class QfsError(Exception):
+    """Base of every package error: bad input, config or backend reply, never a bug."""
+
+
+class CorpusError(QfsError, ValueError):
     """Malformed corpus file or record."""
 
 
-class InvariantError(ValueError):
+class InvariantError(QfsError, ValueError):
     """A record violates a structural invariant and was rejected."""
 
 

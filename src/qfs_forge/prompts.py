@@ -13,7 +13,14 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .corpus import DOMAINS, MODES, DocumentSummaryPair, is_string_list, segment_sentences
+from .corpus import (
+    DOMAINS,
+    MODES,
+    DocumentSummaryPair,
+    QfsError,
+    is_string_list,
+    segment_sentences,
+)
 
 WH_INSTRUCTION = (
     "For each summary, write a general question about the article that can be "
@@ -23,6 +30,7 @@ YESNO_INSTRUCTION = (
     "For each summary, write a binary question about the article that can be "
     "answered by it"
 )
+INSTRUCTIONS = {"wh": WH_INSTRUCTION, "yesno": YESNO_INSTRUCTION}
 
 # Section labels are this artifact's convention; override via PromptLabels
 # or the run config if a backend was tuned on different ones.
@@ -36,7 +44,7 @@ DOCUMENT_LABELS = {"news": "Article:", "dialogue": "Dialogue:"}
 _NUMBERED_LINE = re.compile(r"^\s*(\d{1,9})\.\s+(\S.*\S|\S)\s*$")
 
 
-class PromptError(ValueError):
+class PromptError(QfsError, ValueError):
     """Prompt construction failed (bad spec or mismatched inputs)."""
 
 
@@ -88,11 +96,9 @@ class PromptSpec:
     def __post_init__(self):
         # custom instructions are allowed, but the two built-ins must not
         # be crossed with the other mode's example
-        builtin = {WH_INSTRUCTION: "wh", YESNO_INSTRUCTION: "yesno"}.get(self.instruction)
+        builtin = {text: mode for mode, text in INSTRUCTIONS.items()}.get(self.instruction)
         if builtin is not None and builtin != self.example.mode:
-            raise PromptError(
-                f"{builtin} instruction paired with a {self.example.mode} example"
-            )
+            raise PromptError(f"{builtin} instruction paired with a {self.example.mode} example")
 
     @property
     def mode(self) -> str:
@@ -104,11 +110,9 @@ class PromptSpec:
 
 
 def instruction_for_mode(mode: str) -> str:
-    if mode == "wh":
-        return WH_INSTRUCTION
-    if mode == "yesno":
-        return YESNO_INSTRUCTION
-    raise PromptError(f"unknown mode {mode!r}")
+    if mode not in INSTRUCTIONS:
+        raise PromptError(f"unknown mode {mode!r}")
+    return INSTRUCTIONS[mode]
 
 
 def _load_builtin(domain: str) -> dict:

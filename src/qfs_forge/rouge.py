@@ -11,14 +11,14 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._kernels import counts_overlap, lcs_length, lcs_with_masks, match_masks, pairwise_mean
-from .corpus import STRING, read_records
+from .corpus import STRING, QfsError, read_records
 from .tokenizer import tokenize
 
 METRICS = ("rouge1", "rouge2", "rougeL")
 _MEAN_ID = "__mean__"  # id of the mean row that ends an evaluation's records
 
 
-class RougeError(ValueError):
+class RougeError(QfsError, ValueError):
     pass
 
 

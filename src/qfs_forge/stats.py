@@ -14,11 +14,11 @@ from fractions import Fraction
 from operator import mul
 
 from ._kernels import pairwise_mean
-from .corpus import AnnotatedTriplet, joined_query_text
+from .corpus import AnnotatedTriplet, QfsError, joined_query_text
 from .tokenizer import tokenize
 
 
-class StatsError(ValueError):
+class StatsError(QfsError, ValueError):
     pass
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .corpus import QfsError
 from .tokenizer import tokenize
 
 
@@ -72,7 +73,7 @@ _CONTRACTION_HEADS = {
 }
 
 
-class TaxonomyError(ValueError):
+class TaxonomyError(QfsError, ValueError):
     pass
 
 

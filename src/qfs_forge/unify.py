@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .annotate import ParseMismatchError, parse_completion
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
-from .corpus import DocumentSummaryPair
+from .corpus import DocumentSummaryPair, QfsError
 from .prompts import PromptSpec, build_annotation_prompt
 
 # Every query format but natural questions, with the template style that
@@ -31,7 +31,7 @@ _DUC_VERB_MAP = {
 }
 
 
-class UnifyError(ValueError):
+class UnifyError(QfsError, ValueError):
     pass
 
 

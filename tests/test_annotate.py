@@ -9,9 +9,9 @@ from qfs_forge.annotate import (
     annotate_corpus,
     annotate_pair,
     build_qfs_input,
+    describe_outcomes,
     parse_completion,
     repair_queries,
-    summarize_outcomes,
     truncate_document,
     zero_shot_summarize_prompt,
 )
@@ -62,6 +62,11 @@ class TestParseCompletion:
             "Was Tomas Medina Caracas a fugitive?"
         ]
 
+    @pytest.mark.parametrize("line", ["1. Yes:", "1. no :", "1. Is A?\n2. No:"])
+    def test_yesno_label_without_a_question_is_mismatch(self, line):
+        with pytest.raises(ParseMismatchError, match="no question"):
+            parse_completion(line, None, "yesno")
+
     def test_numbering_gap_is_mismatch(self):
         with pytest.raises(ParseMismatchError, match="contiguous"):
             parse_completion("1. Q1?\n3. Q3?", 2, "wh")
@@ -99,6 +104,10 @@ class TestRepairQueries:
         assert repaired[0] == "A?"
         assert "Second item here" in repaired[1]
         assert repaired[1].endswith("?")
+
+    def test_drops_yesno_labels_without_a_question(self):
+        repaired = repair_queries("1. Yes:\n2. No: Is B?", 2, "yesno", ["First.", "Second one."])
+        assert repaired == ["Is B?", "What does the text say about Second one?"]
 
 
 class TestAnnotatePair:
@@ -174,6 +183,8 @@ class TestAnnotatePair:
     def test_outcome_invariant_enforced(self):
         with pytest.raises(ValueError):
             AnnotationOutcome(status=STATUS_OK, triplet=None, attempts=1, raw_completion="")
+        with pytest.raises(ValueError, match="unknown status 'repaired'"):
+            AnnotationOutcome(status="repaired", triplet=None, attempts=1, raw_completion="")
 
 
 class TestAnnotateCorpus:
@@ -208,8 +219,8 @@ class TestAnnotateCorpus:
         spec = default_spec("news", "wh")
         backend = MockBackend(script=["junk"] * 9)  # every attempt fails to parse
         outcomes = annotate_corpus(pairs, spec, backend, parallelism=1, retries=2)
-        counts = summarize_outcomes(outcomes)
-        assert counts == {STATUS_OK: 0, STATUS_PARSE_MISMATCH: 3, STATUS_BACKEND_ERROR: 0}
+        assert describe_outcomes(outcomes) == "3 pairs: 0 ok, 3 parse_mismatch, 0 backend_error"
+        assert describe_outcomes([]) == "0 pairs: 0 ok, 0 parse_mismatch, 0 backend_error"
 
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):

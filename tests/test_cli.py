@@ -145,6 +145,36 @@ class TestAnnotateCommand:
         assert "annotated 3 pairs: 3 ok, 0 parse_mismatch" in capsys.readouterr().out
         assert len(read_jsonl(out)) == 3
 
+    @pytest.mark.parametrize("failure_action, code", [("drop", 1), ("repair", 0)])
+    def test_yesno_label_without_a_question_is_retried(self, tmp_path, failure_action, code):
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [
+            {"id": "a", "document": "The river rose. Crews came.", "summary": "The river rose.",
+             "domain": "news"},
+            {"id": "b", "document": "A museum reopened.", "summary": "The wing reopened.",
+             "domain": "news"},
+        ])
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["1. Yes:"] * 3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "backend": {"kind": "mock", "script": str(script)}, "mode": "yesno",
+            "failure_action": failure_action,
+        }))
+        out = tmp_path / "t.jsonl"
+        argv = ["--config", str(config), "--parallelism", "1", "annotate", "--input", pairs,
+                "--output", str(out)]
+        assert run(argv) == code
+        triplets = {record["id"]: record["queries"] for record in read_jsonl(out)}
+        audit = read_jsonl(str(out) + ".failures.jsonl")
+        if failure_action == "drop":
+            assert list(triplets) == ["b"]
+            assert [(r["id"], r["status"], r["attempts"]) for r in audit] == [
+                ("a", "parse_mismatch", 3)
+            ]
+        else:
+            assert triplets["a"] == ["What does the text say about The river rose?"]
+            assert list(triplets) == ["a", "b"] and audit == []
+
     def test_live_backend_without_key_is_config_error(self, tmp_path, corpus, monkeypatch, capsys):
         monkeypatch.delenv("QFS_FORGE_API_KEY", raising=False)
         config = tmp_path / "config.json"
@@ -335,6 +365,38 @@ class TestMalformedRecords:
         assert f"{path}:2: duplicate {key} {record[key]!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"id": ""}, "pair id must be non-empty"), ({"summary": " "}, "summary is empty")],
+    )
+    def test_annotate_pair(self, tmp_path, mock_config, capsys, change, message):
+        path = write_jsonl(tmp_path / "pairs.jsonl", [{**PAIRS[0], **change}])
+        out = tmp_path / "out.jsonl"
+        assert run(["--config", mock_config, "annotate", "--input", path, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("classify", "no triplets to classify"), ("evaluate", "prediction file has no records")],
+    )
+    def test_empty_input(self, tmp_path, mock_config, capsys, command, message):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        out = tmp_path / "out.jsonl"
+        if command == "classify":
+            inputs = ["--input", str(path)]
+        else:
+            refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "1", "text": "None"}])
+            inputs = ["--predictions", str(path), "--references", refs]
+        assert run(["--config", mock_config, command, *inputs, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("query_types", [5, "what", [1, 2], None])
     def test_triplet_query_types(self, tmp_path, mock_config, capsys, query_types):
         triplet = {
@@ -475,6 +537,13 @@ class TestMalformedConfig:
             ({"backend": {"params": {"max_token": 10}}}, "unknown backend.params keys: ['max_token']"),
             ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
             ({"paths": {"audti": "a.jsonl"}}, "unknown paths keys: ['audti']"),
+            ({"mode": "bogus"}, "mode must be one of ('wh', 'yesno'), got 'bogus'"),
+            ({"parallelism": 0}, "parallelism must be >= 1"),
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"failure_ceiling": 1.5}, "failure_ceiling must be a rate in [0, 1]"),
+            ({"failure_action": "bogus"}, "failure_action must be 'drop' or 'repair'"),
+            ({"query_format": "bogus"}, "query_format must be one of"),
+            ({"ntp_numerator": "bogus"}, "ntp_numerator must be 'occurrences' or 'types'"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):

@@ -11,9 +11,13 @@ Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, and the mock backend reads the prompt
 labels from the prompt rather than keeping its own copy.
 The completion backend is the one ``Protocol``, so a new extension point
-cannot appear unnoticed.
+cannot appear unnoticed. Every package error is a ``QfsError``, so the CLI
+catches that one base class, and the annotate status names live in
+``annotate.py`` alone.
 """
 
+import importlib
+import inspect
 import json
 import os
 import re
@@ -22,6 +26,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qfs_forge.corpus import QfsError
 
 ROOT = Path(__file__).parent.parent
 SOURCES = {
@@ -65,6 +71,31 @@ def test_record_checks_only_in_corpus():
 def test_protocol_only_in_backends():
     # the completion backend is the one extension point
     assert modules_matching(r"\bProtocol\b") == ["backends.py"]
+
+
+def test_every_package_error_is_a_qfs_error():
+    errors = []
+    for name in SOURCES:
+        module = importlib.import_module(f"qfs_forge.{name[:-3]}")
+        errors += [
+            cls for cls in vars(module).values()
+            if inspect.isclass(cls) and issubclass(cls, BaseException)
+            and cls.__module__ == module.__name__
+        ]
+    assert len(errors) >= 12
+    assert [cls.__name__ for cls in errors if not issubclass(cls, QfsError)] == []
+
+
+def test_cli_keeps_no_list_of_error_classes():
+    # main catches the base class; a tuple of package errors would need a new entry per class
+    error_tuple = r"\((\s*\w+(Error|Exception)\s*,)+\s*\w+(Error|Exception)\s*,?\s*\)"
+    assert [m.group(0) for m in re.finditer(error_tuple, SOURCES["cli.py"])] == [
+        "(QfsError, OSError)"
+    ]
+
+
+def test_status_names_only_in_annotate():
+    assert modules_matching(r"\b(parse_mismatch|backend_error)\b") == ["annotate.py"]
 
 
 def test_unicode_categories_only_in_tokenizer():
@@ -177,8 +208,8 @@ def test_live_backend_name_resolves_lazily():
         "AnnotatedTriplet", "AnnotationOutcome", "BackendError", "CompletionBackend",
         "CompletionParams", "ComposeResult", "CompositionConfig", "CorpusStats",
         "DocumentSummaryPair", "LiveBackend", "MockBackend",
-        "OneShotExample", "ParseMismatchError", "PromptSpec", "QUERY_GEN_PARAMS", "QueryType",
-        "QueryTypeDistribution", "RougeScore", "SUMMARIZATION_PARAMS",
+        "OneShotExample", "ParseMismatchError", "PromptSpec", "QUERY_GEN_PARAMS", "QfsError",
+        "QueryType", "QueryTypeDistribution", "RougeScore", "SUMMARIZATION_PARAMS",
         "aggregate_distribution", "annotate_corpus", "annotate_pair", "build_annotation_prompt",
         "build_qfs_input", "builtin_example", "classify_query", "compose_cluster",
         "corpus_stats", "default_spec", "evaluate_run", "load_corpus", "load_triplets", "ntp",

@@ -177,6 +177,7 @@ def annotate_pair(
     if status == STATUS_PARSE_MISMATCH and failure_action == "repair":
         queries = repair_queries(raw, expected, spec.mode, summary_sentences)
         return _ok_outcome(pair, spec.mode, queries, attempts, raw)
+    log.info("pair %r: %s after %d attempts", pair.id, status, attempts)
     return AnnotationOutcome(status=status, triplet=None, attempts=attempts, raw_completion=raw)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
@@ -60,8 +59,20 @@ def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
         raise ValueError("parallelism must be >= 1")
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here so a serial run never loads concurrent.futures, or the logging it imports
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, items))
+
+
+# the mock's generated questions, one picked per summary sentence by (prompt, seed)
+_WH_QUESTIONS = (
+    "What does the text say about {}?",
+    "What is reported about {}?",
+    "What happened regarding {}?",
+)
+_YESNO_QUESTIONS = ("Yes: Is the text about {}?", "No: Did the text leave out {}?")
 
 
 def _stable_rng_choice(seed: int, prompt: str, options: int) -> int:
@@ -123,19 +134,25 @@ class MockBackend:
         keep = 12 + _stable_rng_choice(self.seed, prompt, 9)
         return " ".join(chunks[:keep]) if chunks else "Nothing to summarize."
 
+    @staticmethod
+    def _asks_yes_no(prompt: str) -> bool:
+        # in yes/no mode the one-shot example's first question, the first
+        # "1. " line under the prompt's closing query label, carries "Yes:"/"No:"
+        text = prompt.rstrip()
+        label = text[text.rfind("\n") + 1 :]
+        opening = f"\n\n{label}\n1. "
+        start = prompt.find(opening)
+        return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))
+
     def _generated(self, prompt: str) -> str:
         sentences = self._target_summary_sentences(prompt)
         if not sentences:
             return "1. What is this text about?"
+        questions = _YESNO_QUESTIONS if self._asks_yes_no(prompt) else _WH_QUESTIONS
         lines = []
         for i, sentence in enumerate(sentences, start=1):
             words = sentence.rstrip(".!?").split()
             topic = " ".join(words[:4]) if words else "this"
-            variant = _stable_rng_choice(self.seed, f"{prompt}#{i}", 3)
-            if variant == 0:
-                lines.append(f"{i}. What does the text say about {topic}?")
-            elif variant == 1:
-                lines.append(f"{i}. What is reported about {topic}?")
-            else:
-                lines.append(f"{i}. What happened regarding {topic}?")
+            template = questions[_stable_rng_choice(self.seed, f"{prompt}#{i}", len(questions))]
+            lines.append(f"{i}. {template.format(topic)}")
         return "\n".join(lines)

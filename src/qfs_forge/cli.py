@@ -13,11 +13,11 @@ import logging
 import sys
 from contextlib import closing
 
-from .annotate import annotate_pair, describe_outcomes
 from .backends import map_ordered
-from .compose import CompositionConfig, compose_cluster
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
+    FORMAT_TEMPLATE_STYLE,
+    QUERY_FORMATS,
     STRING,
     TEXT,
     TEXTS,
@@ -29,21 +29,13 @@ from .corpus import (
     write_jsonl,
     write_triplets,
 )
-from .rouge import evaluate_run
-from .stats import corpus_stats, format_stats_table
-from .taxonomy import QueryType, aggregate_distribution, classify_query, format_distribution_table
-from .unify import (
-    FORMAT_TEMPLATE_STYLE,
-    QUERY_FORMATS,
-    PromptedGenerator,
-    template_fallback,
-    unify_batch,
-)
 
-log = logging.getLogger("qfs_forge")
+# Each command imports its own stage module, so a run loads only the stage it uses.
 
 
 def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
+    from .annotate import annotate_pair, describe_outcomes
+
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     audit_path = args.audit or config.paths.get("audit", output_path + ".failures.jsonl")
@@ -85,6 +77,8 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
+    from .taxonomy import QueryType, aggregate_distribution, classify_query, format_distribution_table
+
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     triplets = load_triplets(input_path)
@@ -103,6 +97,8 @@ def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
+    from .stats import corpus_stats, format_stats_table
+
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     triplets = load_triplets(input_path)
@@ -113,6 +109,8 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
+    from .unify import PromptedGenerator, template_fallback, unify_batch
+
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     records = read_records(
@@ -148,6 +146,8 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
+    from .compose import CompositionConfig, compose_cluster
+
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     clusters = read_records(
@@ -186,6 +186,8 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
+    from .rouge import evaluate_run
+
     predictions = config.path("predictions", args.predictions)
     references = config.path("references", args.references)
     output_path = config.path("output", args.output)

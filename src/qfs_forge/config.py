@@ -14,9 +14,8 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import MODES, QfsError, is_string_list
+from .corpus import MODES, QUERY_FORMATS, QfsError, is_string_list
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
-from .unify import QUERY_FORMATS
 
 
 class ConfigError(QfsError, ValueError):

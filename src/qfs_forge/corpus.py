@@ -15,6 +15,15 @@ from typing import Callable, NamedTuple
 
 DOMAINS = ("news", "dialogue")
 MODES = ("wh", "yesno")
+# Every query format but natural questions, with the template style that
+# turns it into one; natural questions pass through untouched.
+FORMAT_TEMPLATE_STYLE = {
+    "words": "newts",
+    "phrases": "newts",
+    "sentence": "newts",
+    "instruction": "duc",
+}
+QUERY_FORMATS = ("natural", *FORMAT_TEMPLATE_STYLE)
 
 # "1. " or "1) " at the start of a line/piece; requires trailing whitespace
 # so decimals like "3.5" are untouched.
@@ -172,9 +181,12 @@ def write_jsonl(path: str, records) -> None:
                 handle.write(json.dumps(record, ensure_ascii=False))
                 handle.write("\n")
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.remove(tmp_path)
+        if isinstance(exc, OSError) and exc.filename == tmp_path:
+            # name the file the caller asked for, not the temporary one
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

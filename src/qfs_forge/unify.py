@@ -11,18 +11,9 @@ from __future__ import annotations
 
 from .annotate import ParseMismatchError, parse_completion
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
-from .corpus import DocumentSummaryPair, QfsError
+# the query formats live in corpus, where config reads them without importing this stage
+from .corpus import FORMAT_TEMPLATE_STYLE, QUERY_FORMATS, DocumentSummaryPair, QfsError  # noqa: F401
 from .prompts import PromptSpec, build_annotation_prompt
-
-# Every query format but natural questions, with the template style that
-# turns it into one; natural questions pass through untouched.
-FORMAT_TEMPLATE_STYLE = {
-    "words": "newts",
-    "phrases": "newts",
-    "sentence": "newts",
-    "instruction": "duc",
-}
-QUERY_FORMATS = ("natural", *FORMAT_TEMPLATE_STYLE)
 
 _DUC_VERB_MAP = {
     "describe": "What is",

@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import qfs_forge.config as config_module
 from qfs_forge.backends import CompletionParams, MockBackend
 from qfs_forge.cli import main
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
+from qfs_forge.taxonomy import YES_NO_TYPES
 from qfs_forge.tokenizer import tokenize
 
 from conftest import read_jsonl, write_jsonl
@@ -113,6 +115,33 @@ class TestAnnotateCommand:
         run(["--config", str(config), "annotate", "--input", SAMPLE_PAIRS, "--output", str(out)])
         assert [record["id"] for record in read_jsonl(str(out) + ".failures.jsonl")] == ["news-1"]
         assert [record["id"] for record in read_jsonl(out)] == ["news-2", "dlg-1"]
+
+    def test_verbose_logs_each_failed_pair(self, tmp_path, corpus, caplog):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["junk"] * 3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "script": str(script)}}))
+        caplog.set_level(logging.INFO, logger="qfs_forge")
+        argv = ["-v", "--config", str(config), "--parallelism", "1", "annotate", "--input", corpus,
+                "--output", str(tmp_path / "t.jsonl")]
+        assert run(argv) == 1
+        # the ok pairs log nothing
+        assert [r.getMessage() for r in caplog.records if r.name == "qfs_forge.annotate"] == [
+            "pair 'a': parse_mismatch after 3 attempts"
+        ]
+
+    @pytest.mark.parametrize("labels", [{}, {"summary": "Gist:", "query": "Asks:"}])
+    def test_mock_yesno_run_writes_yes_no_queries(self, tmp_path, labels):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"backend": {"kind": "mock", "seed": 13}, "mode": "yesno", "labels": labels}
+        ))
+        out = tmp_path / "t.jsonl"
+        assert run(["--config", str(config), "annotate", "--input", SAMPLE_PAIRS, "--output", str(out)]) == 0
+        records = read_jsonl(out)
+        assert len(records) == 3 and {r["mode"] for r in records} == {"yesno"}
+        types = {t for r in records for t in r["query_types"]}
+        assert types and types <= {t.value for t in YES_NO_TYPES}
 
     def test_generous_ceiling_passes(self, tmp_path, corpus):
         script = tmp_path / "script.json"
@@ -695,6 +724,19 @@ class TestCliPlumbing:
         assert run(["--config", str(config), "stats", "--input", triplets, "--output", str(out)]) == 2
         assert "error: backend.kind must be mock or live" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    def test_unwritable_output_names_the_output_path(self, tmp_path, mock_config, capsys, command):
+        out = tmp_path / "missing_dir" / "out.jsonl"
+        if command == "stats":
+            inputs = ["--input", str(GOLDEN_CLI / "triplets.jsonl")]
+        else:
+            inputs = ["--predictions", str(SAMPLE / "predictions.jsonl"),
+                      "--references", str(SAMPLE / "references.jsonl")]
+        assert run(["--config", mock_config, command, *inputs, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_inputs_never_mutated(self, tmp_path, corpus, mock_config):
         before = Path(corpus).read_bytes()

@@ -14,6 +14,9 @@ The completion backend is the one ``Protocol``, so a new extension point
 cannot appear unnoticed. Every package error is a ``QfsError``, so the CLI
 catches that one base class, and the annotate status names live in
 ``annotate.py`` alone.
+Every public name resolves from its home module on first use, so the mock
+set-up and each subcommand load only the modules they use; the README's
+library examples run against the lazy names.
 """
 
 import importlib
@@ -217,3 +220,98 @@ def test_live_backend_name_resolves_lazily():
         "rouge_l", "rouge_n", "segment_sentences", "template_fallback", "tokenize",
         "unify_query", "write_triplets", "zero_shot_summarize_prompt",
     ]
+
+
+def run_python(code: str, cwd: Path = ROOT) -> str:
+    """Run ``code`` in a fresh interpreter; what it printed. It must exit 0 and write no stderr."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    return result.stdout
+
+
+def loaded_modules(code: str) -> list[str]:
+    """Run ``code`` at the repo root; the modules it loaded."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    return json.loads(run_python(code).splitlines()[-1])
+
+
+def package_modules(modules: list[str]) -> set[str]:
+    return {name.split(".", 1)[1] for name in modules if name.startswith("qfs_forge.")}
+
+
+def test_mock_setup_loads_only_its_modules():
+    modules = loaded_modules(
+        "import qfs_forge\n"
+        "backend = qfs_forge.MockBackend(seed=1)\n"
+        "specs = {d: qfs_forge.default_spec(d, 'wh') for d in ('news', 'dialogue')}\n"
+    )
+    assert package_modules(modules) <= {"backends", "corpus", "prompts", "data"}
+    assert [name for name in ("concurrent.futures", "logging", "fractions", "decimal")
+            if name in modules] == []
+
+
+@pytest.mark.parametrize(
+    "argv, stage, absent",
+    [
+        (["evaluate", "--predictions", "sample_data/predictions.jsonl",
+          "--references", "sample_data/references.jsonl"],
+         "rouge", {"annotate", "compose", "stats", "taxonomy", "unify"}),
+        (["stats", "--input", "tests/golden/cli/triplets.jsonl"],
+         "stats", {"annotate", "compose", "rouge", "unify"}),
+    ],
+)
+def test_subcommand_loads_only_its_stage(tmp_path, argv, stage, absent):
+    argv = ["--config", "sample_data/config.json", *argv, "--output", str(tmp_path / "o.jsonl")]
+    modules = package_modules(
+        loaded_modules(f"from qfs_forge import cli\nassert cli.main({argv!r}) == 0\n")
+    )
+    assert stage in modules
+    assert modules & absent == set()
+
+
+def test_public_names_resolve_on_first_use():
+    code = (
+        "import json, sys, qfs_forge\n"
+        "before = sorted(name for name in sys.modules if name.startswith('qfs_forge'))\n"
+        "listed = sorted(set(qfs_forge.__all__) - set(dir(qfs_forge)))\n"
+        "tokenize = qfs_forge.tokenize\n"
+        "generator = qfs_forge.unify.PromptedGenerator.__name__\n"
+        "print(json.dumps([before, listed, 'tokenize' in vars(qfs_forge), generator]))\n"
+    )
+    # nothing but the package root loads on import, dir() lists every lazy
+    # name, a resolved name is cached, and submodules are attributes
+    assert json.loads(run_python(code)) == [["qfs_forge"], [], True, "PromptedGenerator"]
+
+
+def test_every_public_name_is_its_home_modules_own():
+    import qfs_forge
+
+    assert len(qfs_forge.__all__) == len(set(qfs_forge.__all__))
+    for module, names in qfs_forge._EXPORTS.items():
+        home = importlib.import_module(f"qfs_forge.{module}")
+        for name in names:
+            value = getattr(qfs_forge, name)
+            assert value is getattr(home, name), name
+            assert getattr(value, "__module__", home.__name__) == home.__name__, name
+
+
+README_LIBRARY_BLOCKS = re.findall(
+    r"```python\n(.*?)```",
+    (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1].split("\n## ", 1)[0],
+    re.S,
+)
+
+
+def test_readme_has_library_examples():
+    assert len(README_LIBRARY_BLOCKS) >= 2
+
+
+@pytest.mark.parametrize(
+    "block", README_LIBRARY_BLOCKS, ids=[f"block{i}" for i in range(1, len(README_LIBRARY_BLOCKS) + 1)]
+)
+def test_readme_library_example_runs(block):
+    run_python(block, cwd=ROOT / "sample_data")  # where the examples' "pairs.jsonl" exists

@@ -11,15 +11,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _EXPORTS = {
-    "annotate": (
-        "AnnotationOutcome",
-        "ParseMismatchError",
-        "annotate_corpus",
-        "annotate_pair",
-        "build_qfs_input",
-        "parse_completion",
-        "zero_shot_summarize_prompt",
-    ),
+    "annotate": ("AnnotationOutcome", "annotate_corpus", "annotate_pair"),
     "backends": (
         "BackendError",
         "CompletionBackend",
@@ -47,11 +39,15 @@ _EXPORTS = {
     "live": ("LiveBackend",),
     "prompts": (
         "OneShotExample",
+        "ParseMismatchError",
         "PromptSpec",
         "build_annotation_prompt",
+        "build_qfs_input",
         "builtin_example",
         "default_spec",
         "number_sentences",
+        "parse_completion",
+        "zero_shot_summarize_prompt",
     ),
     "rouge": ("RougeScore", "evaluate_run", "rouge_l", "rouge_n"),
     "stats": ("CorpusStats", "corpus_stats", "ntp", "pearson"),

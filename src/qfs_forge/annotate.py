@@ -9,7 +9,6 @@ completion for audit.
 from __future__ import annotations
 
 import logging
-import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -20,14 +19,14 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import (
-    AnnotatedTriplet,
-    DocumentSummaryPair,
-    QfsError,
-    normalize_query,
-    segment_sentences,
+from .corpus import AnnotatedTriplet, DocumentSummaryPair, normalize_query, segment_sentences
+from .prompts import (
+    ParseMismatchError,
+    PromptSpec,
+    build_annotation_prompt,
+    parse_completion,
+    repair_queries,
 )
-from .prompts import PromptSpec, build_annotation_prompt, numbered_lines
 from .taxonomy import classify_query
 from .tokenizer import nth_token_chunk
 
@@ -39,18 +38,9 @@ STATUS_BACKEND_ERROR = "backend_error"
 # every status an annotated pair can end with, in report order
 STATUSES = (STATUS_OK, STATUS_PARSE_MISMATCH, STATUS_BACKEND_ERROR)
 
-QFS_INPUT_TEMPLATE = "question:\n {query} \n context:\n{document}"
-ZERO_SHOT_INSTRUCTION = "Summarize by answering the following questions:"
-
 # Documents longer than this (shared-tokenizer tokens) are tail-truncated
 # before prompting; completion endpoints have finite context.
 DEFAULT_MAX_DOCUMENT_TOKENS = 3000
-
-_YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
-
-
-class ParseMismatchError(QfsError, ValueError):
-    """Completion did not contain the expected contiguous numbered queries."""
 
 
 @dataclass(frozen=True)
@@ -69,60 +59,6 @@ class AnnotationOutcome:
     @property
     def ok(self) -> bool:
         return self.status == STATUS_OK
-
-
-def parse_completion(
-    completion: str, expected_count: int | None, mode: str = "wh"
-) -> list[str]:
-    """Extract the numbered queries from a completion.
-
-    Lines must be numbered contiguously from 1. With ``expected_count``
-    set, exactly that many queries are required; ``None`` relaxes the
-    count (any contiguous list is accepted), which query unification uses.
-    In yesno mode an optional leading "Yes:"/"No:" label is stripped, and a
-    line holding nothing but the label is a mismatch.
-    """
-    if expected_count is not None and expected_count < 1:
-        raise ValueError("expected_count must be >= 1")
-    numbered = numbered_lines(completion)
-    if expected_count is not None and len(numbered) != expected_count:
-        raise ParseMismatchError(
-            f"expected {expected_count} numbered queries, found {len(numbered)}"
-        )
-    if not numbered:
-        raise ParseMismatchError("no numbered lines in completion")
-    for position, (number, _) in enumerate(numbered, start=1):
-        if number != position:
-            raise ParseMismatchError(
-                f"numbering not contiguous: expected {position}, found {number}"
-            )
-    queries = [text for _, text in numbered]
-    if mode == "yesno":
-        queries = [_YESNO_LABEL.sub("", q, count=1) for q in queries]
-        if not all(queries):
-            raise ParseMismatchError("a yes/no label with no question after it")
-    return queries
-
-
-def repair_queries(
-    completion: str, expected_count: int, mode: str, summary_sentences: list[str]
-) -> list[str]:
-    """Best-effort coercion of a mismatched completion to the expected count.
-
-    Takes whatever numbered lines exist (ignoring contiguity), trims
-    extras, and pads the deficit with a generic question derived from the
-    uncovered summary sentence. A bare "Yes:"/"No:" line holds no question
-    and is dropped. Only used when failure_action="repair".
-    """
-    numbered = [text for _, text in numbered_lines(completion)]
-    if mode == "yesno":
-        numbered = [q for q in (_YESNO_LABEL.sub("", q, count=1) for q in numbered) if q]
-    queries = numbered[:expected_count]
-    while len(queries) < expected_count:
-        sentence = summary_sentences[len(queries)]
-        topic = " ".join(sentence.rstrip(".!?").split()[:4]) or "this"
-        queries.append(f"What does the text say about {topic}?")
-    return queries
 
 
 def truncate_document(document: str, max_tokens: int) -> str:
@@ -230,21 +166,3 @@ def describe_outcomes(outcomes: list[AnnotationOutcome]) -> str:
     """``"3 pairs: 3 ok, 0 parse_mismatch, 0 backend_error"``: the outcomes counted by status."""
     counts = Counter(outcome.status for outcome in outcomes)
     return f"{len(outcomes)} pairs: " + ", ".join(f"{counts[s]} {s}" for s in STATUSES)
-
-
-def build_qfs_input(query: str, document: str) -> str:
-    """Render the query-focused summarization input string, byte-exactly."""
-    if not query.strip():
-        raise ValueError("query must be non-empty")
-    if not document.strip():
-        raise ValueError("document must be non-empty")
-    return QFS_INPUT_TEMPLATE.format(query=query, document=document)
-
-
-def zero_shot_summarize_prompt(query: str, document: str) -> str:
-    """Instruction-first prompt for zero-shot query-focused summarization."""
-    if not query.strip():
-        raise ValueError("query must be non-empty")
-    if not document.strip():
-        raise ValueError("document must be non-empty")
-    return f"{ZERO_SHOT_INSTRUCTION}\n{query}\n{document}"

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Protocol, Sequence
 
 from .corpus import QfsError
-from .prompts import numbered_lines
+from .prompts import QFS_CONTEXT, QFS_QUESTION, number_sentences, numbered_lines
 
 
 class BackendError(QfsError, RuntimeError):
@@ -46,7 +46,6 @@ QUERY_GEN_PARAMS = CompletionParams(
 SUMMARIZATION_PARAMS = CompletionParams(max_tokens=512, temperature=1.0, top_p=0.9)
 
 
-@runtime_checkable
 class CompletionBackend(Protocol):
     name: str
 
@@ -113,7 +112,7 @@ class MockBackend:
             self._calls += 1
         if index < len(self._script):
             return self._script[index]
-        if prompt.startswith("question:\n "):
+        if prompt.startswith(QFS_QUESTION):
             return self._generated_summary(prompt)
         return self._generated(prompt)
 
@@ -129,7 +128,7 @@ class MockBackend:
     def _generated_summary(self, prompt: str) -> str:
         # query-focused summarization input: answer with a leading snippet
         # of the document, length varied by (prompt, seed)
-        document = prompt.split(" \n context:\n", 1)[-1]
+        document = prompt.split(QFS_CONTEXT, 1)[-1]
         chunks = document.split()
         keep = 12 + _stable_rng_choice(self.seed, prompt, 9)
         return " ".join(chunks[:keep]) if chunks else "Nothing to summarize."
@@ -154,5 +153,5 @@ class MockBackend:
             words = sentence.rstrip(".!?").split()
             topic = " ".join(words[:4]) if words else "this"
             template = questions[_stable_rng_choice(self.seed, f"{prompt}#{i}", len(questions))]
-            lines.append(f"{i}. {template.format(topic)}")
-        return "\n".join(lines)
+            lines.append(template.format(topic))
+        return number_sentences(lines)

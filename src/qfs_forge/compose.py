@@ -13,7 +13,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .annotate import build_qfs_input
 from .backends import (
     SUMMARIZATION_PARAMS,
     BackendError,
@@ -22,6 +21,7 @@ from .backends import (
     map_ordered,
 )
 from .corpus import QfsError
+from .prompts import build_qfs_input
 from .tokenizer import nth_token_chunk, tokenize
 
 log = logging.getLogger(__name__)

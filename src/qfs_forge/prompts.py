@@ -1,9 +1,11 @@
-"""Annotation prompt construction.
+"""Every prompt and completion format: one contract.
 
-A prompt is: task instruction, a one-shot worked example (document,
-numbered summary, numbered queries), then the target document and its
-numbered summary, ending with the query-section label so the completion
-backend fills in the numbered queries.
+An annotation prompt is: task instruction, a one-shot worked example
+(document, numbered summary, numbered queries), then the target document
+and its numbered summary, ending with the query-section label so the
+completion backend fills in the numbered queries, which
+``parse_completion`` reads back. The recovered query and its document
+become the summarizer's ``question: ... context: ...`` input.
 """
 
 from __future__ import annotations
@@ -42,10 +44,22 @@ DOCUMENT_LABELS = {"news": "Article:", "dialogue": "Dialogue:"}
 # lines ("1.5 million ...") are not taken for numbering.
 # More than 9 digits is not a line number (and int() refuses over 4300 digits).
 _NUMBERED_LINE = re.compile(r"^\s*(\d{1,9})\.\s+(\S.*\S|\S)\s*$")
+# a yes/no query's leading answer label
+_YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
+
+# the query-focused summarization input; the mock backend spots and splits it by its pieces
+QFS_QUESTION = "question:\n "
+QFS_CONTEXT = " \n context:\n"
+QFS_INPUT_TEMPLATE = QFS_QUESTION + "{query}" + QFS_CONTEXT + "{document}"
+ZERO_SHOT_INSTRUCTION = "Summarize by answering the following questions:"
 
 
 class PromptError(QfsError, ValueError):
     """Prompt construction failed (bad spec or mismatched inputs)."""
+
+
+class ParseMismatchError(QfsError, ValueError):
+    """Completion did not contain the expected contiguous numbered queries."""
 
 
 @dataclass(frozen=True)
@@ -196,6 +210,60 @@ def numbered_lines(text: str) -> list[tuple[int, str]]:
     return [(int(match.group(1)), match.group(2)) for match in matches if match]
 
 
+def parse_completion(
+    completion: str, expected_count: int | None, mode: str = "wh"
+) -> list[str]:
+    """Extract the numbered queries from a completion.
+
+    Lines must be numbered contiguously from 1. With ``expected_count``
+    set, exactly that many queries are required; ``None`` relaxes the
+    count (any contiguous list is accepted), which query unification uses.
+    In yesno mode an optional leading "Yes:"/"No:" label is stripped, and a
+    line holding nothing but the label is a mismatch.
+    """
+    if expected_count is not None and expected_count < 1:
+        raise ValueError("expected_count must be >= 1")
+    numbered = numbered_lines(completion)
+    if expected_count is not None and len(numbered) != expected_count:
+        raise ParseMismatchError(
+            f"expected {expected_count} numbered queries, found {len(numbered)}"
+        )
+    if not numbered:
+        raise ParseMismatchError("no numbered lines in completion")
+    for position, (number, _) in enumerate(numbered, start=1):
+        if number != position:
+            raise ParseMismatchError(
+                f"numbering not contiguous: expected {position}, found {number}"
+            )
+    queries = [text for _, text in numbered]
+    if mode == "yesno":
+        queries = [_YESNO_LABEL.sub("", q, count=1) for q in queries]
+        if not all(queries):
+            raise ParseMismatchError("a yes/no label with no question after it")
+    return queries
+
+
+def repair_queries(
+    completion: str, expected_count: int, mode: str, summary_sentences: list[str]
+) -> list[str]:
+    """Best-effort coercion of a mismatched completion to the expected count.
+
+    Takes whatever numbered lines exist (ignoring contiguity), trims
+    extras, and pads the deficit with a generic question derived from the
+    uncovered summary sentence. A bare "Yes:"/"No:" line holds no question
+    and is dropped. Only used when failure_action="repair".
+    """
+    numbered = [text for _, text in numbered_lines(completion)]
+    if mode == "yesno":
+        numbered = [q for q in (_YESNO_LABEL.sub("", q, count=1) for q in numbered) if q]
+    queries = numbered[:expected_count]
+    while len(queries) < expected_count:
+        sentence = summary_sentences[len(queries)]
+        topic = " ".join(sentence.rstrip(".!?").split()[:4]) or "this"
+        queries.append(f"What does the text say about {topic}?")
+    return queries
+
+
 def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
     """Render the full annotation prompt for one document-summary pair.
 
@@ -222,3 +290,21 @@ def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
         f"{labels.query}\n",
     ]
     return "\n\n".join(blocks)
+
+
+def build_qfs_input(query: str, document: str) -> str:
+    """Render the query-focused summarization input string, byte-exactly."""
+    if not query.strip():
+        raise PromptError("query must be non-empty")
+    if not document.strip():
+        raise PromptError("document must be non-empty")
+    return QFS_INPUT_TEMPLATE.format(query=query, document=document)
+
+
+def zero_shot_summarize_prompt(query: str, document: str) -> str:
+    """Instruction-first prompt for zero-shot query-focused summarization."""
+    if not query.strip():
+        raise PromptError("query must be non-empty")
+    if not document.strip():
+        raise PromptError("document must be non-empty")
+    return f"{ZERO_SHOT_INSTRUCTION}\n{query}\n{document}"

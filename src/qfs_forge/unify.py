@@ -9,11 +9,10 @@ ablation comparisons.
 
 from __future__ import annotations
 
-from .annotate import ParseMismatchError, parse_completion
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
 # the query formats live in corpus, where config reads them without importing this stage
 from .corpus import FORMAT_TEMPLATE_STYLE, QUERY_FORMATS, DocumentSummaryPair, QfsError  # noqa: F401
-from .prompts import PromptSpec, build_annotation_prompt
+from .prompts import ParseMismatchError, PromptSpec, build_annotation_prompt, parse_completion
 
 _DUC_VERB_MAP = {
     "describe": "What is",
@@ -43,6 +42,7 @@ class PromptedGenerator:
         self._backend = backend
         self._spec = spec
         self._params = params
+        self.mode = spec.mode  # how unify_query parses the generation
 
     def generate_query(self, document: str, pseudo_summary: str) -> str:
         pair = DocumentSummaryPair(
@@ -59,8 +59,9 @@ def unify_query(document: str, raw_query: str, gen: PromptedGenerator) -> str:
     """Generate a natural-question version of an arbitrary-format query.
 
     When the generator emits lines numbered contiguously from 1, as
-    ``parse_completion`` reads them, they are re-segmented to one question per
-    line; otherwise the generation is returned verbatim.
+    ``parse_completion`` reads them in the generator's mode, they are
+    re-segmented to one question per line (a yes/no line loses its answer
+    label); otherwise the generation is returned verbatim.
     """
     if not document.strip():
         raise UnifyError("document must be non-empty")
@@ -71,7 +72,7 @@ def unify_query(document: str, raw_query: str, gen: PromptedGenerator) -> str:
     if not generated:
         raise UnifyError("query generator returned empty text")
     try:
-        return "\n".join(parse_completion(generated, expected_count=None))
+        return "\n".join(parse_completion(generated, None, gen.mode))
     except ParseMismatchError:
         return generated
 

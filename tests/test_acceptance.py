@@ -8,11 +8,7 @@ import time
 
 import pytest
 
-from qfs_forge.annotate import (
-    annotate_corpus,
-    build_qfs_input,
-    parse_completion,
-)
+from qfs_forge.annotate import annotate_corpus
 from qfs_forge.backends import MockBackend
 from qfs_forge.compose import (
     CompositionConfig,
@@ -25,7 +21,9 @@ from qfs_forge.prompts import (
     WH_INSTRUCTION,
     YESNO_INSTRUCTION,
     build_annotation_prompt,
+    build_qfs_input,
     default_spec,
+    parse_completion,
 )
 from qfs_forge.rouge import rouge_l, rouge_n
 from qfs_forge.stats import corpus_stats, ntp, pearson

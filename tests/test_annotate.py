@@ -2,22 +2,24 @@ import pytest
 
 from qfs_forge.annotate import (
     AnnotationOutcome,
-    ParseMismatchError,
     STATUS_BACKEND_ERROR,
     STATUS_OK,
     STATUS_PARSE_MISMATCH,
     annotate_corpus,
     annotate_pair,
-    build_qfs_input,
     describe_outcomes,
-    parse_completion,
-    repair_queries,
     truncate_document,
-    zero_shot_summarize_prompt,
 )
 from qfs_forge.backends import BackendError, MockBackend
-from qfs_forge.corpus import DocumentSummaryPair
-from qfs_forge.prompts import default_spec
+from qfs_forge.corpus import DocumentSummaryPair, QfsError
+from qfs_forge.prompts import (
+    ParseMismatchError,
+    build_qfs_input,
+    default_spec,
+    parse_completion,
+    repair_queries,
+    zero_shot_summarize_prompt,
+)
 
 WH_COMPLETION = (
     "1. Who was Tomas Medina Caracas?\n"
@@ -274,6 +276,12 @@ class TestZeroShotPrompt:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             zero_shot_summarize_prompt(" ", "D")
+
+
+@pytest.mark.parametrize("render", [build_qfs_input, zero_shot_summarize_prompt])
+def test_blank_input_is_a_package_error(render):
+    with pytest.raises(QfsError, match="document must be non-empty"):
+        render("Q?", " ")
 
 
 class TestTruncateDocument:

@@ -296,6 +296,18 @@ class TestPipelineCommands:
         assert unified.endswith("?")
         assert unified != "snow closures"
 
+    def test_unify_in_yesno_mode_writes_no_answer_labels(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "seed": 13}, "mode": "yesno"}))
+        out = tmp_path / "unified.jsonl"
+        assert run(
+            ["--config", str(config), "unify", "--input", str(SAMPLE / "unify_queries.jsonl"),
+             "--output", str(out), "--query-format", "words"]
+        ) == 0
+        queries = [record["query"] for record in read_jsonl(out)]
+        assert len(queries) == 2 and all(query.endswith("?") for query in queries)
+        assert [query for query in queries if query.startswith(("Yes:", "No:"))] == []
+
     def test_unify_natural_passthrough(self, tmp_path, mock_config):
         records = write_jsonl(
             tmp_path / "q.jsonl",

@@ -9,7 +9,10 @@ nor ``numpy`` is imported, and a run on the mock backend loads none of the
 HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, and the mock backend reads the prompt
-labels from the prompt rather than keeping its own copy.
+labels from the prompt and the summarization input by the template pieces
+in ``prompts.py`` rather than keeping its own copy. ``prompts.py`` owns every
+prompt and completion format, so no stage module imports another but
+annotate, which classifies the queries it writes.
 The completion backend is the one ``Protocol``, so a new extension point
 cannot appear unnoticed. Every package error is a ``QfsError``, so the CLI
 catches that one base class, and the annotate status names live in
@@ -112,6 +115,28 @@ def test_character_loop_strip_is_gone():
 def test_mock_backend_keeps_no_copy_of_the_prompt_labels():
     assert "Summary:" not in SOURCES["backends.py"]
     assert "Questions:" not in SOURCES["backends.py"]
+    # it reads the summarization input by the template pieces in prompts.py
+    assert "question:" not in SOURCES["backends.py"]
+    assert "context:" not in SOURCES["backends.py"]
+
+
+# the stage modules are the ones the CLI imports per subcommand
+STAGES = re.findall(r"(?m)^    from \.(\w+) import", SOURCES["cli.py"])
+
+
+def test_no_stage_module_imports_another():
+    assert sorted(STAGES) == ["annotate", "compose", "rouge", "stats", "taxonomy", "unify"]
+    # "from .x import ..." names module x; "from . import x" names x
+    imports = {
+        (stage, module or name)
+        for stage in STAGES
+        for module, name in re.findall(
+            r"(?m)^\s*from \.(\w*) import \(?\s*(\w+)", SOURCES[f"{stage}.py"]
+        )
+        if (module or name) in STAGES
+    }
+    # annotate fills each triplet's query_types
+    assert imports == {("annotate", "taxonomy")}
 
 
 def test_config_reads_no_key_by_literal_name():
@@ -262,6 +287,10 @@ def test_mock_setup_loads_only_its_modules():
          "rouge", {"annotate", "compose", "stats", "taxonomy", "unify"}),
         (["stats", "--input", "tests/golden/cli/triplets.jsonl"],
          "stats", {"annotate", "compose", "rouge", "unify"}),
+        (["compose", "--input", "sample_data/clusters.jsonl"],
+         "compose", {"annotate", "rouge", "stats", "taxonomy", "unify"}),
+        (["unify", "--input", "sample_data/unify_queries.jsonl", "--query-format", "words"],
+         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy", "tokenizer"}),
     ],
 )
 def test_subcommand_loads_only_its_stage(tmp_path, argv, stage, absent):
@@ -308,6 +337,10 @@ README_LIBRARY_BLOCKS = re.findall(
 
 def test_readme_has_library_examples():
     assert len(README_LIBRARY_BLOCKS) >= 2
+
+
+def test_readme_error_example_reports_a_missing_file(tmp_path):
+    assert run_python(README_LIBRARY_BLOCKS[-1], cwd=tmp_path).startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -20,8 +20,9 @@ DUC_INSTRUCTION = (
 
 
 class ListGenerator:
-    def __init__(self, text):
+    def __init__(self, text, mode="wh"):
         self.text = text
+        self.mode = mode
 
     def generate_query(self, document, pseudo_summary):
         return self.text
@@ -61,6 +62,15 @@ class TestUnifyQuery:
     def test_overlong_line_number_is_not_numbering(self):
         gen = ListGenerator("1. What about snow?\n" + "1" * 4301 + ". What about cold?")
         assert unify_query("doc", "snow. cold.", gen) == "What about snow?"
+
+    def test_yesno_generation_loses_its_answer_labels(self):
+        gen = ListGenerator("1. No: Did snow fall?\n2. yes : Was it cold?", mode="yesno")
+        assert unify_query("doc", "snow. cold.", gen) == "Did snow fall?\nWas it cold?"
+        # the same lines read as wh questions keep the labels
+        assert unify_query("doc", "snow. cold.", ListGenerator(gen.text)).startswith("No: ")
+
+    def test_yesno_generation_of_a_bare_label_is_returned_verbatim(self):
+        assert unify_query("doc", "q", ListGenerator("1. Yes:", mode="yesno")) == "1. Yes:"
 
     def test_empty_generation_errors(self):
         with pytest.raises(UnifyError):

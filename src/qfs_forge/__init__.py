@@ -47,7 +47,6 @@ _EXPORTS = {
         "default_spec",
         "number_sentences",
         "parse_completion",
-        "zero_shot_summarize_prompt",
     ),
     "rouge": ("RougeScore", "evaluate_run", "rouge_l", "rouge_n"),
     "stats": ("CorpusStats", "corpus_stats", "ntp", "pearson"),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .backends import (
@@ -19,7 +20,13 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import AnnotatedTriplet, DocumentSummaryPair, normalize_query, segment_sentences
+from .corpus import (
+    AnnotatedTriplet,
+    DocumentSummaryPair,
+    InvariantError,
+    normalize_query,
+    segment_sentences,
+)
 from .prompts import (
     ParseMismatchError,
     PromptSpec,
@@ -105,14 +112,14 @@ def annotate_pair(
             continue
         try:
             queries = parse_completion(raw, expected, spec.mode)
-        except ParseMismatchError:
+            return _ok_outcome(pair, spec.mode, queries, attempts, raw)
+        except (ParseMismatchError, InvariantError):  # or the triplet contract refused them
             status = STATUS_PARSE_MISMATCH
-            continue
-        return _ok_outcome(pair, spec.mode, queries, attempts, raw)
 
     if status == STATUS_PARSE_MISMATCH and failure_action == "repair":
         queries = repair_queries(raw, expected, spec.mode, summary_sentences)
-        return _ok_outcome(pair, spec.mode, queries, attempts, raw)
+        with suppress(InvariantError):
+            return _ok_outcome(pair, spec.mode, queries, attempts, raw)
     log.info("pair %r: %s after %d attempts", pair.id, status, attempts)
     return AnnotationOutcome(status=status, triplet=None, attempts=attempts, raw_completion=raw)
 

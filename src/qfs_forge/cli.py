@@ -16,9 +16,11 @@ from contextlib import closing
 from .backends import map_ordered
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (
+    DOCUMENT,
     FORMAT_TEMPLATE_STYLE,
     QUERY_FORMATS,
     STRING,
+    SUMMARY,
     TEXT,
     TEXTS,
     CorpusError,
@@ -113,8 +115,9 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
 
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
+    # a query stands in for the summary of the generator's pseudo-pair
     records = read_records(
-        input_path, {"id": STRING, "document": TEXT, "query": TEXT}, dict, unique="id"
+        input_path, {"id": STRING, "document": DOCUMENT, "query": SUMMARY}, dict, unique="id"
     )
 
     query_format = args.query_format or config.query_format

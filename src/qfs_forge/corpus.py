@@ -2,7 +2,8 @@
 
 Input records are document-summary pairs; output records are
 document-queries-summary triplets with one query per summary sentence.
-Both formats are one JSON object per line.
+Both formats are one JSON object per line. The two record constructors are
+the one contract every later stage relies on.
 """
 
 from __future__ import annotations
@@ -45,9 +46,33 @@ class InvariantError(QfsError, ValueError):
     """A record violates a structural invariant and was rejected."""
 
 
+def _has_token(text: str) -> bool:
+    # tokenizer.has_token, bound on first use so that importing corpus loads no tokenizer
+    global _has_token
+    from .tokenizer import has_token as _has_token
+
+    return _has_token(text)
+
+
+def _summary_sentences(kind: str, record_id: str, document: str, summary: str) -> int:
+    """The summary's sentence count, once the document and summary hold what
+    every stage divides by: a token each, and a sentence in the summary."""
+    if not _has_token(document):
+        raise InvariantError(f"{kind} {record_id!r}: document holds no token")
+    n_sentences = len(segment_sentences(summary))
+    if not n_sentences:
+        raise InvariantError(f"{kind} {record_id!r}: summary holds no sentence")
+    if not _has_token(summary):
+        raise InvariantError(f"{kind} {record_id!r}: summary holds no token")
+    return n_sentences
+
+
 @dataclass(frozen=True)
 class DocumentSummaryPair:
-    """One generic-summarization record awaiting query annotation."""
+    """One generic-summarization record awaiting query annotation.
+
+    Its document holds a token; its summary holds a sentence and a token.
+    """
 
     id: str
     document: str
@@ -57,10 +82,7 @@ class DocumentSummaryPair:
     def __post_init__(self):
         if not self.id:
             raise InvariantError("pair id must be non-empty")
-        if not self.document.strip():
-            raise InvariantError(f"pair {self.id!r}: document is empty")
-        if not self.summary.strip():
-            raise InvariantError(f"pair {self.id!r}: summary is empty")
+        _summary_sentences("pair", self.id, self.document, self.summary)
         if self.domain not in DOMAINS:
             raise InvariantError(
                 f"pair {self.id!r}: domain must be one of {DOMAINS}, got {self.domain!r}"
@@ -69,7 +91,11 @@ class DocumentSummaryPair:
 
 @dataclass(frozen=True)
 class AnnotatedTriplet:
-    """Document, generated queries (one per summary sentence), and summary."""
+    """Document, generated queries (one per summary sentence), and summary.
+
+    Its document and summary hold what a pair's do, and every query holds a
+    token and ends with ``?``.
+    """
 
     id: str
     document: str
@@ -81,14 +107,9 @@ class AnnotatedTriplet:
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "query_types", tuple(self.query_types))
-
-    def validate(self) -> None:
-        """Raise InvariantError unless the triplet satisfies its contracts."""
-        if not self.document.strip() or not self.summary.strip():
-            raise InvariantError(f"triplet {self.id!r}: empty document or summary")
+        n_sentences = _summary_sentences("triplet", self.id, self.document, self.summary)
         if self.mode not in MODES:
             raise InvariantError(f"triplet {self.id!r}: bad mode {self.mode!r}")
-        n_sentences = len(segment_sentences(self.summary))
         if len(self.queries) != n_sentences:
             raise InvariantError(
                 f"triplet {self.id!r}: {len(self.queries)} queries for "
@@ -99,6 +120,8 @@ class AnnotatedTriplet:
                 raise InvariantError(
                     f"triplet {self.id!r}: query does not end with '?': {q!r}"
                 )
+            if not _has_token(q):
+                raise InvariantError(f"triplet {self.id!r}: query holds no token: {q!r}")
         if self.query_types and len(self.query_types) != len(self.queries):
             raise InvariantError(
                 f"triplet {self.id!r}: query_types length != queries length"
@@ -151,6 +174,14 @@ STRINGS = Field("a list of strings", is_string_list)
 TEXTS = Field(
     "a non-empty list of non-blank strings",
     lambda value: is_string_list(value) and bool(value) and all(item.strip() for item in value),
+)
+# what a pair's document and summary must hold, for a record read as one
+DOCUMENT = Field(
+    "a string holding a token", lambda value: isinstance(value, str) and _has_token(value)
+)
+SUMMARY = Field(
+    "a string holding a sentence and a token",
+    lambda value: isinstance(value, str) and bool(segment_sentences(value)) and _has_token(value),
 )
 
 
@@ -245,9 +276,7 @@ def triplet_to_record(triplet: AnnotatedTriplet) -> dict:
 
 
 def write_triplets(triplets: list[AnnotatedTriplet], path: str) -> None:
-    """Write one JSON record per triplet; every triplet is validated first."""
-    for triplet in triplets:
-        triplet.validate()
+    """Write one JSON record per triplet."""
     try:
         write_jsonl(path, (triplet_to_record(triplet) for triplet in triplets))
     except OSError as exc:
@@ -264,16 +293,10 @@ _TRIPLET_FIELDS = {
 }
 
 
-def _checked_triplet(**values) -> AnnotatedTriplet:
-    triplet = AnnotatedTriplet(**values)
-    triplet.validate()
-    return triplet
-
-
 def load_triplets(path: str) -> list[AnnotatedTriplet]:
-    """Inverse of write_triplets; round-trips value-identically and rejects
-    every triplet that write_triplets would refuse."""
-    return read_records(path, _TRIPLET_FIELDS, _checked_triplet, unique="id")
+    """Inverse of write_triplets; round-trips value-identically and refuses
+    each record that ``AnnotatedTriplet`` refuses, naming ``path:line``."""
+    return read_records(path, _TRIPLET_FIELDS, AnnotatedTriplet, unique="id")
 
 
 def joined_query_text(triplet: AnnotatedTriplet) -> str:

@@ -51,7 +51,6 @@ _YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
 QFS_QUESTION = "question:\n "
 QFS_CONTEXT = " \n context:\n"
 QFS_INPUT_TEMPLATE = QFS_QUESTION + "{query}" + QFS_CONTEXT + "{document}"
-ZERO_SHOT_INSTRUCTION = "Summarize by answering the following questions:"
 
 
 class PromptError(QfsError, ValueError):
@@ -278,8 +277,6 @@ def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
         )
     labels = spec.labels.for_domain(pair.domain)
     target_sentences = segment_sentences(pair.summary)
-    if not target_sentences:
-        raise PromptError(f"pair {pair.id!r}: summary has no sentences")
     blocks = [
         spec.instruction,
         f"{labels.document}\n{spec.example.document}",
@@ -299,12 +296,3 @@ def build_qfs_input(query: str, document: str) -> str:
     if not document.strip():
         raise PromptError("document must be non-empty")
     return QFS_INPUT_TEMPLATE.format(query=query, document=document)
-
-
-def zero_shot_summarize_prompt(query: str, document: str) -> str:
-    """Instruction-first prompt for zero-shot query-focused summarization."""
-    if not query.strip():
-        raise PromptError("query must be non-empty")
-    if not document.strip():
-        raise PromptError("document must be non-empty")
-    return f"{ZERO_SHOT_INSTRUCTION}\n{query}\n{document}"

@@ -41,6 +41,14 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def has_token(text: str) -> bool:
+    """``bool(tokenize(text))``: whether any character is neither whitespace nor punctuation."""
+    for ch in text:
+        if not ch.isspace() and not _is_punct(ch):
+            return True
+    return False
+
+
 def nth_token_chunk(chunks: list[str], n: int) -> int:
     """Index of the chunk of ``text.split()`` holding the n-th token, or ``len(chunks)``.
 

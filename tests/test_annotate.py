@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfs_forge.annotate import (
     AnnotationOutcome,
@@ -11,15 +13,16 @@ from qfs_forge.annotate import (
     truncate_document,
 )
 from qfs_forge.backends import BackendError, MockBackend
-from qfs_forge.corpus import DocumentSummaryPair, QfsError
+from qfs_forge.corpus import DocumentSummaryPair, QfsError, load_triplets, write_triplets
 from qfs_forge.prompts import (
     ParseMismatchError,
     build_qfs_input,
     default_spec,
     parse_completion,
     repair_queries,
-    zero_shot_summarize_prompt,
 )
+from qfs_forge.stats import corpus_stats
+from qfs_forge.taxonomy import classify_query
 
 WH_COMPLETION = (
     "1. Who was Tomas Medina Caracas?\n"
@@ -169,6 +172,16 @@ class TestAnnotatePair:
         assert outcome.status == STATUS_OK
         assert len(outcome.triplet.queries) == 3
 
+    @pytest.mark.parametrize("failure_action", ["drop", "repair"])
+    def test_token_less_query_is_retried_as_a_mismatch(self, failure_action):
+        backend = MockBackend(script=["1. ?\n2. What is point two?", "1. What is one?\n2. ?"])
+        outcome = annotate_pair(
+            self.make_pair(), default_spec("news", "wh"), backend, retries=1,
+            failure_action=failure_action,
+        )
+        # repair keeps the numbered lines, so it cannot mend a token-less one either
+        assert (outcome.status, outcome.attempts) == (STATUS_PARSE_MISMATCH, 2)
+
     def test_queries_normalized_to_question_marks(self):
         pair = self.make_pair()
         backend = MockBackend(script=["1. What is point one\n2. What is point two"])
@@ -255,30 +268,7 @@ class TestQfsInput:
             build_qfs_input("q?", "   ")
 
 
-class TestZeroShotPrompt:
-    def test_starts_with_instruction(self):
-        prompt = zero_shot_summarize_prompt("Q?", "D text.")
-        assert prompt.startswith("Summarize by answering the following questions:")
-
-    def test_three_line_groups_in_order(self):
-        assert zero_shot_summarize_prompt("Q?", "D").split("\n") == [
-            "Summarize by answering the following questions:",
-            "Q?",
-            "D",
-        ]
-
-    def test_nesting_not_idempotent(self):
-        once = zero_shot_summarize_prompt("Q?", "D")
-        twice = zero_shot_summarize_prompt("Q?", once)
-        assert twice != once
-        assert once in twice
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            zero_shot_summarize_prompt(" ", "D")
-
-
-@pytest.mark.parametrize("render", [build_qfs_input, zero_shot_summarize_prompt])
+@pytest.mark.parametrize("render", [build_qfs_input])
 def test_blank_input_is_a_package_error(render):
     with pytest.raises(QfsError, match="document must be non-empty"):
         render("Q?", " ")
@@ -313,3 +303,36 @@ class TestTruncateDocument:
         assert "word10" not in prompts[0]
         # the stored triplet keeps the full document
         assert outcome.triplet.document == long_doc
+
+
+# Numbered lines a backend may return: token-less questions, bare answer
+# labels, blanks, numbering gaps and extra lines.
+_LINE = st.sampled_from(
+    ["?", "—", "— …?", "Yes:", "No: ?", "Yes: Did it rain?", "What fell?", "Why", "2.", ""]
+)
+_COMPLETION = st.lists(
+    st.tuples(st.sampled_from(["1. ", "2. ", "3. ", "", "\n"]), _LINE).map("".join), max_size=4
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    completion=_COMPLETION,
+    mode=st.sampled_from(["wh", "yesno"]),
+    failure_action=st.sampled_from(["drop", "repair"]),
+)
+def test_no_completion_breaks_a_later_stage(tmp_path_factory, completion, mode, failure_action):
+    pair = DocumentSummaryPair(
+        id="p", document="Rain fell. Roads closed.", summary="Rain fell.\nRoads closed.",
+        domain="news",
+    )
+    outcome = annotate_pair(
+        pair, default_spec("news", mode), MockBackend(script=[completion]), retries=0,
+        failure_action=failure_action,
+    )
+    path = str(tmp_path_factory.getbasetemp() / "garbage.jsonl")
+    write_triplets([outcome.triplet] if outcome.ok else [], path)
+    for triplet in load_triplets(path):
+        corpus_stats([triplet])
+        for query in triplet.queries:
+            classify_query(query)

@@ -116,6 +116,25 @@ class TestAnnotateCommand:
         assert [record["id"] for record in read_jsonl(str(out) + ".failures.jsonl")] == ["news-1"]
         assert [record["id"] for record in read_jsonl(out)] == ["news-2", "dlg-1"]
 
+    def test_token_less_query_is_a_parse_mismatch(self, tmp_path, mock_config):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["1. ?"]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"backend": {"kind": "mock", "script": str(script)}, "retries": 0, "failure_ceiling": 1}
+        ))
+        # the script answers the first pair, whose summary is one sentence
+        pairs = write_jsonl(tmp_path / "pairs.jsonl", [PAIRS[1], PAIRS[0]])
+        out = tmp_path / "t.jsonl"
+        assert run(["--config", str(config), "annotate", "--input", pairs, "--output", str(out)]) == 0
+        audit = read_jsonl(str(out) + ".failures.jsonl")
+        assert [(r["id"], r["status"], r["raw_completion"]) for r in audit] == [
+            ("b", "parse_mismatch", "1. ?")
+        ]
+        assert [record["id"] for record in read_jsonl(out)] == ["a"]
+        stats_out = str(tmp_path / "stats.jsonl")
+        assert run(["--config", mock_config, "stats", "--input", str(out), "--output", stats_out]) == 0
+
     def test_verbose_logs_each_failed_pair(self, tmp_path, corpus, caplog):
         script = tmp_path / "script.json"
         script.write_text(json.dumps(["junk"] * 3))
@@ -374,6 +393,9 @@ class TestMalformedRecords:
             ("compose", {"cluster_id": "c1", "query": " ", "documents": ["Snow fell."]}),
             ("unify", {"id": "u1", "document": "Snow fell.", "query": ""}),
             ("unify", {"id": "u1", "document": " ", "query": "snow"}),
+            ("unify", {"id": "u1", "document": "Snow fell.", "query": "???"}),
+            ("unify", {"id": "u1", "document": "Snow fell.", "query": "2."}),
+            ("unify", {"id": "u1", "document": "— … —", "query": "snow"}),
         ],
     )
     def test_unify_and_compose(self, tmp_path, mock_config, capsys, command, record):
@@ -408,7 +430,13 @@ class TestMalformedRecords:
 
     @pytest.mark.parametrize(
         "change, message",
-        [({"id": ""}, "pair id must be non-empty"), ({"summary": " "}, "summary is empty")],
+        [
+            ({"id": ""}, "pair id must be non-empty"),
+            ({"summary": " "}, "summary holds no sentence"),
+            ({"document": "— … —"}, "document holds no token"),
+            ({"summary": "— …"}, "summary holds no token"),
+            ({"summary": "2."}, "summary holds no sentence"),
+        ],
     )
     def test_annotate_pair(self, tmp_path, mock_config, capsys, change, message):
         path = write_jsonl(tmp_path / "pairs.jsonl", [{**PAIRS[0], **change}])
@@ -459,6 +487,8 @@ class TestMalformedRecords:
             ({"mode": "bogus"}, "bad mode 'bogus'"),
             ({"summary": "Snow fell. Roads closed."}, "1 queries for 2 summary sentences"),
             ({"query_types": ["what", "what"]}, "query_types length != queries length"),
+            ({"summary": "2.", "queries": [], "query_types": []}, "summary holds no sentence"),
+            ({"queries": ["?"]}, "query holds no token: '?'"),
         ],
     )
     def test_triplet_contract(self, tmp_path, mock_config, capsys, command, change, message):

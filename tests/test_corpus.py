@@ -189,15 +189,14 @@ class TestTripletRoundTrip:
         assert path.read_text() == ""
         assert load_triplets(str(path)) == []
 
-    def test_query_count_invariant_gates_write(self, tmp_path):
-        bad = make_triplet(queries=("Only one?",))
+    # a triplet that would break the contract cannot be built, so it never reaches a write
+    def test_query_count_invariant_gates_write(self):
         with pytest.raises(InvariantError, match="1 queries for 2"):
-            write_triplets([bad], str(tmp_path / "x.jsonl"))
+            make_triplet(queries=("Only one?",))
 
-    def test_question_mark_invariant_gates_write(self, tmp_path):
-        bad = make_triplet(queries=("What is alpha?", "no question mark"))
+    def test_question_mark_invariant_gates_write(self):
         with pytest.raises(InvariantError, match="does not end with"):
-            write_triplets([bad], str(tmp_path / "x.jsonl"))
+            make_triplet(queries=("What is alpha?", "no question mark"))
 
     def test_round_trip_is_byte_exact(self, tmp_path):
         triplets = [make_triplet(id="t1", document="café menu changed")]
@@ -222,15 +221,21 @@ class TestTripletRoundTrip:
             {"mode": "bogus"},
             {"query_types": ("what",)},
             {"summary": "  "},
+            {"queries": ("What is alpha?", "?")},
+            {"document": "— … —"},
+            {"summary": "— …"},
+            {"summary": "2.", "queries": (), "query_types": ()},
         ],
     )
     def test_load_rejects_what_write_rejects(self, tmp_path, bad):
-        triplet = make_triplet(id="t2", **bad)
+        # write_triplets takes only built triplets, so what it cannot write is
+        # what the constructor refuses; load names that refusal's line
         with pytest.raises(InvariantError) as refused:
-            write_triplets([triplet], str(tmp_path / "refused.jsonl"))
+            make_triplet(id="t2", **bad)
+        record = {**triplet_to_record(make_triplet(id="t2")), **bad}
         path = tmp_path / "t.jsonl"
         path.write_text(
-            "".join(json.dumps(triplet_to_record(t)) + "\n" for t in (make_triplet(), triplet))
+            "".join(json.dumps(r) + "\n" for r in (triplet_to_record(make_triplet()), record))
         )
         with pytest.raises(CorpusError, match=re.escape(f"{path}:2: {refused.value}")):
             load_triplets(str(path))

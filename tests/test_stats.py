@@ -1,13 +1,14 @@
 import decimal
 import math
 import random
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qfs_forge.corpus import joined_query_text
+from qfs_forge.corpus import joined_query_text, segment_sentences
 from qfs_forge.stats import (
     CorpusStats,
     StatsError,
@@ -16,7 +17,7 @@ from qfs_forge.stats import (
     ntp,
     pearson,
 )
-from qfs_forge.tokenizer import tokenize
+from qfs_forge.tokenizer import has_token, tokenize
 
 from conftest import make_triplet
 
@@ -227,19 +228,26 @@ def _oracle_corpus_stats(triplets, ntp_numerator="occurrences"):
     )
 
 
-# Pieces mix letters with ASCII and Unicode punctuation, so some are punctuation only.
+# Pieces mix letters with ASCII and Unicode punctuation, so some are punctuation only;
+# each text holds a token, as the triplet contract asks.
 _pieces = st.text(alphabet="abcAB" ".,'-\"" "—…«»¿·", min_size=1, max_size=4)
-_unicode_texts = st.lists(_pieces, min_size=1, max_size=8).map(" ".join)
+_unicode_texts = st.lists(_pieces, min_size=1, max_size=8).map(" ".join).filter(has_token)
+
+
+def _valid_triplet(i, document, summary, queries):
+    # one query per summary sentence, taken from ``queries`` in turn
+    n_sentences = len(segment_sentences(summary))
+    return make_triplet(
+        id=f"t{i}", document=document, summary=summary,
+        queries=[q + "?" for q in islice(cycle(queries), n_sentences)], query_types=(),
+    )
+
+
 _triplets = st.lists(
     st.tuples(_unicode_texts, _unicode_texts, st.lists(_unicode_texts, min_size=1, max_size=3)),
     min_size=1,
     max_size=4,
-).map(
-    lambda rows: [
-        make_triplet(id=f"t{i}", document=d, summary=s, queries=q, query_types=())
-        for i, (d, s, q) in enumerate(rows)
-    ]
-)
+).map(lambda rows: [_valid_triplet(i, *row) for i, row in enumerate(rows)])
 
 
 @given(triplets=_triplets, numerator=st.sampled_from(["occurrences", "types", "chars"]))

@@ -4,7 +4,9 @@ Parallel backend calls, JSONL serialization, input record checks and the
 numbered-line format each used to be implemented in two or three modules;
 these checks keep a new copy from appearing next to the shared helper.
 The punctuation rule (Unicode category ``P*``) lives in the tokenizer
-alone. The runtime needs only the standard library: neither ``requests``
+alone. The record contract (what a pair and a triplet must hold) lives in
+their constructors in ``corpus.py``, which ask the tokenizer's ``has_token``
+whether a text holds a token; no module re-checks a built record. The runtime needs only the standard library: neither ``requests``
 nor ``numpy`` is imported, and a run on the mock backend loads none of the
 HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
@@ -72,6 +74,16 @@ def test_record_checks_only_in_corpus():
     assert modules_matching(r"\b(_require_fields|_is_strings)\b") == []
     assert modules_matching(r"\{\w*path\}:\{line_no\}") == ["corpus.py"]
     assert modules_matching(r"\bread_jsonl\b") == ["corpus.py"]
+
+
+def test_record_contract_only_in_corpus():
+    # the pair and triplet constructors are the contract; no module re-checks a built record
+    receivers = {name for source in SOURCES.values() for name in re.findall(r"(\w+)\.validate\(", source)}
+    assert receivers <= {"self", "config", "backend"}  # RunConfig and BackendConfig check themselves
+    assert modules_matching(r"(?m)^def has_token\b") == ["tokenizer.py"]
+    assert modules_matching(r"holds? no (token|sentence)|has no sentences|holding a (token|sentence)") == [
+        "corpus.py"
+    ]
 
 
 def test_protocol_only_in_backends():
@@ -163,8 +175,8 @@ def test_runtime_needs_no_numpy(tmp_path):
         "        handle.write(json.dumps({'id': 'a', 'text': text}) + '\\n')\n"
         "report = qfs_forge.evaluate_run(f'{root}/pred.jsonl', f'{root}/ref.jsonl')\n"
         "triplets = [AnnotatedTriplet(id=str(i), document='a b c d ' * i, summary='b c. ' * i,\n"
-        "                             queries=('What is ' + 'b ' * i + '?',), mode='wh',\n"
-        "                             query_types=('what',)) for i in (1, 2, 3)]\n"
+        "                             queries=('What is b?',) * i, mode='wh',\n"
+        "                             query_types=('what',) * i) for i in (1, 2, 3)]\n"
         "stats = qfs_forge.corpus_stats(triplets)\n"
         "print(round(report.means['rouge1'].f1, 4), stats.mean_len_doc,\n"
         "      round(stats.pearson_len_query_vs_sum, 6))\n"
@@ -243,7 +255,7 @@ def test_live_backend_name_resolves_lazily():
         "corpus_stats", "default_spec", "evaluate_run", "load_corpus", "load_triplets", "ntp",
         "number_sentences", "overlap_pct", "parse_completion", "pearson", "rank_documents",
         "rouge_l", "rouge_n", "segment_sentences", "template_fallback", "tokenize",
-        "unify_query", "write_triplets", "zero_shot_summarize_prompt",
+        "unify_query", "write_triplets",
     ]
 
 
@@ -290,7 +302,7 @@ def test_mock_setup_loads_only_its_modules():
         (["compose", "--input", "sample_data/clusters.jsonl"],
          "compose", {"annotate", "rouge", "stats", "taxonomy", "unify"}),
         (["unify", "--input", "sample_data/unify_queries.jsonl", "--query-format", "words"],
-         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy", "tokenizer"}),
+         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy"}),
     ],
 )
 def test_subcommand_loads_only_its_stage(tmp_path, argv, stage, absent):

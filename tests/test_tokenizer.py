@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qfs_forge import compose, rouge, stats
 from qfs_forge.annotate import truncate_document
 from qfs_forge.compose import truncate_to_tokens
-from qfs_forge.tokenizer import nth_token_chunk, tokenize
+from qfs_forge.tokenizer import has_token, nth_token_chunk, tokenize
 
 from conftest import make_triplet
 
@@ -192,6 +192,21 @@ def test_symbols_survive_and_underscore_is_stripped():
     assert tokenize("<y> $5") == ["<y>", "$5"]
     assert tokenize("_init_ ‿x‿ ＿") == ["init", "x"]
     assert tokenize("«Oui» ‘no’") == ["oui", "no"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), _MIXED_TEXT))
+def test_has_token_is_a_non_empty_tokenize(text):
+    assert has_token(text) == bool(tokenize(text))
+
+
+@pytest.mark.parametrize(
+    "text, holds",
+    [("\u3000", False), ("\x1c", False), ("_", False), ("$", True), ("—", False), ("— … a", True)],
+)
+def test_has_token_edge_cases(text, holds):
+    assert has_token(text) is holds
+    assert bool(tokenize(text)) is holds
 
 
 class TestEachTextTokenizedOnce:

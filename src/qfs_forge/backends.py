@@ -53,16 +53,52 @@ class CompletionBackend(Protocol):
 
 
 def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
-    """``[fn(item) for item in items]``, with up to ``parallelism`` calls in flight."""
+    """``[fn(item) for item in items]``, with up to ``parallelism`` calls in flight.
+
+    The caller and ``parallelism - 1`` helper threads each take the next item
+    in input order. Once a call raises, or the caller is interrupted, no new
+    item starts; every started call returns, then the first failure in input
+    order is raised.
+    """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    # imported here so a serial run never loads concurrent.futures, or the logging it imports
-    from concurrent.futures import ThreadPoolExecutor
+    results = [None] * len(items)
+    failures = {}
+    indices = iter(range(len(items)))
+    lock = threading.Lock()
+    stop = False
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+    def work() -> None:
+        nonlocal stop
+        while True:
+            with lock:
+                index = None if stop else next(indices, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+                    stop = True
+                return
+
+    helpers = []
+    try:
+        for _ in range(min(parallelism, len(items)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        stop = True  # set before the joins, so an interrupt there starts no new item either
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # the mock's generated questions, one picked per summary sentence by (prompt, seed)

@@ -12,6 +12,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import mul
 
 from .backends import (
     SUMMARIZATION_PARAMS,
@@ -64,23 +65,33 @@ def _scores(docs: list[str], query: str) -> list[float]:
     df = Counter()
     for counts in doc_counts:
         df.update(counts.keys())
-    idf = {term: math.log(len(docs) / n) + 1.0 for term, n in df.items()}
+    # one log per document frequency 1..N, not one per term
+    idf_by_df = [0.0] + [math.log(len(docs) / n) + 1.0 for n in range(1, len(docs) + 1)]
+    idf = {term: idf_by_df[n] for term, n in df.items()}
     query_weights = {
         term: tf * idf[term] for term, tf in Counter(tokenize(query)).items() if term in idf
     }
     query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
     scores = []
     for counts in doc_counts:
-        weights = {term: tf * idf[term] for term, tf in counts.items()}
-        if len(query_weights) < len(weights):
-            small, large = query_weights, weights
+        # a term on one side only adds 0.0 to the dot, so only shared terms are summed
+        if len(query_weights) < len(counts):
+            dot = sum(
+                weight * (counts[term] * idf[term])
+                for term, weight in query_weights.items()
+                if term in counts
+            )
         else:
-            small, large = weights, query_weights
-        dot = sum(weight * large.get(term, 0.0) for term, weight in small.items())
+            dot = sum(
+                tf * idf[term] * query_weights[term]
+                for term, tf in counts.items()
+                if term in query_weights
+            )
         if dot == 0.0:
             scores.append(0.0)
         else:
-            norm = math.sqrt(sum(w * w for w in weights.values()))
+            weights = [tf * idf[term] for term, tf in counts.items()]
+            norm = math.sqrt(sum(map(mul, weights, weights)))
             scores.append(dot / (norm * query_norm))
     return scores
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
 # the query formats live in corpus, where config reads them without importing this stage
 from .corpus import FORMAT_TEMPLATE_STYLE, QUERY_FORMATS, DocumentSummaryPair, QfsError  # noqa: F401
+from .corpus import DOCUMENT, SUMMARY
 from .prompts import ParseMismatchError, PromptSpec, build_annotation_prompt, parse_completion
 
 _DUC_VERB_MAP = {
@@ -63,10 +64,11 @@ def unify_query(document: str, raw_query: str, gen: PromptedGenerator) -> str:
     re-segmented to one question per line (a yes/no line loses its answer
     label); otherwise the generation is returned verbatim.
     """
-    if not document.strip():
-        raise UnifyError("document must be non-empty")
-    if not raw_query.strip():
-        raise UnifyError("raw query must be non-empty")
+    # the generator's pseudo-pair takes the raw query as its summary
+    if not DOCUMENT.check(document):
+        raise UnifyError(f"document must be {DOCUMENT.description}, got {document!r}")
+    if not SUMMARY.check(raw_query):
+        raise UnifyError(f"raw query must be {SUMMARY.description}, got {raw_query!r}")
     generated = gen.generate_query(document, raw_query)
     generated = (generated or "").strip()
     if not generated:

@@ -128,6 +128,106 @@ class TestMapOrdered:
         assert map_ordered(lambda x: x, [], 4) == []
         assert map_ordered(lambda x: threading.get_ident(), ["only"], 4) == [caller]
 
+    def test_caller_thread_runs_calls(self):
+        def thread_of(_):
+            time.sleep(0.005)
+            return threading.get_ident()
+
+        assert threading.get_ident() in map_ordered(thread_of, list(range(8)), 2)
+
+    def test_no_item_starts_after_a_failure(self):
+        started = []
+
+        def fail_on_one(x):
+            started.append(x)
+            if x == 1:
+                raise BackendError("item 1 failed")
+            time.sleep(0.02)
+            return x
+
+        with pytest.raises(BackendError, match="item 1 failed"):
+            map_ordered(fail_on_one, list(range(20)), 2)
+        assert 1 in started and max(started) <= 2
+
+    def test_caller_interrupt_starts_no_new_item(self):
+        caller = threading.get_ident()
+        started = []
+
+        def interrupt_in_caller(x):
+            started.append(x)
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.01)
+            return x
+
+        with pytest.raises(KeyboardInterrupt):
+            map_ordered(interrupt_in_caller, list(range(20)), 2)
+        assert max(started) <= 2
+
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_peak_calls_in_flight_equal_parallelism(self, parallelism):
+        lock = threading.Lock()
+        first_round = threading.Barrier(parallelism, timeout=10)
+        in_flight = peak = 0
+
+        def tracked(x):
+            nonlocal in_flight, peak
+            with lock:
+                in_flight += 1
+                peak = max(peak, in_flight)
+            if x < parallelism:
+                first_round.wait()  # breaks, failing the call, unless all are in flight
+            time.sleep(0.002)
+            with lock:
+                in_flight -= 1
+            return x
+
+        items = list(range(4 * parallelism))
+        assert map_ordered(tracked, items, parallelism) == items
+        assert peak == parallelism
+
+    def test_first_failure_in_input_order_is_raised(self):
+        def fail(x):
+            if x == 0:
+                time.sleep(0.05)
+                raise BackendError("slow item 0 failed")
+            raise BackendError("fast item 1 failed")
+
+        with pytest.raises(BackendError, match="slow item 0 failed"):
+            map_ordered(fail, [0, 1], 2)
+
+    def test_no_thread_outlives_the_call(self):
+        def fail_on_five(x):
+            time.sleep(0.002)
+            if x == 5:
+                raise BackendError("item 5 failed")
+            return x
+
+        before = threading.active_count()
+        assert map_ordered(fail_on_five, list(range(5)), 4) == list(range(5))
+        assert threading.active_count() == before
+        with pytest.raises(BackendError):
+            map_ordered(fail_on_five, list(range(12)), 4)
+        assert threading.active_count() == before
+
+    def test_every_item_called_once_under_frequent_switches(self):
+        lock = threading.Lock()
+        calls = [0] * 2000
+
+        def count(x):
+            with lock:
+                calls[x] += 1
+            return x * 3
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = map_ordered(count, list(range(2000)), 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [x * 3 for x in range(2000)]
+        assert calls == [1] * 2000
+
 
 class _Handler(http.server.BaseHTTPRequestHandler):
     server_version = "StubCompletion/0.1"
@@ -432,7 +532,7 @@ class TestLiveBackend:
             LiveBackend(self.endpoint(server))
         ) as backend:
             opened = _track_connects(backend)
-            for _ in range(3):  # a fresh pool, as compose makes per cluster
+            for _ in range(3):  # fresh helper threads, as each compose cluster starts
                 map_ordered(lambda _: backend.complete("p", QUERY_GEN_PARAMS), [0, 1], 2)
             assert len(server.requests) == 6
             assert len(opened) <= 2

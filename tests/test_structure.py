@@ -3,6 +3,9 @@
 Parallel backend calls, JSONL serialization, input record checks and the
 numbered-line format each used to be implemented in two or three modules;
 these checks keep a new copy from appearing next to the shared helper.
+Parallel calls run on threads that ``backends.map_ordered`` alone starts,
+with the caller as one of them and no thread pool, so no run loads
+``concurrent.futures``.
 The punctuation rule (Unicode category ``P*``) lives in the tokenizer
 alone. The record contract (what a pair and a triplet must hold) lives in
 their constructors in ``corpus.py``, which ask the tokenizer's ``has_token``
@@ -52,8 +55,9 @@ def test_sources_found():
     assert "corpus.py" in SOURCES and "backends.py" in SOURCES
 
 
-def test_thread_pool_only_in_backends():
-    assert modules_matching(r"ThreadPoolExecutor") == ["backends.py"]
+def test_threads_started_only_in_backends():
+    assert modules_matching(r"threading\.Thread\(") == ["backends.py"]
+    assert modules_matching(r"ThreadPoolExecutor|concurrent\.futures") == []
 
 
 def test_jsonl_writer_only_in_corpus():
@@ -289,6 +293,14 @@ def test_mock_setup_loads_only_its_modules():
     assert package_modules(modules) <= {"backends", "corpus", "prompts", "data"}
     assert [name for name in ("concurrent.futures", "logging", "fractions", "decimal")
             if name in modules] == []
+
+
+def test_parallel_map_loads_no_thread_pool():
+    modules = loaded_modules(
+        "from qfs_forge.backends import map_ordered\n"
+        "assert map_ordered(str, ['a', 'b'], 2) == ['a', 'b']\n"
+    )
+    assert "concurrent.futures" not in modules
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,15 @@ class TestUnifyQuery:
             unify_query("", "query", ListGenerator("What?"))
         with pytest.raises(UnifyError):
             unify_query("doc", "  ", ListGenerator("What?"))
+        # held to the pair rules before the generator's pseudo-pair is built,
+        # so the error names the argument and its value
+        for document, raw_query, named in [
+            ("Snow fell.", "2.", r"raw query must be .*, got '2\.'"),
+            ("Snow fell.", "???", r"raw query must be .*, got '\?\?\?'"),
+            ("\u2014 \u2026", "snow", "document must be .*, got '\u2014 \u2026'"),
+        ]:
+            with pytest.raises(UnifyError, match=named):
+                unify_query(document, raw_query, mock_generator())
 
     def test_deterministic_with_mock(self):
         gen = mock_generator()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .backends import (
     QUERY_GEN_PARAMS,
@@ -20,13 +20,8 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import (
-    AnnotatedTriplet,
-    DocumentSummaryPair,
-    InvariantError,
-    normalize_query,
-    segment_sentences,
-)
+from .corpus import FAILURE_ACTIONS
+from .corpus import AnnotatedTriplet, DocumentSummaryPair, InvariantError, normalize_query
 from .prompts import (
     ParseMismatchError,
     PromptSpec,
@@ -89,15 +84,15 @@ def annotate_pair(
     failure_action: str = "drop",
 ) -> AnnotationOutcome:
     """Annotate one pair, retrying on parse mismatch or backend error."""
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if failure_action not in FAILURE_ACTIONS:
+        raise ValueError(f"failure_action must be 'drop' or 'repair', got {failure_action!r}")
     prompt_pair = pair
     truncated = truncate_document(pair.document, max_document_tokens)
     if truncated != pair.document:
-        prompt_pair = DocumentSummaryPair(
-            id=pair.id, document=truncated, summary=pair.summary, domain=pair.domain
-        )
+        prompt_pair = replace(pair, document=truncated)
     prompt = build_annotation_prompt(prompt_pair, spec)
-    summary_sentences = segment_sentences(pair.summary)
-    expected = len(summary_sentences)
 
     status = STATUS_BACKEND_ERROR
     raw = ""
@@ -111,13 +106,13 @@ def annotate_pair(
             raw = str(exc)
             continue
         try:
-            queries = parse_completion(raw, expected, spec.mode)
+            queries = parse_completion(raw, len(pair.summary_sentences), spec.mode)
             return _ok_outcome(pair, spec.mode, queries, attempts, raw)
         except (ParseMismatchError, InvariantError):  # or the triplet contract refused them
             status = STATUS_PARSE_MISMATCH
 
     if status == STATUS_PARSE_MISMATCH and failure_action == "repair":
-        queries = repair_queries(raw, expected, spec.mode, summary_sentences)
+        queries = repair_queries(raw, pair.summary_sentences, spec.mode)
         with suppress(InvariantError):
             return _ok_outcome(pair, spec.mode, queries, attempts, raw)
     log.info("pair %r: %s after %d attempts", pair.id, status, attempts)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .corpus import QfsError
-from .prompts import QFS_CONTEXT, QFS_QUESTION, number_sentences, numbered_lines
+from .prompts import QFS_CONTEXT, QFS_QUESTION, number_sentences, numbered_lines, sentence_topic
 
 
 class BackendError(QfsError, RuntimeError):
@@ -186,8 +186,6 @@ class MockBackend:
         questions = _YESNO_QUESTIONS if self._asks_yes_no(prompt) else _WH_QUESTIONS
         lines = []
         for i, sentence in enumerate(sentences, start=1):
-            words = sentence.rstrip(".!?").split()
-            topic = " ".join(words[:4]) if words else "this"
             template = questions[_stable_rng_choice(self.seed, f"{prompt}#{i}", len(questions))]
-            lines.append(template.format(topic))
+            lines.append(template.format(sentence_topic(sentence)))
         return number_sentences(lines)

@@ -14,7 +14,7 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import MODES, QUERY_FORMATS, QfsError, is_string_list
+from .corpus import FAILURE_ACTIONS, MODES, QUERY_FORMATS, QfsError, is_string_list
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
 
@@ -91,7 +91,7 @@ class RunConfig:
             raise ConfigError("retries must be >= 0")
         if not 0 <= self.failure_ceiling <= 1:
             raise ConfigError("failure_ceiling must be a rate in [0, 1]")
-        if self.failure_action not in ("drop", "repair"):
+        if self.failure_action not in FAILURE_ACTIONS:
             raise ConfigError("failure_action must be 'drop' or 'repair'")
         if self.max_document_tokens < 1:
             raise ConfigError("max_document_tokens must be >= 1")

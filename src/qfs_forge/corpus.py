@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple
 
 DOMAINS = ("news", "dialogue")
 MODES = ("wh", "yesno")
+# what annotate does with a pair still mismatched after its retries
+FAILURE_ACTIONS = ("drop", "repair")
 # Every query format but natural questions, with the template style that
 # turns it into one; natural questions pass through untouched.
 FORMAT_TEMPLATE_STYLE = {
@@ -54,17 +56,17 @@ def _has_token(text: str) -> bool:
     return _has_token(text)
 
 
-def _summary_sentences(kind: str, record_id: str, document: str, summary: str) -> int:
-    """The summary's sentence count, once the document and summary hold what
+def _summary_sentences(kind: str, record_id: str, document: str, summary: str) -> tuple[str, ...]:
+    """The summary's sentences, once the document and summary hold what
     every stage divides by: a token each, and a sentence in the summary."""
     if not _has_token(document):
         raise InvariantError(f"{kind} {record_id!r}: document holds no token")
-    n_sentences = len(segment_sentences(summary))
-    if not n_sentences:
+    sentences = tuple(segment_sentences(summary))
+    if not sentences:
         raise InvariantError(f"{kind} {record_id!r}: summary holds no sentence")
     if not _has_token(summary):
         raise InvariantError(f"{kind} {record_id!r}: summary holds no token")
-    return n_sentences
+    return sentences
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,22 @@ class DocumentSummaryPair:
     """One generic-summarization record awaiting query annotation.
 
     Its document holds a token; its summary holds a sentence and a token.
+    The summary is segmented once, here: ``summary_sentences`` keeps its
+    sentences for the prompt, the query count and the repair, and is
+    neither compared nor printed.
     """
 
     id: str
     document: str
     summary: str
     domain: str
+    summary_sentences: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id:
             raise InvariantError("pair id must be non-empty")
-        _summary_sentences("pair", self.id, self.document, self.summary)
+        sentences = _summary_sentences("pair", self.id, self.document, self.summary)
+        object.__setattr__(self, "summary_sentences", sentences)
         if self.domain not in DOMAINS:
             raise InvariantError(
                 f"pair {self.id!r}: domain must be one of {DOMAINS}, got {self.domain!r}"
@@ -107,7 +114,7 @@ class AnnotatedTriplet:
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "query_types", tuple(self.query_types))
-        n_sentences = _summary_sentences("triplet", self.id, self.document, self.summary)
+        n_sentences = len(_summary_sentences("triplet", self.id, self.document, self.summary))
         if self.mode not in MODES:
             raise InvariantError(f"triplet {self.id!r}: bad mode {self.mode!r}")
         if len(self.queries) != n_sentences:

@@ -15,14 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .corpus import (
-    DOMAINS,
-    MODES,
-    DocumentSummaryPair,
-    QfsError,
-    is_string_list,
-    segment_sentences,
-)
+from .corpus import DOMAINS, MODES, DocumentSummaryPair, QfsError, is_string_list
 
 WH_INSTRUCTION = (
     "For each summary, write a general question about the article that can be "
@@ -242,10 +235,15 @@ def parse_completion(
     return queries
 
 
+def sentence_topic(sentence: str) -> str:
+    """The sentence's first four words without its closing ``.!?``, or "this"."""
+    return " ".join(sentence.rstrip(".!?").split()[:4]) or "this"
+
+
 def repair_queries(
-    completion: str, expected_count: int, mode: str, summary_sentences: list[str]
+    completion: str, summary_sentences: tuple[str, ...], mode: str
 ) -> list[str]:
-    """Best-effort coercion of a mismatched completion to the expected count.
+    """Best-effort coercion of a mismatched completion to one query per summary sentence.
 
     Takes whatever numbered lines exist (ignoring contiguity), trims
     extras, and pads the deficit with a generic question derived from the
@@ -255,11 +253,9 @@ def repair_queries(
     numbered = [text for _, text in numbered_lines(completion)]
     if mode == "yesno":
         numbered = [q for q in (_YESNO_LABEL.sub("", q, count=1) for q in numbered) if q]
-    queries = numbered[:expected_count]
-    while len(queries) < expected_count:
-        sentence = summary_sentences[len(queries)]
-        topic = " ".join(sentence.rstrip(".!?").split()[:4]) or "this"
-        queries.append(f"What does the text say about {topic}?")
+    queries = numbered[: len(summary_sentences)]
+    for sentence in summary_sentences[len(queries) :]:
+        queries.append(f"What does the text say about {sentence_topic(sentence)}?")
     return queries
 
 
@@ -276,14 +272,13 @@ def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
             f"{spec.example.domain!r}; pick the example matching the domain"
         )
     labels = spec.labels.for_domain(pair.domain)
-    target_sentences = segment_sentences(pair.summary)
     blocks = [
         spec.instruction,
         f"{labels.document}\n{spec.example.document}",
         f"{labels.summary}\n{number_sentences(spec.example.summary_sentences)}",
         f"{labels.query}\n{number_sentences(spec.example.query_sentences)}",
         f"{labels.document}\n{pair.document}",
-        f"{labels.summary}\n{number_sentences(target_sentences)}",
+        f"{labels.summary}\n{number_sentences(pair.summary_sentences)}",
         f"{labels.query}\n",
     ]
     return "\n\n".join(blocks)

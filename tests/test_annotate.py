@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from qfs_forge import annotate, corpus, prompts
 from qfs_forge.annotate import (
     AnnotationOutcome,
     STATUS_BACKEND_ERROR,
@@ -13,9 +14,17 @@ from qfs_forge.annotate import (
     truncate_document,
 )
 from qfs_forge.backends import BackendError, MockBackend
-from qfs_forge.corpus import DocumentSummaryPair, QfsError, load_triplets, write_triplets
+from qfs_forge.corpus import (
+    DocumentSummaryPair,
+    InvariantError,
+    QfsError,
+    load_triplets,
+    segment_sentences,
+    write_triplets,
+)
 from qfs_forge.prompts import (
     ParseMismatchError,
+    build_annotation_prompt,
     build_qfs_input,
     default_spec,
     parse_completion,
@@ -102,16 +111,16 @@ class TestParseCompletion:
 
 class TestRepairQueries:
     def test_trims_extras(self):
-        assert repair_queries("1. A?\n2. B?\n3. C?", 2, "wh", ["s1", "s2"]) == ["A?", "B?"]
+        assert repair_queries("1. A?\n2. B?\n3. C?", ("s1", "s2"), "wh") == ["A?", "B?"]
 
     def test_pads_deficit_from_summary(self):
-        repaired = repair_queries("1. A?", 2, "wh", ["First thing.", "Second item here."])
+        repaired = repair_queries("1. A?", ("First thing.", "Second item here."), "wh")
         assert repaired[0] == "A?"
         assert "Second item here" in repaired[1]
         assert repaired[1].endswith("?")
 
     def test_drops_yesno_labels_without_a_question(self):
-        repaired = repair_queries("1. Yes:\n2. No: Is B?", 2, "yesno", ["First.", "Second one."])
+        repaired = repair_queries("1. Yes:\n2. No: Is B?", ("First.", "Second one."), "yesno")
         assert repaired == ["Is B?", "What does the text say about Second one?"]
 
 
@@ -194,6 +203,22 @@ class TestAnnotatePair:
         outcome = annotate_pair(pair, default_spec("news", "yesno"), backend)
         assert outcome.triplet.mode == "yesno"
         assert outcome.triplet.query_types == ("is_are_was_were", "do_does_did")
+
+    def test_negative_retries_is_refused(self):
+        backend = MockBackend(seed=1)
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            annotate_corpus([self.make_pair()], default_spec("news", "wh"), backend, retries=-1)
+        assert backend.calls == 0
+
+    @pytest.mark.parametrize("failure_action", ["Repair", "keep", ""])
+    def test_unknown_failure_action_is_refused(self, failure_action):
+        backend = MockBackend(script=["1. only one?"])
+        with pytest.raises(ValueError, match="failure_action must be 'drop' or 'repair'"):
+            annotate_pair(
+                self.make_pair(), default_spec("news", "wh"), backend, retries=0,
+                failure_action=failure_action,
+            )
+        assert backend.calls == 0
 
     def test_outcome_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -336,3 +361,52 @@ def test_no_completion_breaks_a_later_stage(tmp_path_factory, completion, mode, 
         corpus_stats([triplet])
         for query in triplet.queries:
             classify_query(query)
+
+
+# A built pair keeps its summary sentences, so annotate segments the summary
+# once, in the triplet contract; a truncated prompt pair re-runs the pair contract.
+@pytest.mark.parametrize("max_document_tokens, segmented", [(3000, 1), (3, 2)])
+def test_annotate_segments_a_built_pair_once(monkeypatch, max_document_tokens, segmented):
+    pair = DocumentSummaryPair(
+        id="p", document="Rain fell on the town. Roads closed at noon.",
+        summary="Rain fell.\nRoads closed.", domain="news",
+    )
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return segment_sentences(text)
+
+    for module in (corpus, prompts, annotate):
+        monkeypatch.setattr(module, "segment_sentences", counting, raising=False)
+    outcome = annotate_pair(
+        pair, default_spec("news", "wh"), MockBackend(seed=1),
+        max_document_tokens=max_document_tokens,
+    )
+    assert outcome.ok
+    assert calls == [pair.summary] * segmented
+
+
+# Summary pieces that segmentation must treat alike in the pair and in the
+# prompt: numbering, decimals, dashes, ellipses, answer labels and line breaks.
+_SUMMARY = st.lists(
+    st.sampled_from([
+        "1.", "2)", "3.5", "10. ", "…", "—", "Yes:", "No: ", "\r", "\x85", "\r\n", "\n",
+        " ", "  ", "Rain fell.", "roads", "closed!", "why?", "U.S.", "A", "\u2028",
+    ]),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(summary=_SUMMARY, mode=st.sampled_from(["wh", "yesno"]))
+def test_prompt_numbers_the_pairs_sentences(summary, mode):
+    try:
+        pair = DocumentSummaryPair(id="p", document="Rain fell.", summary=summary, domain="news")
+    except InvariantError:
+        reject()
+    spec = default_spec("news", mode)
+    prompt = build_annotation_prompt(pair, spec)
+    assert tuple(MockBackend._target_summary_sentences(prompt)) == pair.summary_sentences
+    outcome = annotate_pair(pair, spec, MockBackend(seed=1), retries=0)
+    assert outcome.status == STATUS_OK

@@ -86,6 +86,17 @@ class TestPairInvariants:
         with pytest.raises(InvariantError):
             DocumentSummaryPair(id="a", document="d.", summary="s.", domain="email")
 
+    def test_keeps_its_summary_sentences_out_of_equality_and_repr(self):
+        pair = DocumentSummaryPair(id="a", document="d.", summary="1. One. Two!", domain="news")
+        assert pair.summary_sentences == ("One.", "Two!")
+        assert "summary_sentences" not in repr(pair)
+        same = DocumentSummaryPair(id="a", document="d.", summary="1. One. Two!", domain="news")
+        assert (pair == same, hash(pair) == hash(same)) == (True, True)
+        with pytest.raises(TypeError):
+            DocumentSummaryPair(
+                id="a", document="d.", summary="s.", domain="news", summary_sentences=("s.",)
+            )
+
 
 class TestLoadCorpus:
     def test_loads_in_file_order(self, tmp_path):

@@ -9,7 +9,9 @@ with the caller as one of them and no thread pool, so no run loads
 The punctuation rule (Unicode category ``P*``) lives in the tokenizer
 alone. The record contract (what a pair and a triplet must hold) lives in
 their constructors in ``corpus.py``, which ask the tokenizer's ``has_token``
-whether a text holds a token; no module re-checks a built record. The runtime needs only the standard library: neither ``requests``
+whether a text holds a token; no module re-checks a built record. A pair
+keeps the sentences its constructor segmented, so no other module segments
+a summary. The runtime needs only the standard library: neither ``requests``
 nor ``numpy`` is imported, and a run on the mock backend loads none of the
 HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
@@ -88,6 +90,11 @@ def test_record_contract_only_in_corpus():
     assert modules_matching(r"holds? no (token|sentence)|has no sentences|holding a (token|sentence)") == [
         "corpus.py"
     ]
+
+
+def test_summaries_segmented_only_in_corpus():
+    # prompts and annotate read a pair's summary_sentences instead
+    assert modules_matching(r"\bsegment_sentences\(") == ["corpus.py"]
 
 
 def test_protocol_only_in_backends():

@@ -110,9 +110,16 @@ _WH_QUESTIONS = (
 _YESNO_QUESTIONS = ("Yes: Is the text about {}?", "No: Did the text leave out {}?")
 
 
-def _stable_rng_choice(seed: int, prompt: str, options: int) -> int:
-    digest = hashlib.sha256(f"{seed}:{prompt}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % options
+def _pick(state, options: int, suffix: str = "") -> int:
+    """An index below ``options`` from the first 8 bytes of the sha256 ``state`` fed ``suffix``.
+
+    ``state`` is left as it was, so one hash of ``f"{seed}:{prompt}"`` serves
+    every pick of a completion: sha256 streams its input, so the digest is
+    that of ``f"{seed}:{prompt}{suffix}"``.
+    """
+    state = state.copy()
+    state.update(suffix.encode("utf-8"))
+    return int.from_bytes(state.digest()[:8], "big") % options
 
 
 class MockBackend:
@@ -152,6 +159,9 @@ class MockBackend:
             return self._generated_summary(prompt)
         return self._generated(prompt)
 
+    def _state(self, prompt: str):
+        return hashlib.sha256(f"{self.seed}:{prompt}".encode("utf-8"))
+
     @staticmethod
     def _target_summary_sentences(prompt: str) -> list[str]:
         # an annotation prompt ends "<summary label>\n1. ...\n\n<query label>\n";
@@ -165,9 +175,9 @@ class MockBackend:
         # query-focused summarization input: answer with a leading snippet
         # of the document, length varied by (prompt, seed)
         document = prompt.split(QFS_CONTEXT, 1)[-1]
-        chunks = document.split()
-        keep = 12 + _stable_rng_choice(self.seed, prompt, 9)
-        return " ".join(chunks[:keep]) if chunks else "Nothing to summarize."
+        keep = 12 + _pick(self._state(prompt), 9)
+        chunks = document.split(None, keep)[:keep]
+        return " ".join(chunks) if chunks else "Nothing to summarize."
 
     @staticmethod
     def _asks_yes_no(prompt: str) -> bool:
@@ -184,8 +194,9 @@ class MockBackend:
         if not sentences:
             return "1. What is this text about?"
         questions = _YESNO_QUESTIONS if self._asks_yes_no(prompt) else _WH_QUESTIONS
+        state = self._state(prompt)
         lines = []
         for i, sentence in enumerate(sentences, start=1):
-            template = questions[_stable_rng_choice(self.seed, f"{prompt}#{i}", len(questions))]
+            template = questions[_pick(state, len(questions), f"#{i}")]
             lines.append(template.format(sentence_topic(sentence)))
         return number_sentences(lines)

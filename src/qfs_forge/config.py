@@ -207,6 +207,8 @@ def load_config(path: str | None) -> RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid UTF-8: {exc.reason}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
 

@@ -34,6 +34,8 @@ _NUMBER_PREFIX = re.compile(r"^\s*\d+[.)]\s+")
 # Piece that is nothing but a numbering artifact, e.g. "2." split off its line.
 _PURE_NUMBER = re.compile(r"^\d+[.)]$")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
+# JSON escape of a UTF-16 surrogate: only a line holding one can load a lone surrogate
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 class QfsError(Exception):
@@ -193,18 +195,48 @@ SUMMARY = Field(
 
 
 def read_jsonl(path: str):
-    """Yield ``(line_no, record)`` per non-blank line; bad lines raise ``path:line`` errors."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}:{line_no}: record must be a JSON object")
-            yield line_no, record
+    """Yield ``(line_no, record)`` per non-blank line; bad lines raise ``path:line`` errors.
+
+    A file that is not UTF-8, and a record holding a lone surrogate (valid
+    JSON, but no text encodes it), are bad lines too.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(record, dict):
+                    raise CorpusError(f"{path}:{line_no}: record must be a JSON object")
+                if _SURROGATE_ESCAPE.search(line):
+                    _check_encodable(record, f"{path}:{line_no}")
+                yield line_no, record
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from exc
+
+
+def _check_encodable(record: dict, where: str) -> None:
+    """Raise CorpusError naming ``where`` if ``record`` holds a lone surrogate."""
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(exc.object[exc.start])
+        raise CorpusError(f"{where}: lone surrogate \\u{code:04x} is not valid text") from exc
+
+
+def _undecodable_line(path: str) -> int:
+    """The line, counted as text mode counts them, that holds the file's first non-UTF-8 byte."""
+    with open(path, "rb") as handle:
+        head = handle.read()
+    try:
+        head.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = head[: exc.start]
+    # text mode ends a line at "\n", "\r" and "\r\n"
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
 def write_jsonl(path: str, records) -> None:

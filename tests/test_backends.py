@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import hashlib
 import http.server
 import json
 import os
@@ -12,17 +13,33 @@ from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qfs_forge.backends as backends
 import qfs_forge.live as live
 from qfs_forge.backends import (
     BackendError,
     CompletionParams,
     MockBackend,
     QUERY_GEN_PARAMS,
+    SUMMARIZATION_PARAMS,
     map_ordered,
 )
 from qfs_forge.compose import CompositionConfig, compose_cluster
+from qfs_forge.corpus import DOMAINS, MODES, DocumentSummaryPair
 from qfs_forge.live import API_KEY_ENV, LiveBackend
+from qfs_forge.prompts import (
+    QFS_CONTEXT,
+    QFS_INPUT_TEMPLATE,
+    QFS_QUESTION,
+    PromptLabels,
+    build_annotation_prompt,
+    build_qfs_input,
+    default_spec,
+    number_sentences,
+    sentence_topic,
+)
 
 SRC = Path(__file__).parent.parent / "src"
 PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions:\n"
@@ -93,6 +110,115 @@ class TestMockBackend:
             results = list(pool.map(lambda _: backend.complete("p", QUERY_GEN_PARAMS), range(64)))
         assert sorted(results, key=int) == [str(i) for i in range(64)]
         assert backend.calls == 64
+
+
+def _reference_completion(prompt: str, seed: int) -> str:
+    """The mock's generated completion as first written: a fresh sha256 of the
+    whole prompt for every pick, and a summary cut from the fully split document."""
+
+    def pick(text: str, options: int) -> int:
+        digest = hashlib.sha256(f"{seed}:{text}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") % options
+
+    if prompt.startswith(QFS_QUESTION):
+        chunks = prompt.split(QFS_CONTEXT, 1)[-1].split()
+        keep = 12 + pick(prompt, 9)
+        return " ".join(chunks[:keep]) if chunks else "Nothing to summarize."
+    sentences = MockBackend._target_summary_sentences(prompt)
+    if not sentences:
+        return "1. What is this text about?"
+    yes_no = MockBackend._asks_yes_no(prompt)
+    questions = backends._YESNO_QUESTIONS if yes_no else backends._WH_QUESTIONS
+    return number_sentences(
+        questions[pick(f"{prompt}#{i}", len(questions))].format(sentence_topic(sentence))
+        for i, sentence in enumerate(sentences, start=1)
+    )
+
+
+_SEEDS = st.integers(-(2**40), 2**40)
+# letters of every script, so prompts carry multi-byte UTF-8
+_WORD = st.text(st.characters(categories=("L",)), min_size=1, max_size=8)
+_SENTENCE = st.lists(_WORD, min_size=1, max_size=6).map(lambda words: " ".join(words) + ".")
+_CUSTOM_LABELS = PromptLabels(document="Text:", summary="Gist:", query="Asks:")
+
+
+class TestMockReference:
+    """The generated completions equal the reference above, byte for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=_SEEDS,
+        sentences=st.lists(_SENTENCE, min_size=1, max_size=6),
+        document=st.lists(_WORD, min_size=1, max_size=30).map(" ".join),
+        domain=st.sampled_from(DOMAINS),
+        mode=st.sampled_from(MODES),
+        labels=st.sampled_from([PromptLabels(), _CUSTOM_LABELS]),
+    )
+    @example(
+        seed=7,
+        sentences=["Der Bürgermeister sprach.", "Город слушал.", "雪が 降った."],
+        document="Schnee fiel über Tōkyō.",
+        domain="news",
+        mode="yesno",
+        labels=_CUSTOM_LABELS,
+    )
+    def test_annotation(self, seed, sentences, document, domain, mode, labels):
+        pair = DocumentSummaryPair(id="p", document=document, summary=" ".join(sentences), domain=domain)
+        assert len(pair.summary_sentences) == len(sentences)
+        prompt = build_annotation_prompt(pair, default_spec(domain, mode, labels=labels))
+        completion = MockBackend(seed=seed).complete(prompt, QUERY_GEN_PARAMS)
+        assert completion == _reference_completion(prompt, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=_SEEDS,
+        query=_WORD,
+        # 12 to 20 words are kept: documents shorter than, as long as and longer than that
+        words=(st.integers(0, 40) | st.sampled_from([12, 20, 21])).flatmap(
+            lambda n: st.lists(_WORD, min_size=n, max_size=n)
+        ),
+        gap=st.sampled_from([" ", "\n", " \t ", "\u3000", "\xa0"]),
+        pad=st.sampled_from(["", " ", "\n\t ", "\u3000"]),
+    )
+    def test_summarization(self, seed, query, words, gap, pad):
+        prompt = QFS_INPUT_TEMPLATE.format(query=query, document=pad + gap.join(words) + pad)
+        completion = MockBackend(seed=seed).complete(prompt, SUMMARIZATION_PARAMS)
+        assert completion == _reference_completion(prompt, seed)
+
+
+def _count_sha256(monkeypatch) -> list:
+    """Record the input of every sha256 the backends module builds from now on."""
+    inputs = []
+    sha256 = hashlib.sha256
+
+    def counting(data=b"", **kwargs):
+        inputs.append(data)
+        return sha256(data, **kwargs)
+
+    monkeypatch.setattr(backends.hashlib, "sha256", counting)
+    return inputs
+
+
+class TestMockHashesOnce:
+    """A generated completion hashes its prompt once, whatever its sentence count."""
+
+    DOCUMENT = "Snow fell across the valley overnight. " * 200
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_annotation(self, monkeypatch, k):
+        summary = " ".join(f"Snow fell on day {i}." for i in range(1, k + 1))
+        pair = DocumentSummaryPair(id="p", document=self.DOCUMENT, summary=summary, domain="news")
+        prompt = build_annotation_prompt(pair, default_spec("news", "wh"))
+        inputs = _count_sha256(monkeypatch)
+        completion = MockBackend(seed=1).complete(prompt, QUERY_GEN_PARAMS)
+        assert len(completion.splitlines()) == k
+        assert len(inputs) == 1 and prompt.encode("utf-8") in inputs[0]
+
+    def test_summarization(self, monkeypatch):
+        prompt = build_qfs_input("snow", self.DOCUMENT)
+        inputs = _count_sha256(monkeypatch)
+        MockBackend(seed=1).complete(prompt, SUMMARIZATION_PARAMS)
+        assert len(inputs) == 1 and prompt.encode("utf-8") in inputs[0]
 
 
 class TestMapOrdered:

@@ -466,6 +466,32 @@ class TestMalformedRecords:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_lone_surrogate(self, tmp_path, mock_config, capsys):
+        # valid JSON, but "\ud800" decodes to a code point no text encodes
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(
+            '{"id": "a", "document": "Snow fell \\ud800 today.", "summary": "Snow fell.", '
+            '"domain": "news"}\n'
+        )
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", mock_config, "annotate", "--input", str(path), "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:1: lone surrogate \\ud800 is not valid text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["annotate", "classify", "stats", "unify", "compose", "evaluate"])
+    def test_non_utf8_input(self, tmp_path, mock_config, capsys, command):
+        path = tmp_path / "in.jsonl"
+        path.write_bytes(b'\xff\xfe{"id"')
+        out = tmp_path / "out.jsonl"
+        if command == "evaluate":
+            inputs = ["--predictions", str(path), "--references", str(path)]
+        else:
+            inputs = ["--input", str(path)]
+        assert run(["--config", mock_config, command, *inputs, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:1: not valid UTF-8\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("query_types", [5, "what", [1, 2], None])
     def test_triplet_query_types(self, tmp_path, mock_config, capsys, query_types):
         triplet = {
@@ -647,6 +673,17 @@ class TestMalformedConfig:
         settings = {"example_path": str(example)}
         self.assert_exits_2(tmp_path, corpus, capsys, settings, f"one-shot example file {str(example)!r}")
         self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
+
+    def test_non_utf8_config_exits_2(self, tmp_path, corpus, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"mode": "\xff"}')
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config {config} is not valid UTF-8")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_integer_accepted_for_a_float_key(self, tmp_path):
         config = tmp_path / "config.json"

@@ -18,6 +18,7 @@ from qfs_forge.corpus import (
     write_jsonl as corpus_write_jsonl,
     write_triplets,
 )
+from qfs_forge.rouge import evaluate_run
 from conftest import make_triplet, write_jsonl
 
 
@@ -158,6 +159,52 @@ class TestJsonl:
         path.write_text('{"a": 1}\n{broken\n')
         with pytest.raises(CorpusError, match=re.escape(f"{path}:2: invalid JSON")):
             list(read_jsonl(str(path)))
+
+    @pytest.mark.parametrize(
+        "content, line",
+        [
+            pytest.param(b'\xff\xfe{"id"', 1, id="first-line"),
+            pytest.param(b'{"a": 1}\n{"b": "caf\xe9"}\n', 2, id="latin-1"),
+            # text mode ends a line at "\r\n" and at a lone "\r"
+            pytest.param(b'{"a": 1}\r\n\r{"b": "\xc3"}\n', 3, id="cr-line-ends"),
+            # past the first chunk text mode decodes
+            pytest.param(b'{"a": 1}\n' * 5000 + b'{"b": "\xff"}\n', 5001, id="past-first-chunk"),
+        ],
+    )
+    def test_read_names_path_and_line_of_non_utf8_bytes(self, tmp_path, content, line):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:{line}: not valid UTF-8")):
+            list(read_jsonl(str(path)))
+
+    @pytest.mark.parametrize(
+        "load",
+        [load_corpus, load_triplets, lambda path: evaluate_run(path, path)],
+        ids=["load_corpus", "load_triplets", "evaluate_run"],
+    )
+    def test_loaders_refuse_non_utf8_input(self, tmp_path, load):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'\xff\xfe{"id"')
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:1: not valid UTF-8")):
+            load(str(path))
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "\\uDC00", "\\ude00\\ud83d"])
+    def test_read_refuses_a_lone_surrogate(self, tmp_path, escape):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n{"b": "x' + escape + 'y"}\n')
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2: lone surrogate \\u")):
+            list(read_jsonl(str(path)))
+
+    def test_read_refuses_a_lone_surrogate_in_a_key(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"\\ud800": 1}\n')
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:1: lone surrogate \\ud800")):
+            list(read_jsonl(str(path)))
+
+    def test_read_keeps_surrogate_pairs_and_escaped_backslashes(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": "\\ud83d\\ude00", "b": "\\\\ud800"}\n')
+        assert list(read_jsonl(str(path))) == [(1, {"a": "\U0001f600", "b": "\\ud800"})]
 
     def test_write_format_is_one_unescaped_object_per_line(self, tmp_path):
         path = tmp_path / "w.jsonl"

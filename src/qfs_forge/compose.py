@@ -67,7 +67,7 @@ def _scores(docs: list[str], query: str) -> list[float]:
         df.update(counts.keys())
     # one log per document frequency 1..N, not one per term
     idf_by_df = [0.0] + [math.log(len(docs) / n) + 1.0 for n in range(1, len(docs) + 1)]
-    idf = {term: idf_by_df[n] for term, n in df.items()}
+    idf = dict(zip(df, map(idf_by_df.__getitem__, df.values())))
     query_weights = {
         term: tf * idf[term] for term, tf in Counter(tokenize(query)).items() if term in idf
     }
@@ -90,7 +90,7 @@ def _scores(docs: list[str], query: str) -> list[float]:
         if dot == 0.0:
             scores.append(0.0)
         else:
-            weights = [tf * idf[term] for term, tf in counts.items()]
+            weights = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
             norm = math.sqrt(sum(map(mul, weights, weights)))
             scores.append(dot / (norm * query_norm))
     return scores

@@ -14,7 +14,7 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import FAILURE_ACTIONS, MODES, QUERY_FORMATS, QfsError, is_string_list
+from .corpus import FAILURE_ACTIONS, MODES, QUERY_FORMATS, QfsError, check_text, is_string_list
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
 
@@ -55,6 +55,8 @@ class BackendConfig:
                 raise ConfigError(f"backend.script {self.script!r} is not valid JSON: {exc}") from exc
             if not is_string_list(script):
                 raise ConfigError(f"backend.script {self.script!r} must be a JSON list of strings")
+            for text in script:
+                check_text(text, f"backend.script {self.script!r}", ConfigError)
         return MockBackend(script=script, seed=self.seed)
 
 
@@ -131,8 +133,8 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a strin
 
 def _typed(raw: dict, key: str, default, where: str = ""):
     """``raw[key]``, which must have the JSON type of ``default``: a boolean,
-    integer, string or finite number. A number key also takes a JSON integer;
-    absent or ``null`` is ``default``."""
+    integer, string without lone surrogates or finite number. A number key
+    also takes a JSON integer; absent or ``null`` is ``default``."""
     value = raw.get(key)
     if value is None:
         return default
@@ -141,6 +143,8 @@ def _typed(raw: dict, key: str, default, where: str = ""):
         value = float(value)
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{where}{key} must be {_KINDS[kind]}, got {value!r}")
+    if kind is str:
+        check_text(value, f"{where}{key}", ConfigError)
     return value
 
 
@@ -185,6 +189,8 @@ def _params(raw: dict) -> CompletionParams | None:
         stop = []
     if not is_string_list(stop):
         raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
+    for text in stop:
+        check_text(text, "backend.params.stop", ConfigError)
     try:
         return CompletionParams(**numbers, stop_sequences=tuple(stop))
     except ValueError as exc:

@@ -212,19 +212,20 @@ def read_jsonl(path: str):
                 if not isinstance(record, dict):
                     raise CorpusError(f"{path}:{line_no}: record must be a JSON object")
                 if _SURROGATE_ESCAPE.search(line):
-                    _check_encodable(record, f"{path}:{line_no}")
+                    check_text(json.dumps(record, ensure_ascii=False), f"{path}:{line_no}")
                 yield line_no, record
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from exc
 
 
-def _check_encodable(record: dict, where: str) -> None:
-    """Raise CorpusError naming ``where`` if ``record`` holds a lone surrogate."""
+def check_text(text: str, where: str, error: type[QfsError] = CorpusError) -> None:
+    """Raise ``error`` naming ``where`` if ``text`` holds a lone surrogate,
+    which no UTF-8 encodes."""
     try:
-        json.dumps(record, ensure_ascii=False).encode("utf-8")
+        text.encode("utf-8")
     except UnicodeEncodeError as exc:
         code = ord(exc.object[exc.start])
-        raise CorpusError(f"{where}: lone surrogate \\u{code:04x} is not valid text") from exc
+        raise error(f"{where}: lone surrogate \\u{code:04x} is not valid text") from exc
 
 
 def _undecodable_line(path: str) -> int:

@@ -19,6 +19,7 @@ import urllib.parse
 import urllib.request
 
 from .backends import BackendError, CompletionParams
+from .corpus import check_text
 
 API_KEY_ENV = "QFS_FORGE_API_KEY"
 
@@ -198,4 +199,5 @@ def _completion_text(body: bytes) -> str:
         )
     if not isinstance(reply["text"], str):
         raise BackendError("completion response 'text' is not a string")
+    check_text(reply["text"], "completion response 'text'", BackendError)
     return reply["text"]

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from .corpus import DOMAINS, MODES, DocumentSummaryPair, QfsError, is_string_list
+from .corpus import DOMAINS, MODES, DocumentSummaryPair, QfsError, check_text, is_string_list
 
 WH_INSTRUCTION = (
     "For each summary, write a general question about the article that can be "
@@ -133,8 +133,8 @@ def _load_builtin(domain: str) -> dict:
 def load_example(path: str, mode: str) -> OneShotExample:
     """Load a one-shot example from a JSON file (same schema as the built-ins).
 
-    A file that is not UTF-8 JSON, or does not follow the schema, is a
-    ``PromptError`` naming the file.
+    A file that is not UTF-8 JSON, does not follow the schema or holds a
+    lone surrogate in a text it gives is a ``PromptError`` naming the file.
     """
     source = f"one-shot example file {path!r}"
     try:
@@ -142,7 +142,10 @@ def load_example(path: str, mode: str) -> OneShotExample:
             raw = json.load(handle)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise PromptError(f"{source} is not valid JSON: {exc}") from exc
-    return _example_from_raw(raw, mode, source)
+    example = _example_from_raw(raw, mode, source)
+    texts = (example.document, example.domain, *example.summary_sentences, *example.query_sentences)
+    check_text("".join(texts), source, PromptError)
+    return example
 
 
 def builtin_example(domain: str, mode: str) -> OneShotExample:

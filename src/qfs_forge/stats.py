@@ -8,7 +8,7 @@ appear in ``b``; it is asymmetric by design and quantifies how much of
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -28,18 +28,19 @@ def ntp(a: str, b: str, numerator: str = "occurrences") -> float:
     The numerator counts token occurrences by default; pass
     numerator="types" to count distinct token types instead.
     """
-    return _ntp(tokenize(a), set(tokenize(b)), numerator)
+    counts_a = Counter(tokenize(a))
+    return _ntp(counts_a, counts_a.keys() & tokenize(b), numerator)
 
 
-def _ntp(tokens_a: list[str], types_b: set[str], numerator: str) -> float:
-    if not tokens_a:
+def _ntp(counts_a: Counter, shared: set[str], numerator: str) -> float:
+    """NTP of the text with token counts ``counts_a``, given the types it shares with the other."""
+    if not counts_a:
         raise StatsError("ntp: first string has no tokens")
     if numerator == "occurrences":
-        novel = len(tokens_a) - sum(map(types_b.__contains__, tokens_a))
-        return 100.0 * novel / len(tokens_a)
+        total = counts_a.total()
+        return 100.0 * (total - sum(map(counts_a.__getitem__, shared))) / total
     if numerator == "types":
-        types_a = set(tokens_a)
-        return 100.0 * len(types_a - types_b) / len(types_a)
+        return 100.0 * (len(counts_a) - len(shared)) / len(counts_a)
     raise StatsError(f"unknown ntp numerator mode {numerator!r}")
 
 
@@ -136,16 +137,16 @@ def corpus_stats(
         raise StatsError("corpus_stats: empty triplet list")
     columns: dict[str, list] = defaultdict(list)
     for triplet in triplets:
-        tokens = {
-            "doc": tokenize(triplet.document),
-            "query": tokenize(joined_query_text(triplet)),
-            "sum": tokenize(triplet.summary),
+        counts = {
+            "doc": Counter(tokenize(triplet.document)),
+            "query": Counter(tokenize(joined_query_text(triplet))),
+            "sum": Counter(tokenize(triplet.summary)),
         }
-        types = {name: set(toks) for name, toks in tokens.items()}
-        for name, toks in tokens.items():
-            columns[f"len_{name}"].append(len(toks))
+        for name, name_counts in counts.items():
+            columns[f"len_{name}"].append(name_counts.total())
         for a, b in _NTP_PAIRS:
-            columns[f"ntp_{a}_{b}"].append(_ntp(tokens[a], types[b], ntp_numerator))
+            shared = counts[a].keys() & counts[b].keys()
+            columns[f"ntp_{a}_{b}"].append(_ntp(counts[a], shared, ntp_numerator))
 
     means = {name: pairwise_mean(values) for name, values in columns.items()}
     try:

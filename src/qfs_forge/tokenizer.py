@@ -19,13 +19,21 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+# Every ASCII byte that is not punctuation. A UTF-8 multi-byte sequence holds
+# no ASCII byte, so deleting these from an encoded text leaves whole characters.
+_NON_PUNCT_ASCII = bytes(b for b in range(128) if not _is_punct(chr(b)))
+
+
 def _punctuation(text: str) -> str:
     """The punctuation characters that occur in ``text``, for ``str.strip``.
 
     Stripping a piece of ``text`` by this set strips exactly its leading and
-    trailing punctuation, and the per-character work runs in C.
+    trailing punctuation. One C-level byte pass drops the ASCII that is not
+    punctuation (``surrogatepass`` round-trips lone surrogates), so only the
+    few distinct characters left are tested one by one.
     """
-    return "".join(filter(_is_punct, set(text)))
+    rest = text.encode("utf-8", "surrogatepass").translate(None, _NON_PUNCT_ASCII)
+    return "".join(filter(_is_punct, set(rest.decode("utf-8", "surrogatepass"))))
 
 
 def tokenize(text: str) -> list[str]:
@@ -35,10 +43,7 @@ def tokenize(text: str) -> list[str]:
     punct = _punctuation(text)
     if not punct:
         return pieces
-    tokens = list(map(str.strip, pieces, repeat(punct)))
-    if "" in tokens:
-        return list(filter(None, tokens))
-    return tokens
+    return list(filter(None, map(str.strip, pieces, repeat(punct))))
 
 
 def has_token(text: str) -> bool:

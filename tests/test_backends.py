@@ -529,6 +529,16 @@ class TestLiveBackend:
         with pytest.raises(BackendError, match="malformed"):
             backend.complete("p", QUERY_GEN_PARAMS)
 
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\udfff"])
+    def test_reply_text_with_a_lone_surrogate_raises(self, escape):
+        # valid JSON, but no UTF-8 encodes the text it decodes to
+        body = b'{"text": "1. What fell ' + escape.encode() + b' today?"}'
+        with pytest.raises(BackendError) as caught:
+            live._completion_text(body)
+        assert str(caught.value) == (
+            f"completion response 'text': lone surrogate {escape} is not valid text"
+        )
+
     @pytest.mark.parametrize("payload", [[1], "x", None])
     def test_reply_that_is_not_an_object_raises(self, stub_server, api_key, payload):
         stub_server.responses = [(200, payload)]

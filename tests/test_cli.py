@@ -646,6 +646,41 @@ class TestMalformedConfig:
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):
         self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"instruction": "Ask \ud800 questions."}, "instruction: lone surrogate \\ud800"),
+            ({"labels": {"summary": "Summary \udfff:"}}, "labels.summary: lone surrogate \\udfff"),
+            ({"paths": {"audit": "audit\ud800.jsonl"}}, "paths.audit: lone surrogate \\ud800"),
+            ({"backend": {"endpoint": "http://\udfff"}}, "backend.endpoint: lone surrogate \\udfff"),
+            ({"backend": {"params": {"stop": ["\n", "\ud800"]}}},
+             "backend.params.stop: lone surrogate \\ud800"),
+        ],
+    )
+    def test_lone_surrogate_in_a_config_string_exits_2(self, tmp_path, capsys, settings, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))  # json.dumps writes the surrogate as an escape
+        corpus = write_jsonl(tmp_path / "pairs.jsonl", PAIRS[:1])
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message} is not valid text\n"
+        assert list(tmp_path.glob("out.jsonl*")) == []
+
+    def test_lone_surrogate_in_a_script_exits_2(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["1. What fell \ud800 today?"]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "script": str(script)}}))
+        corpus = write_jsonl(tmp_path / "pairs.jsonl", PAIRS[:1])
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: backend.script {str(script)!r}: lone surrogate \\ud800 is not valid text\n"
+        )
+        assert list(tmp_path.glob("out.jsonl*")) == []
+
     def test_unparseable_script_exits_2(self, tmp_path, corpus, capsys):
         script = tmp_path / "script.json"
         script.write_text("{broken")
@@ -665,6 +700,8 @@ class TestMalformedConfig:
              "document and domain must be strings"),
             (b'{"document": "d", "summary_sentences": 5, "queries": {"wh": ["q"]}, "domain": "news"}',
              "summary_sentences and queries.wh must be lists of strings"),
+            (b'{"document": "d", "summary_sentences": ["s"], "queries": {"wh": ["q \\udfff"]}, "domain": "news"}',
+             "lone surrogate \\udfff is not valid text"),
         ],
     )
     def test_malformed_example_file_exits_2(self, tmp_path, corpus, capsys, content, message):

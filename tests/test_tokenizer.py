@@ -151,18 +151,25 @@ def _oracle_nth_token_chunk(chunks: list[str], n: int) -> int:
 
 # One or more characters of every punctuation subcategory (Pc Pd Ps Pe Pi Pf
 # Po), symbols that must survive, every separator str.split() knows,
-# combining marks, and letters whose lowercase changes length or shape.
-_PUNCTUATION = "_‿＿⁀" "-–—" "([{「" ")]}」" "«‘“" "»’”" ".,!?'\"…·¿¡%&*@#/\\:;"
-_SYMBOLS = "$+<=>^`|~©€"
+# combining marks, letters whose lowercase changes length or shape, and lone
+# surrogates. Between them they hold characters of every UTF-8 width, 4-byte
+# punctuation and symbols included, so the byte pass that finds punctuation
+# meets every kind of sequence.
+_PUNCTUATION = "_‿＿⁀" "-–—" "([{「" ")]}」" "«‘“" "»’”" ".,!?'\"…·¿¡%&*@#/\\:;" "\U00011047"
+_SYMBOLS = "$+<=>^`|~©€😀"
 _SEPARATORS = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
 _MARKS = "\u0301\u0307\u0308\u20dd"
-_LETTERS = "abAB09İẞǅΣ"
+_LETTERS = "abAB09İẞǅΣ" "ЖжЯя" "中文字"
+_SURROGATES = "\ud800\udfff"
 _EDGE = st.text(alphabet=_PUNCTUATION + _MARKS, max_size=3)
-_CORE = st.text(alphabet=_PUNCTUATION + _SYMBOLS + _MARKS + _LETTERS, max_size=4)
+_CORE = st.text(alphabet=_PUNCTUATION + _SYMBOLS + _MARKS + _LETTERS + _SURROGATES, max_size=4)
 # Raw mixtures, and pieces with punctuation runs at their edges (often
 # nothing else) so that every strip decision comes up.
 _MIXED_TEXT = st.one_of(
-    st.text(alphabet=_PUNCTUATION + _SYMBOLS + _SEPARATORS + _MARKS + _LETTERS, max_size=60),
+    st.text(
+        alphabet=_PUNCTUATION + _SYMBOLS + _SEPARATORS + _MARKS + _LETTERS + _SURROGATES,
+        max_size=60,
+    ),
     st.lists(st.tuples(_EDGE, _CORE, _EDGE, st.sampled_from(_SEPARATORS)).map("".join), max_size=12)
     .map("".join),
 )
@@ -192,6 +199,7 @@ def test_symbols_survive_and_underscore_is_stripped():
     assert tokenize("<y> $5") == ["<y>", "$5"]
     assert tokenize("_init_ ‿x‿ ＿") == ["init", "x"]
     assert tokenize("«Oui» ‘no’") == ["oui", "no"]
+    assert tokenize("A\ud800, b\udfff” «C»") == ["a\ud800", "b\udfff", "c"]
 
 
 @settings(max_examples=300)
@@ -202,7 +210,8 @@ def test_has_token_is_a_non_empty_tokenize(text):
 
 @pytest.mark.parametrize(
     "text, holds",
-    [("\u3000", False), ("\x1c", False), ("_", False), ("$", True), ("—", False), ("— … a", True)],
+    [("\u3000", False), ("\x1c", False), ("_", False), ("$", True), ("—", False), ("— … a", True),
+     ("A\ud800, b\udfff” «C»", True)],
 )
 def test_has_token_edge_cases(text, holds):
     assert has_token(text) is holds

@@ -9,6 +9,7 @@ are interchangeable.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
@@ -52,13 +53,61 @@ class CompletionBackend(Protocol):
     def complete(self, prompt: str, params: CompletionParams) -> str: ...
 
 
+# Helper threads that finished their share of a map, each as its (wake lock,
+# job slot) pair; the lock is held while the helper waits on it.
+_idle: list = []
+_idle_lock = threading.Lock()
+
+
+def _forget_helpers() -> None:
+    # a forked child runs only the forking thread, and a lock may have been held
+    global _idle, _idle_lock
+    _idle, _idle_lock = [], threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helpers)
+
+
+def _serve(helper: tuple) -> None:
+    wake, slot = helper
+    while True:
+        wake.acquire()
+        job, done = slot.pop()
+        try:
+            job()  # never raises: the map keeps each failure for its caller
+            with _idle_lock:
+                _idle.append(helper)
+        finally:
+            done.release()
+            job = done = None  # an idle helper holds nothing of a finished map
+
+
+def _hand_out(job: Callable):
+    """Run ``job`` on an idle helper, or on a new one when none is idle; a
+    lock that is released once ``job`` has returned."""
+    done = threading.Lock()
+    done.acquire()
+    with _idle_lock:
+        helper = _idle.pop() if _idle else None
+    if helper is None:
+        helper = (threading.Lock(), [(job, done)])
+        threading.Thread(target=_serve, args=(helper,), daemon=True).start()
+    else:
+        helper[1].append((job, done))
+        helper[0].release()
+    return done
+
+
 def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
     """``[fn(item) for item in items]``, with up to ``parallelism`` calls in flight.
 
     The caller and ``parallelism - 1`` helper threads each take the next item
     in input order. Once a call raises, or the caller is interrupted, no new
     item starts; every started call returns, then the first failure in input
-    order is raised.
+    order is raised. A helper outlives the map: it waits, idle, for a share of
+    a later one, so a run starts a new daemon thread only when no helper is
+    idle, as in a nested map.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -85,17 +134,15 @@ def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
                     stop = True
                 return
 
-    helpers = []
+    shares = []  # one lock per helper's share, released when the share is done
     try:
         for _ in range(min(parallelism, len(items)) - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
+            shares.append(_hand_out(work))
         work()
     finally:
-        stop = True  # set before the joins, so an interrupt there starts no new item either
-        for helper in helpers:
-            helper.join()
+        stop = True  # set before the waits, so an interrupt there starts no new item either
+        for done in shares:
+            done.acquire()
     if failures:
         raise failures[min(failures)]
     return results

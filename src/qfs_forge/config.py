@@ -89,6 +89,12 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.backend.kind == "mock" and self.backend.script and self.parallelism > 1:
+            # concurrent calls would take each other's scripted completions
+            raise ConfigError(
+                f"backend.script needs parallelism 1, got {self.parallelism}: "
+                "a scripted mock hands out its completions in call order"
+            )
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
         if not 0 <= self.failure_ceiling <= 1:

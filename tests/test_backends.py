@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import gc
 import hashlib
 import http.server
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
@@ -322,19 +324,116 @@ class TestMapOrdered:
         with pytest.raises(BackendError, match="slow item 0 failed"):
             map_ordered(fail, [0, 1], 2)
 
-    def test_no_thread_outlives_the_call(self):
+    def test_later_maps_reuse_the_idle_helpers(self):
         def fail_on_five(x):
-            time.sleep(0.002)
+            time.sleep(0.001)
             if x == 5:
                 raise BackendError("item 5 failed")
             return x
 
-        before = threading.active_count()
-        assert map_ordered(fail_on_five, list(range(5)), 4) == list(range(5))
-        assert threading.active_count() == before
+        assert map_ordered(fail_on_five, list(range(5)), 2) == list(range(5))
+        after_one_map = threading.active_count()
+        for _ in range(50):
+            assert map_ordered(fail_on_five, list(range(5)), 2) == list(range(5))
         with pytest.raises(BackendError):
-            map_ordered(fail_on_five, list(range(12)), 4)
-        assert threading.active_count() == before
+            map_ordered(fail_on_five, list(range(12)), 2)
+        assert threading.active_count() <= after_one_map  # other tests' threads may end meanwhile
+
+    def test_an_idle_helper_keeps_nothing_of_a_finished_map(self):
+        class Value:
+            pass
+
+        class Call:
+            def __call__(self, item):
+                time.sleep(0.002)  # so the helper takes items too
+                return Value()
+
+        fn, items = Call(), [Value() for _ in range(6)]
+        results = map_ordered(fn, items, 2)
+        refs = [weakref.ref(value) for value in (fn, *items, *results)]
+        del fn, items, results
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 13
+
+    def test_a_map_nested_in_a_map_returns(self):
+        def inner(x):
+            time.sleep(0.002)
+            return map_ordered(lambda y: (time.sleep(0.001), 10 * x + y)[1], [0, 1, 2], 2)
+
+        results = []
+        outer = threading.Thread(
+            target=lambda: results.append(map_ordered(inner, [1, 2, 3, 4], 2)), daemon=True
+        )
+        outer.start()
+        outer.join(timeout=10)
+        assert not outer.is_alive()
+        assert results == [[[10 * x + y for y in range(3)] for x in range(1, 5)]]
+
+    def test_concurrent_callers_share_the_idle_helpers(self):
+        errors = []
+
+        def caller(k):
+            try:
+                for n in range(40):
+                    items = list(range(n % 7))
+                    assert map_ordered(lambda x: x * k, items, 3) == [x * k for x in items]
+            except BaseException as exc:
+                errors.append(exc)
+
+        before = threading.active_count()
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert errors == []
+        # four maps with two helpers each ran at once at most; 160 maps ran in all
+        assert threading.active_count() <= before + 8
+
+    @staticmethod
+    def run_python(code: str) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        return subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30
+        )
+
+    def test_a_process_with_idle_helpers_exits(self):
+        # the helpers are daemon threads, so the interpreter does not wait for them
+        code = (
+            "from qfs_forge.backends import map_ordered\n"
+            "assert map_ordered(abs, [-1, -2, -3, -4, -5], 4) == [1, 2, 3, 4, 5]\n"
+        )
+        result = self.run_python(code)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_after_a_map_runs_its_own_map(self):
+        # the parent's idle helpers do not exist in the child; a hung child is killed
+        code = (
+            "import os, signal, sys, time, warnings\n"
+            "from qfs_forge.backends import map_ordered\n"
+            "assert map_ordered(abs, [-1, -2, -3], 2) == [1, 2, 3]\n"
+            "warnings.simplefilter('ignore', DeprecationWarning)  # forking a threaded process\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os._exit(0 if map_ordered(abs, [-4, -5, -6], 2) == [4, 5, 6] else 1)\n"
+            "for _ in range(1000):\n"
+            "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+            "    if done:\n"
+            "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+            "    time.sleep(0.01)\n"
+            "os.kill(pid, signal.SIGKILL)\n"
+            "os.waitpid(pid, 0)\n"
+            "sys.exit('the forked child hung')\n"
+        )
+        result = self.run_python(code)
+        assert result.returncode == 0, result.stderr
 
     def test_every_item_called_once_under_frequent_switches(self):
         lock = threading.Lock()
@@ -668,7 +767,7 @@ class TestLiveBackend:
             LiveBackend(self.endpoint(server))
         ) as backend:
             opened = _track_connects(backend)
-            for _ in range(3):  # fresh helper threads, as each compose cluster starts
+            for _ in range(3):  # one map per compose cluster
                 map_ordered(lambda _: backend.complete("p", QUERY_GEN_PARAMS), [0, 1], 2)
             assert len(server.requests) == 6
             assert len(opened) <= 2

@@ -1,5 +1,6 @@
 import json
 import logging
+import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -242,6 +243,26 @@ def test_quickstart_outputs_match_golden_bytes(tmp_path, parallelism):
     assert written == sorted(path.name for path in GOLDEN_CLI.iterdir())
     for name in written:
         assert (tmp_path / name).read_bytes() == (GOLDEN_CLI / name).read_bytes(), name
+
+
+def test_repeated_parallel_runs_write_the_serial_bytes(tmp_path):
+    # annotate and compose, run five times in one process: the later runs
+    # reuse the helper threads the first one started
+    steps = [QUICKSTART[0], QUICKSTART[5]]
+
+    def outputs(parallelism, out):
+        out.mkdir()
+        for step in steps:
+            argv = [arg.format(sample=SAMPLE, out=out) for arg in step]
+            assert run(["--config", str(SAMPLE / "config.json"), "--parallelism", parallelism, *argv]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    serial = outputs("1", tmp_path / "serial")
+    assert outputs("4", tmp_path / "parallel-0") == serial
+    threads = threading.active_count()
+    for run_index in range(1, 5):
+        assert outputs("4", tmp_path / f"parallel-{run_index}") == serial
+    assert threading.active_count() <= threads  # no run after the first starts a thread
 
 
 class TestPipelineCommands:
@@ -678,6 +699,27 @@ class TestMalformedConfig:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: backend.script {str(script)!r}: lone surrogate \\ud800 is not valid text\n"
+        )
+        assert list(tmp_path.glob("out.jsonl*")) == []
+
+    @pytest.mark.parametrize(
+        "settings, flags, parallelism",
+        [({"parallelism": 2}, [], 2), ({}, ["--parallelism", "4"], 4)],
+    )
+    def test_script_at_parallelism_above_one_exits_2(
+        self, tmp_path, corpus, capsys, settings, flags, parallelism
+    ):
+        # concurrent calls would hand records each other's scripted completions
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["1. What happened?"] * 3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "script": str(script)}, **settings}))
+        out = tmp_path / "out.jsonl"
+        argv = ["--config", str(config), *flags, "annotate", "--input", corpus, "--output", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: backend.script needs parallelism 1, got {parallelism}: "
+            "a scripted mock hands out its completions in call order\n"
         )
         assert list(tmp_path.glob("out.jsonl*")) == []
 

@@ -4,8 +4,8 @@ Parallel backend calls, JSONL serialization, input record checks and the
 numbered-line format each used to be implemented in two or three modules;
 these checks keep a new copy from appearing next to the shared helper.
 Parallel calls run on threads that ``backends.map_ordered`` alone starts,
-with the caller as one of them and no thread pool, so no run loads
-``concurrent.futures``.
+with the caller as one of them; it keeps its own idle helpers between maps
+without ``concurrent.futures`` or ``queue``, so no run loads either.
 The punctuation rule (Unicode category ``P*``) lives in the tokenizer
 alone. The record contract (what a pair and a triplet must hold) lives in
 their constructors in ``corpus.py``, which ask the tokenizer's ``has_token``
@@ -298,7 +298,7 @@ def test_mock_setup_loads_only_its_modules():
         "specs = {d: qfs_forge.default_spec(d, 'wh') for d in ('news', 'dialogue')}\n"
     )
     assert package_modules(modules) <= {"backends", "corpus", "prompts", "data"}
-    assert [name for name in ("concurrent.futures", "logging", "fractions", "decimal")
+    assert [name for name in ("concurrent.futures", "queue", "logging", "fractions", "decimal")
             if name in modules] == []
 
 
@@ -307,7 +307,7 @@ def test_parallel_map_loads_no_thread_pool():
         "from qfs_forge.backends import map_ordered\n"
         "assert map_ordered(str, ['a', 'b'], 2) == ['a', 'b']\n"
     )
-    assert "concurrent.futures" not in modules
+    assert [name for name in ("concurrent.futures", "queue") if name in modules] == []
 
 
 @pytest.mark.parametrize(

@@ -64,9 +64,17 @@ class AnnotationOutcome:
 
 
 def truncate_document(document: str, max_tokens: int) -> str:
-    """Cut the document tail at a whitespace boundary after max_tokens tokens."""
+    """Cut the document tail at a whitespace boundary after max_tokens tokens.
+
+    An uncut document comes back as the same object. One of fewer than
+    ``2 * max_tokens`` characters comes back without being split: n
+    whitespace-separated chunks take at least 2n - 1 characters, so it
+    cannot hold more than max_tokens tokens.
+    """
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
+    if len(document) < 2 * max_tokens:
+        return document
     chunks = document.split()
     end = nth_token_chunk(chunks, max_tokens) + 1
     if end >= len(chunks):

@@ -273,12 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.backend.seed = args.seed
-        if args.parallelism is not None:
-            config.parallelism = args.parallelism
-        config.validate()
+        config = load_config(args.config, seed=args.seed, parallelism=args.parallelism)
         return args.func(config, args)
     except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -203,13 +203,18 @@ def _params(raw: dict) -> CompletionParams | None:
         raise ConfigError(f"backend.params: {exc}") from exc
 
 
-def load_config(path: str | None) -> RunConfig:
+def load_config(
+    path: str | None, seed: int | None = None, parallelism: int | None = None
+) -> RunConfig:
     """Read the JSON config file; a missing path yields the defaults.
 
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
     its default. An unknown key is an error at the top level and under
-    ``backend``, ``backend.params``, ``labels`` and ``paths``."""
+    ``backend``, ``backend.params``, ``labels`` and ``paths``. ``seed`` and
+    ``parallelism``, when given, replace the backend seed and the
+    parallelism before the config is validated, once, so an override can
+    make a config valid."""
     raw = {}
     if path:
         try:
@@ -239,5 +244,9 @@ def load_config(path: str | None) -> RunConfig:
         labels=labels,
         paths=paths,
     )
+    if seed is not None:
+        config.backend.seed = seed
+    if parallelism is not None:
+        config.parallelism = parallelism
     config.validate()
     return config

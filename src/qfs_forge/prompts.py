@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from .corpus import DOMAINS, MODES, DocumentSummaryPair, QfsError, check_text, is_string_list
@@ -83,6 +83,8 @@ class OneShotExample:
             raise PromptError(f"unknown example domain {self.domain!r}")
         if self.mode not in MODES:
             raise PromptError(f"unknown example mode {self.mode!r}")
+        if not self.summary_sentences:
+            raise PromptError("one-shot example needs at least one summary sentence")
         if len(self.summary_sentences) != len(self.query_sentences):
             raise PromptError(
                 "one-shot example needs exactly one query per summary sentence "
@@ -93,11 +95,18 @@ class OneShotExample:
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """Everything needed to render an annotation prompt deterministically."""
+    """Everything needed to render an annotation prompt deterministically.
+
+    Every prompt of a spec starts with the same head: the instruction, the
+    one-shot example and the target document's label, under the labels for
+    the example's domain. The spec renders it once, when it is built, and
+    keeps it out of equality, hashing and repr.
+    """
 
     instruction: str
     example: OneShotExample
     labels: PromptLabels = PromptLabels()
+    _head: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # custom instructions are allowed, but the two built-ins must not
@@ -105,6 +114,15 @@ class PromptSpec:
         builtin = {text: mode for mode, text in INSTRUCTIONS.items()}.get(self.instruction)
         if builtin is not None and builtin != self.example.mode:
             raise PromptError(f"{builtin} instruction paired with a {self.example.mode} example")
+        labels = self.labels.for_domain(self.example.domain)
+        head = "\n\n".join((
+            self.instruction,
+            f"{labels.document}\n{self.example.document}",
+            f"{labels.summary}\n{number_sentences(self.example.summary_sentences)}",
+            f"{labels.query}\n{number_sentences(self.example.query_sentences)}",
+            f"{labels.document}\n",
+        ))
+        object.__setattr__(self, "_head", head)
 
     @property
     def mode(self) -> str:
@@ -168,13 +186,16 @@ def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
         raise PromptError(f"{source}: document and domain must be strings")
     if not is_string_list(raw["summary_sentences"]) or not is_string_list(queries[mode]):
         raise PromptError(f"{source}: summary_sentences and queries.{mode} must be lists of strings")
-    return OneShotExample(
-        document=raw["document"],
-        summary_sentences=tuple(raw["summary_sentences"]),
-        query_sentences=tuple(queries[mode]),
-        domain=raw["domain"],
-        mode=mode,
-    )
+    try:
+        return OneShotExample(
+            document=raw["document"],
+            summary_sentences=tuple(raw["summary_sentences"]),
+            query_sentences=tuple(queries[mode]),
+            domain=raw["domain"],
+            mode=mode,
+        )
+    except PromptError as exc:
+        raise PromptError(f"{source}: {exc}") from exc
 
 
 def default_spec(
@@ -265,26 +286,22 @@ def repair_queries(
 def build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
     """Render the full annotation prompt for one document-summary pair.
 
-    Pure function of its inputs: identical inputs give byte-identical
-    prompts, which is what keeps golden-file tests and mock-backend runs
-    stable.
+    The spec's head (instruction, one-shot example and document label,
+    rendered once when the spec was built) is followed by the pair's
+    document, its numbered summary and the query label. Pure function of its
+    inputs: identical inputs give byte-identical prompts, which is what
+    keeps golden-file tests and mock-backend runs stable.
     """
     if pair.domain != spec.example.domain:
         raise PromptError(
             f"pair {pair.id!r} is {pair.domain!r} but the one-shot example is "
             f"{spec.example.domain!r}; pick the example matching the domain"
         )
-    labels = spec.labels.for_domain(pair.domain)
-    blocks = [
-        spec.instruction,
-        f"{labels.document}\n{spec.example.document}",
-        f"{labels.summary}\n{number_sentences(spec.example.summary_sentences)}",
-        f"{labels.query}\n{number_sentences(spec.example.query_sentences)}",
-        f"{labels.document}\n{pair.document}",
-        f"{labels.summary}\n{number_sentences(pair.summary_sentences)}",
-        f"{labels.query}\n",
-    ]
-    return "\n\n".join(blocks)
+    labels = spec.labels
+    return (
+        f"{spec._head}{pair.document}\n\n"
+        f"{labels.summary}\n{number_sentences(pair.summary_sentences)}\n\n{labels.query}\n"
+    )
 
 
 def build_qfs_input(query: str, document: str) -> str:

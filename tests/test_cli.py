@@ -723,6 +723,32 @@ class TestMalformedConfig:
         )
         assert list(tmp_path.glob("out.jsonl*")) == []
 
+    def test_parallelism_flag_rescues_a_config_parallelism_below_one(self, tmp_path, capsys):
+        # the config is validated once, after --seed and --parallelism are applied
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"parallelism": 0}))
+        out = tmp_path / "stats.jsonl"
+        argv = ["--config", str(config), "--parallelism", "2",
+                "stats", "--input", str(GOLDEN_CLI / "triplets.jsonl"), "--output", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == (GOLDEN_CLI / "stats.jsonl").read_bytes()
+
+    def test_parallelism_one_flag_rescues_a_script_at_config_parallelism_two(self, tmp_path, capsys):
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["1. What will Lee eat tonight?"]))
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"backend": {"kind": "mock", "script": str(script)}, "parallelism": 2})
+        )
+        corpus = write_jsonl(tmp_path / "pairs.jsonl", PAIRS[1:2])
+        out = tmp_path / "out.jsonl"
+        argv = ["--config", str(config), "--parallelism", "1",
+                "annotate", "--input", corpus, "--output", str(out)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert [t["queries"] for t in read_jsonl(out)] == [["What will Lee eat tonight?"]]
+
     def test_unparseable_script_exits_2(self, tmp_path, corpus, capsys):
         script = tmp_path / "script.json"
         script.write_text("{broken")
@@ -752,6 +778,24 @@ class TestMalformedConfig:
         settings = {"example_path": str(example)}
         self.assert_exits_2(tmp_path, corpus, capsys, settings, f"one-shot example file {str(example)!r}")
         self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
+
+    def test_example_with_no_summary_sentence_is_refused_naming_its_file(
+        self, tmp_path, corpus, capsys
+    ):
+        example = tmp_path / "example.json"
+        example.write_text(json.dumps(
+            {"document": "d", "summary_sentences": [], "queries": {"wh": []}, "domain": "news"}
+        ))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"example_path": str(example)}))
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: one-shot example file {str(example)!r}: "
+            "one-shot example needs at least one summary sentence\n"
+        )
+        assert list(tmp_path.glob("out.jsonl*")) == []
 
     def test_non_utf8_config_exits_2(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"

@@ -1,17 +1,21 @@
+import json
 from pathlib import Path
 
 import pytest
 
+from qfs_forge import prompts
 from qfs_forge.corpus import DocumentSummaryPair
 from qfs_forge.prompts import (
     OneShotExample,
     PromptError,
     PromptLabels,
+    PromptSpec,
     WH_INSTRUCTION,
     YESNO_INSTRUCTION,
     build_annotation_prompt,
     builtin_example,
     default_spec,
+    load_example,
     number_sentences,
     numbered_lines,
 )
@@ -93,9 +97,13 @@ class TestOneShotExamples:
                 mode="wh",
             )
 
-    def test_builtin_instruction_crossed_with_other_mode_rejected(self):
-        from qfs_forge.prompts import PromptSpec
+    def test_example_with_no_summary_sentence_rejected(self):
+        with pytest.raises(PromptError, match="at least one summary sentence"):
+            OneShotExample(
+                document="d", summary_sentences=(), query_sentences=(), domain="news", mode="wh"
+            )
 
+    def test_builtin_instruction_crossed_with_other_mode_rejected(self):
         with pytest.raises(PromptError, match="paired with"):
             PromptSpec(instruction=WH_INSTRUCTION, example=builtin_example("news", "yesno"))
 
@@ -150,3 +158,79 @@ class TestBuildAnnotationPrompt:
         prompt = build_annotation_prompt(GOLDEN_TARGETS[domain], default_spec(domain, mode))
         golden = (GOLDEN_DIR / f"prompt_{domain}_{mode}.txt").read_bytes()
         assert prompt.encode("utf-8") == golden
+
+
+# Verbatim body of build_annotation_prompt when it rendered the instruction and
+# the one-shot example for every pair; kept as the reference for the head the
+# spec now renders once.
+def _former_build_annotation_prompt(pair: DocumentSummaryPair, spec: PromptSpec) -> str:
+    if pair.domain != spec.example.domain:
+        raise PromptError(
+            f"pair {pair.id!r} is {pair.domain!r} but the one-shot example is "
+            f"{spec.example.domain!r}; pick the example matching the domain"
+        )
+    labels = spec.labels.for_domain(pair.domain)
+    blocks = [
+        spec.instruction,
+        f"{labels.document}\n{spec.example.document}",
+        f"{labels.summary}\n{number_sentences(spec.example.summary_sentences)}",
+        f"{labels.query}\n{number_sentences(spec.example.query_sentences)}",
+        f"{labels.document}\n{pair.document}",
+        f"{labels.summary}\n{number_sentences(pair.summary_sentences)}",
+        f"{labels.query}\n",
+    ]
+    return "\n\n".join(blocks)
+
+
+class TestRenderedHead:
+    """The spec renders its instruction and example once; prompts stay byte-identical."""
+
+    @pytest.mark.parametrize("domain", ("news", "dialogue"))
+    @pytest.mark.parametrize("mode", ("wh", "yesno"))
+    @pytest.mark.parametrize(
+        "instruction, labels",
+        [
+            (None, None),
+            ("Ask {one} question per line.", None),
+            (None, PromptLabels(summary="Gist:", query="Asks:")),
+            ("Ask.", PromptLabels(document="Text {0}:", summary="Points:", query="")),
+        ],
+    )
+    def test_matches_the_former_body(self, domain, mode, instruction, labels):
+        spec = default_spec(domain, mode, instruction=instruction, labels=labels)
+        pair = GOLDEN_TARGETS[domain]
+        assert build_annotation_prompt(pair, spec) == _former_build_annotation_prompt(pair, spec)
+
+    def test_matches_the_former_body_with_a_loaded_example(self, tmp_path):
+        path = tmp_path / "example.json"
+        path.write_text(json.dumps({
+            "document": "Ana: lunch?\r\nBo: at noon\n\nAna: ok",
+            "summary_sentences": ["Ana and Bo meet at noon.", "They eat  lunch."],
+            "queries": {"wh": ["When do they meet?", "What do they eat?"]},
+            "domain": "dialogue",
+        }))
+        spec = default_spec("dialogue", "wh", example=load_example(str(path), "wh"))
+        pair = GOLDEN_TARGETS["dialogue"]
+        prompt = build_annotation_prompt(pair, spec)
+        assert prompt == _former_build_annotation_prompt(pair, spec)
+        assert "1. Ana and Bo meet at noon.\n2. They eat  lunch." in prompt
+
+    def test_head_stays_out_of_equality_and_repr(self):
+        spec = default_spec("news", "wh")
+        assert spec == default_spec("news", "wh")
+        assert hash(spec) == hash(default_spec("news", "wh"))
+        assert "_head" not in repr(spec)
+
+    def test_n_prompts_number_n_plus_two_sentence_lists(self, monkeypatch):
+        calls = []
+
+        def counting(sentences):
+            calls.append(sentences)
+            return number_sentences(sentences)
+
+        monkeypatch.setattr(prompts, "number_sentences", counting)
+        spec = default_spec("news", "yesno")
+        pair = GOLDEN_TARGETS["news"]
+        for _ in range(5):
+            build_annotation_prompt(pair, spec)
+        assert len(calls) == 5 + 2  # the example's summary and queries once, not per prompt

@@ -101,6 +101,49 @@ def test_truncate_document_returns_the_same_object_when_nothing_is_cut():
     assert truncate_document(document, 3) is document
 
 
+# One-character chunks, letters or punctuation alone, and whitespace that
+# str.split cuts at, to build texts at the edge of truncate_document's bound.
+_EDGE_CHUNK = st.one_of(st.sampled_from("abİß"), st.sampled_from(".,!-…¿«»"))
+_EDGE_GAP = st.sampled_from(" \t\n\u2003\x1c\x85\xa0\u3000")
+
+
+@settings(max_examples=300)
+@given(
+    data=st.data(),
+    max_tokens=st.integers(min_value=1, max_value=12),
+    offset=st.sampled_from((-2, -1, 0, 1)),
+)
+def test_truncation_bound_matches_the_former_body_at_its_edge(data, max_tokens, offset):
+    # n one-character chunks take 2n - 1 characters; an even length has one more gap
+    length = 2 * max_tokens + offset
+    n = (length + 1) // 2
+    chunks = data.draw(st.lists(_EDGE_CHUNK, min_size=n, max_size=n))
+    gaps = data.draw(st.lists(_EDGE_GAP, min_size=n, max_size=n))
+    text = "".join(chunk + gap for chunk, gap in zip(chunks, gaps))
+    if length % 2:
+        text = text[:-1]
+    elif data.draw(st.booleans(), label="gap first"):
+        text = text[-1:] + text[:-1]
+    assert len(text) == length
+    cut = truncate_document(text, max_tokens)
+    assert cut == _oracle_truncate_document(text, max_tokens)
+    if length < 2 * max_tokens:
+        assert cut is text
+
+
+class _Unsplittable(str):
+    def split(self, *args, **kwargs):
+        raise AssertionError("split called")
+
+
+def test_truncate_document_does_not_split_a_text_under_the_bound():
+    for max_tokens in (1, 3, 50):
+        text = _Unsplittable("a " * (max_tokens - 1) + "b")  # 2 * max_tokens - 1 characters
+        assert truncate_document(text, max_tokens) is text
+        with pytest.raises(AssertionError, match="split called"):
+            truncate_document(_Unsplittable(text + " "), max_tokens)
+
+
 @given(text=_CUT_TEXT, n=st.integers(min_value=1, max_value=10))
 def test_nth_token_chunk_counts_tokens_without_tokenizing_chunks(text, n):
     chunks = text.split()

@@ -104,6 +104,8 @@ def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     triplets = load_triplets(input_path)
+    if not triplets:
+        raise CorpusError(f"{input_path}: no triplets to measure")
     stats = corpus_stats(triplets, ntp_numerator=config.ntp_numerator)
     write_jsonl(output_path, [{"row": "corpus", **stats.to_record()}])
     print(format_stats_table({"corpus": stats}))

@@ -21,7 +21,7 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import QfsError
+from .corpus import QfsError, check_composition
 from .prompts import build_qfs_input
 from .tokenizer import nth_token_chunk, tokenize
 
@@ -42,12 +42,7 @@ class CompositionConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.overlap_threshold <= 100:
-            raise ValueError("overlap_threshold must be in [0, 100]")
-        if self.token_budget < 1:
-            raise ValueError("token_budget must be >= 1")
-        if self.on_overflow not in ("truncate", "drop"):
-            raise ValueError("on_overflow must be 'truncate' or 'drop'")
+        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ValueError)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 

@@ -14,7 +14,16 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import FAILURE_ACTIONS, MODES, QUERY_FORMATS, QfsError, check_text, is_string_list
+from .corpus import (
+    FAILURE_ACTIONS,
+    MODES,
+    NTP_NUMERATORS,
+    QUERY_FORMATS,
+    QfsError,
+    check_composition,
+    check_text,
+    is_string_list,
+)
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
 
@@ -105,8 +114,9 @@ class RunConfig:
             raise ConfigError("max_document_tokens must be >= 1")
         if self.query_format not in QUERY_FORMATS:
             raise ConfigError(f"query_format must be one of {QUERY_FORMATS}")
-        if self.ntp_numerator not in ("occurrences", "types"):
+        if self.ntp_numerator not in NTP_NUMERATORS:
             raise ConfigError("ntp_numerator must be 'occurrences' or 'types'")
+        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ConfigError)
 
     def prompt_spec(self, domain: str) -> PromptSpec:
         labels = PromptLabels(**self.labels) if self.labels else None

@@ -18,6 +18,10 @@ DOMAINS = ("news", "dialogue")
 MODES = ("wh", "yesno")
 # what annotate does with a pair still mismatched after its retries
 FAILURE_ACTIONS = ("drop", "repair")
+# what compose does with a summary that overflows the token budget
+OVERFLOW_ACTIONS = ("truncate", "drop")
+# what the numerator of a novel-token percentage counts
+NTP_NUMERATORS = ("occurrences", "types")
 # Every query format but natural questions, with the template style that
 # turns it into one; natural questions pass through untouched.
 FORMAT_TEMPLATE_STYLE = {
@@ -48,6 +52,18 @@ class CorpusError(QfsError, ValueError):
 
 class InvariantError(QfsError, ValueError):
     """A record violates a structural invariant and was rejected."""
+
+
+def check_composition(
+    overlap_threshold: float, token_budget: int, on_overflow: str, error: type[Exception]
+) -> None:
+    """Raise ``error`` naming the first composition setting out of range."""
+    if not 0 <= overlap_threshold <= 100:
+        raise error("overlap_threshold must be in [0, 100]")
+    if token_budget < 1:
+        raise error("token_budget must be >= 1")
+    if on_overflow not in OVERFLOW_ACTIONS:
+        raise error("on_overflow must be 'truncate' or 'drop'")
 
 
 def _has_token(text: str) -> bool:

@@ -139,7 +139,7 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
     pred_records = _load_id_text_records(predictions)
     ref_records = _load_id_text_records(references)
     if not pred_records:
-        raise RougeError("prediction file has no records")
+        raise RougeError(f"{predictions}: prediction file has no records")
 
     pred_ids = [rid for rid, _ in pred_records]
     duplicate_preds = sorted(rid for rid, count in Counter(pred_ids).items() if count > 1)

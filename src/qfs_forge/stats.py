@@ -8,13 +8,13 @@ appear in ``b``; it is asymmetric by design and quantifies how much of
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
 from ._kernels import pairwise_mean
-from .corpus import AnnotatedTriplet, QfsError, joined_query_text
+from .corpus import NTP_NUMERATORS, AnnotatedTriplet, QfsError, joined_query_text
 from .tokenizer import tokenize
 
 
@@ -28,20 +28,23 @@ def ntp(a: str, b: str, numerator: str = "occurrences") -> float:
     The numerator counts token occurrences by default; pass
     numerator="types" to count distinct token types instead.
     """
-    counts_a = Counter(tokenize(a))
-    return _ntp(counts_a, counts_a.keys() & tokenize(b), numerator)
+    tokens_a = tokenize(a)
+    counts_a = Counter(tokens_a)
+    return _ntp(counts_a, len(tokens_a), len(counts_a), counts_a.keys() & tokenize(b), numerator)
 
 
-def _ntp(counts_a: Counter, shared: set[str], numerator: str) -> float:
-    """NTP of the text with token counts ``counts_a``, given the types it shares with the other."""
-    if not counts_a:
+def _ntp(counts_a: Counter, total: int, n_types: int, shared: set[str], numerator: str) -> float:
+    """NTP of a text of ``total`` tokens and ``n_types`` types that shares the
+    types ``shared`` with the other text. ``counts_a`` need only hold the
+    counts of the shared types, and ``n_types`` is read only by the types
+    numerator."""
+    if not total:
         raise StatsError("ntp: first string has no tokens")
-    if numerator == "occurrences":
-        total = counts_a.total()
-        return 100.0 * (total - sum(map(counts_a.__getitem__, shared))) / total
+    if numerator not in NTP_NUMERATORS:
+        raise StatsError(f"unknown ntp numerator mode {numerator!r}")
     if numerator == "types":
-        return 100.0 * (len(counts_a) - len(shared)) / len(counts_a)
-    raise StatsError(f"unknown ntp numerator mode {numerator!r}")
+        return 100.0 * (n_types - len(shared)) / n_types
+    return 100.0 * (total - sum(map(counts_a.__getitem__, shared))) / total
 
 
 def _exact(value) -> int | Fraction:
@@ -117,10 +120,11 @@ class CorpusStats:
         }
 
 
-# (a, b) of each NTP column, in report order: a bad triplet fails on the first of them.
-_NTP_PAIRS = (
-    ("sum", "doc"), ("query", "doc"), ("doc", "sum"),
-    ("doc", "query"), ("query", "sum"), ("sum", "query"),
+# The per-triplet columns, in report order: a bad triplet fails on the first NTP column.
+_COLUMNS = (
+    "len_doc", "len_query", "len_sum",
+    "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
+    "ntp_doc_query", "ntp_query_sum", "ntp_sum_query",
 )
 
 
@@ -129,24 +133,44 @@ def corpus_stats(
 ) -> CorpusStats:
     """Mean lengths, the six NTP columns, and the query/summary length correlation.
 
-    Queries are joined with single spaces before measuring. NTP values are
-    computed per triplet, then averaged. The correlation is None when the
-    corpus is too small or the lengths are constant.
+    Queries are joined with single spaces before measuring. Each text is
+    tokenized once, and its length is its token count. The queries and the
+    summary are counted in full; the document is counted only over the types
+    those two hold, which are all its NTP columns read. Each pair of texts
+    shares one type set, used by both of the pair's NTP columns. NTP values
+    are computed per triplet, then averaged. The correlation is None when
+    the corpus is too small or the lengths are constant.
     """
     if not triplets:
         raise StatsError("corpus_stats: empty triplet list")
-    columns: dict[str, list] = defaultdict(list)
+    count_doc_types = ntp_numerator == "types"
+    rows = []
     for triplet in triplets:
-        counts = {
-            "doc": Counter(tokenize(triplet.document)),
-            "query": Counter(tokenize(joined_query_text(triplet))),
-            "sum": Counter(tokenize(triplet.summary)),
-        }
-        for name, name_counts in counts.items():
-            columns[f"len_{name}"].append(name_counts.total())
-        for a, b in _NTP_PAIRS:
-            shared = counts[a].keys() & counts[b].keys()
-            columns[f"ntp_{a}_{b}"].append(_ntp(counts[a], shared, ntp_numerator))
+        doc_tokens = tokenize(triplet.document)
+        query_tokens = tokenize(joined_query_text(triplet))
+        sum_tokens = tokenize(triplet.summary)
+        query_counts = Counter(query_tokens)
+        sum_counts = Counter(sum_tokens)
+        doc_counts = Counter(
+            filter((query_counts.keys() | sum_counts.keys()).__contains__, doc_tokens)
+        )
+        # each text as _ntp takes it: counts, token total and type count
+        doc = (doc_counts, len(doc_tokens), len(set(doc_tokens)) if count_doc_types else 0)
+        query = (query_counts, len(query_tokens), len(query_counts))
+        summary = (sum_counts, len(sum_tokens), len(sum_counts))
+        sum_doc = doc_counts.keys() & sum_counts.keys()
+        query_doc = doc_counts.keys() & query_counts.keys()
+        query_sum = query_counts.keys() & sum_counts.keys()
+        rows.append((
+            len(doc_tokens), len(query_tokens), len(sum_tokens),
+            _ntp(*summary, sum_doc, ntp_numerator),
+            _ntp(*query, query_doc, ntp_numerator),
+            _ntp(*doc, sum_doc, ntp_numerator),
+            _ntp(*doc, query_doc, ntp_numerator),
+            _ntp(*query, query_sum, ntp_numerator),
+            _ntp(*summary, query_sum, ntp_numerator),
+        ))
+    columns = dict(zip(_COLUMNS, zip(*rows)))
 
     means = {name: pairwise_mean(values) for name, values in columns.items()}
     try:

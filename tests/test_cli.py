@@ -470,21 +470,23 @@ class TestMalformedRecords:
 
     @pytest.mark.parametrize(
         "command, message",
-        [("classify", "no triplets to classify"), ("evaluate", "prediction file has no records")],
+        [
+            ("classify", "no triplets to classify"),
+            ("stats", "no triplets to measure"),
+            ("evaluate", "prediction file has no records"),
+        ],
     )
     def test_empty_input(self, tmp_path, mock_config, capsys, command, message):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         out = tmp_path / "out.jsonl"
-        if command == "classify":
-            inputs = ["--input", str(path)]
-        else:
+        if command == "evaluate":
             refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "1", "text": "None"}])
             inputs = ["--predictions", str(path), "--references", refs]
+        else:
+            inputs = ["--input", str(path)]
         assert run(["--config", mock_config, command, *inputs, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     def test_lone_surrogate(self, tmp_path, mock_config, capsys):
@@ -601,6 +603,30 @@ class TestOutOfRangeConfig:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"overlap_threshold": 500}, "overlap_threshold must be in [0, 100]"),
+            ({"token_budget": 0}, "token_budget must be >= 1"),
+            ({"on_overflow": "bogus"}, "on_overflow must be 'truncate' or 'drop'"),
+            (
+                {"on_overflow": "bogus", "token_budget": 0, "overlap_threshold": 500},
+                "overlap_threshold must be in [0, 100]",
+            ),
+        ],
+    )
+    def test_compose_key_refused_by_annotate(self, tmp_path, corpus, capsys, settings, message):
+        # the config is checked whole when it loads, not when compose reads its keys
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "seed": 1}, **settings}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["--config", str(config), "annotate", "--input", corpus,
+                "--output", str(out_dir / "triplets.jsonl")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out_dir.iterdir()) == []
 
 
 class TestMalformedConfig:

@@ -161,13 +161,12 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
         dict,
         unique="cluster_id",
     )
-    token_budget = config.token_budget if args.token_budget is None else args.token_budget
     with closing(config.backend.build()) as backend:
-        try:
+        try:  # load_config leaves a --token-budget flag to be checked here
             cfg = CompositionConfig(
                 backend=backend,
                 overlap_threshold=config.overlap_threshold,
-                token_budget=token_budget,
+                token_budget=config.token_budget,
                 params=config.summarization_params(),
                 on_overflow=config.on_overflow,
                 parallelism=config.parallelism,
@@ -275,7 +274,11 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config, seed=args.seed, parallelism=args.parallelism)
+        # only compose has --token-budget
+        token_budget = getattr(args, "token_budget", None)
+        config = load_config(
+            args.config, seed=args.seed, parallelism=args.parallelism, token_budget=token_budget
+        )
         return args.func(config, args)
     except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -92,7 +92,7 @@ class RunConfig:
     # optional path defaults, overridable on the command line
     paths: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, check_token_budget: bool = True) -> None:
         self.backend.validate()
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -116,7 +116,8 @@ class RunConfig:
             raise ConfigError(f"query_format must be one of {QUERY_FORMATS}")
         if self.ntp_numerator not in NTP_NUMERATORS:
             raise ConfigError("ntp_numerator must be 'occurrences' or 'types'")
-        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ConfigError)
+        token_budget = self.token_budget if check_token_budget else None
+        check_composition(self.overlap_threshold, token_budget, self.on_overflow, ConfigError)
 
     def prompt_spec(self, domain: str) -> PromptSpec:
         labels = PromptLabels(**self.labels) if self.labels else None
@@ -214,17 +215,22 @@ def _params(raw: dict) -> CompletionParams | None:
 
 
 def load_config(
-    path: str | None, seed: int | None = None, parallelism: int | None = None
+    path: str | None,
+    seed: int | None = None,
+    parallelism: int | None = None,
+    token_budget: int | None = None,
 ) -> RunConfig:
     """Read the JSON config file; a missing path yields the defaults.
 
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
     its default. An unknown key is an error at the top level and under
-    ``backend``, ``backend.params``, ``labels`` and ``paths``. ``seed`` and
-    ``parallelism``, when given, replace the backend seed and the
-    parallelism before the config is validated, once, so an override can
-    make a config valid."""
+    ``backend``, ``backend.params``, ``labels`` and ``paths``. ``seed``,
+    ``parallelism`` and ``token_budget``, when given, replace the backend
+    seed, the parallelism and the token budget before the config is
+    validated, once, so an override can make a config valid. A replaced
+    token budget, compose's ``--token-budget``, is left for compose to check
+    as it runs."""
     raw = {}
     if path:
         try:
@@ -258,5 +264,7 @@ def load_config(
         config.backend.seed = seed
     if parallelism is not None:
         config.parallelism = parallelism
-    config.validate()
+    if token_budget is not None:
+        config.token_budget = token_budget
+    config.validate(check_token_budget=token_budget is None)
     return config

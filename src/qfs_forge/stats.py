@@ -135,11 +135,13 @@ def corpus_stats(
 
     Queries are joined with single spaces before measuring. Each text is
     tokenized once, and its length is its token count. The queries and the
-    summary are counted in full; the document is counted only over the types
-    those two hold, which are all its NTP columns read. Each pair of texts
-    shares one type set, used by both of the pair's NTP columns. NTP values
-    are computed per triplet, then averaged. The correlation is None when
-    the corpus is too small or the lengths are constant.
+    summary are counted in full. Under the occurrences numerator the document
+    is counted only over the types those two hold, which are all its NTP
+    columns read; the types numerator also reads its type count, so there it
+    is counted in full. Each pair of texts shares one type set, used by both
+    of the pair's NTP columns. NTP values are computed per triplet, then
+    averaged. The correlation is None when the corpus is too small or the
+    lengths are constant.
     """
     if not triplets:
         raise StatsError("corpus_stats: empty triplet list")
@@ -151,11 +153,14 @@ def corpus_stats(
         sum_tokens = tokenize(triplet.summary)
         query_counts = Counter(query_tokens)
         sum_counts = Counter(sum_tokens)
-        doc_counts = Counter(
-            filter((query_counts.keys() | sum_counts.keys()).__contains__, doc_tokens)
-        )
+        if count_doc_types:
+            doc_counts = Counter(doc_tokens)
+        else:
+            doc_counts = Counter(
+                filter((query_counts.keys() | sum_counts.keys()).__contains__, doc_tokens)
+            )
         # each text as _ntp takes it: counts, token total and type count
-        doc = (doc_counts, len(doc_tokens), len(set(doc_tokens)) if count_doc_types else 0)
+        doc = (doc_counts, len(doc_tokens), len(doc_counts))
         query = (query_counts, len(query_tokens), len(query_counts))
         summary = (sum_counts, len(sum_tokens), len(sum_counts))
         sum_doc = doc_counts.keys() & sum_counts.keys()

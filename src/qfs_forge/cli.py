@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from contextlib import closing
 
@@ -32,6 +33,9 @@ from .corpus import (
     write_triplets,
 )
 
+# the flags that name a config key: "seed" names backend.seed, the rest their own key
+_CONFIG_FLAGS = ("seed", "parallelism", "token_budget", "query_format", "recall_only")
+
 # Each command imports its own stage module, so a run loads only the stage it uses.
 
 
@@ -41,6 +45,9 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
     input_path = config.path("input", args.input)
     output_path = config.path("output", args.output)
     audit_path = args.audit or config.paths.get("audit", output_path + ".failures.jsonl")
+    if os.path.realpath(audit_path) == os.path.realpath(output_path):
+        # the audit, written last, would be renamed over the triplets
+        raise ConfigError(f"audit path {audit_path!r} is the output path")
 
     pairs = load_corpus(input_path)
     specs = {domain: config.prompt_spec(domain) for domain in {pair.domain for pair in pairs}}
@@ -122,11 +129,10 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
         input_path, {"id": STRING, "document": DOCUMENT, "query": SUMMARY}, dict, unique="id"
     )
 
-    query_format = args.query_format or config.query_format
-    if query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
+    if config.query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
         unified = [record["query"] for record in records]
     elif args.strategy == "template":
-        style = FORMAT_TEMPLATE_STYLE[query_format]
+        style = FORMAT_TEMPLATE_STYLE[config.query_format]
         unified = [template_fallback(record["query"], style) for record in records]
     else:
         with closing(config.backend.build()) as backend:
@@ -146,7 +152,9 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
             for record, query in zip(records, unified)
         ),
     )
-    print(f"unified {len(records)} queries ({query_format}, {args.strategy}) -> {output_path}")
+    print(
+        f"unified {len(records)} queries ({config.query_format}, {args.strategy}) -> {output_path}"
+    )
     return 0
 
 
@@ -162,17 +170,14 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
         unique="cluster_id",
     )
     with closing(config.backend.build()) as backend:
-        try:  # load_config leaves a --token-budget flag to be checked here
-            cfg = CompositionConfig(
-                backend=backend,
-                overlap_threshold=config.overlap_threshold,
-                token_budget=config.token_budget,
-                params=config.summarization_params(),
-                on_overflow=config.on_overflow,
-                parallelism=config.parallelism,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = CompositionConfig(
+            backend=backend,
+            overlap_threshold=config.overlap_threshold,
+            token_budget=config.token_budget,
+            params=config.summarization_params(),
+            on_overflow=config.on_overflow,
+            parallelism=config.parallelism,
+        )
         results = []
         for cluster in clusters:
             result = compose_cluster(cluster["documents"], cluster["query"], cfg)
@@ -197,7 +202,7 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
     output_path = config.path("output", args.output)
     report = evaluate_run(predictions, references)
     write_jsonl(output_path, report.to_records())
-    print(report.format_table(recall_only=args.recall_only or config.recall_only))
+    print(report.format_table(recall_only=config.recall_only))
     return 0
 
 
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--predictions", help="records with id/text (jsonl)")
     evaluate.add_argument("--references", help="records with id/text (jsonl)")
     evaluate.add_argument("--output", help="report path (jsonl)")
-    evaluate.add_argument("--recall-only", action="store_true")
+    evaluate.add_argument("--recall-only", action="store_true", default=None)
     evaluate.set_defaults(func=cmd_evaluate)
     return parser
 
@@ -274,11 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        # only compose has --token-budget
-        token_budget = getattr(args, "token_budget", None)
-        config = load_config(
-            args.config, seed=args.seed, parallelism=args.parallelism, token_budget=token_budget
-        )
+        # a subcommand without one of these flags leaves its key to the file
+        flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+        config = load_config(args.config, **flags)
         return args.func(config, args)
     except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

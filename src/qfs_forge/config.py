@@ -44,13 +44,12 @@ class BackendConfig:
     timeout: float = 60.0
     params: CompletionParams | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # LiveBackend checks its own endpoint, timeout and key
         if self.kind not in ("mock", "live"):
             raise ConfigError(f"backend.kind must be mock or live, got {self.kind!r}")
 
     def build(self) -> CompletionBackend:
-        self.validate()
         if self.kind == "live":
             from .live import LiveBackend  # loads the HTTP and TLS modules only for a live run
 
@@ -92,8 +91,7 @@ class RunConfig:
     # optional path defaults, overridable on the command line
     paths: dict = field(default_factory=dict)
 
-    def validate(self, check_token_budget: bool = True) -> None:
-        self.backend.validate()
+    def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.parallelism < 1:
@@ -116,8 +114,7 @@ class RunConfig:
             raise ConfigError(f"query_format must be one of {QUERY_FORMATS}")
         if self.ntp_numerator not in NTP_NUMERATORS:
             raise ConfigError("ntp_numerator must be 'occurrences' or 'types'")
-        token_budget = self.token_budget if check_token_budget else None
-        check_composition(self.overlap_threshold, token_budget, self.on_overflow, ConfigError)
+        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ConfigError)
 
     def prompt_spec(self, domain: str) -> PromptSpec:
         labels = PromptLabels(**self.labels) if self.labels else None
@@ -214,23 +211,19 @@ def _params(raw: dict) -> CompletionParams | None:
         raise ConfigError(f"backend.params: {exc}") from exc
 
 
-def load_config(
-    path: str | None,
-    seed: int | None = None,
-    parallelism: int | None = None,
-    token_budget: int | None = None,
-) -> RunConfig:
+def load_config(path: str | None, **flags) -> RunConfig:
     """Read the JSON config file; a missing path yields the defaults.
+
+    Each keyword is a command-line flag that names a config key: ``seed``
+    names ``backend.seed`` and any other keyword the top-level key of its
+    name. A flag that is not None replaces the file's value before the config
+    is read, so it is typed and checked as that value would be.
 
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
     its default. An unknown key is an error at the top level and under
-    ``backend``, ``backend.params``, ``labels`` and ``paths``. ``seed``,
-    ``parallelism`` and ``token_budget``, when given, replace the backend
-    seed, the parallelism and the token budget before the config is
-    validated, once, so an override can make a config valid. A replaced
-    token budget, compose's ``--token-budget``, is left for compose to check
-    as it runs."""
+    ``backend``, ``backend.params``, ``labels`` and ``paths``. The rules on
+    values live in the dataclasses, which check them as they are built."""
     raw = {}
     if path:
         try:
@@ -244,6 +237,10 @@ def load_config(
             raise ConfigError(f"config {path} is not valid UTF-8: {exc.reason}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
+    flags = {name: value for name, value in flags.items() if value is not None}
+    if "seed" in flags:
+        raw["backend"] = {**_object(raw, "backend"), "seed": flags.pop("seed")}
+    raw.update(flags)
 
     settings = _scalars(RunConfig, raw, nested=("backend", "labels", "paths"))
     labels = _strings(raw, "labels")
@@ -251,7 +248,7 @@ def load_config(
     paths = _strings(raw, "paths")
     _check_keys(paths, _PATH_KEYS, "paths.")
     backend = _object(raw, "backend")
-    config = RunConfig(
+    return RunConfig(
         **settings,
         backend=BackendConfig(
             **_scalars(BackendConfig, backend, "backend.", ("params",)),
@@ -260,11 +257,3 @@ def load_config(
         labels=labels,
         paths=paths,
     )
-    if seed is not None:
-        config.backend.seed = seed
-    if parallelism is not None:
-        config.parallelism = parallelism
-    if token_budget is not None:
-        config.token_budget = token_budget
-    config.validate(check_token_budget=token_budget is None)
-    return config

@@ -55,13 +55,12 @@ class InvariantError(QfsError, ValueError):
 
 
 def check_composition(
-    overlap_threshold: float, token_budget: int | None, on_overflow: str, error: type[Exception]
+    overlap_threshold: float, token_budget: int, on_overflow: str, error: type[Exception]
 ) -> None:
-    """Raise ``error`` naming the first composition setting out of range; a
-    ``token_budget`` of None is not checked."""
+    """Raise ``error`` naming the first composition setting out of range."""
     if not 0 <= overlap_threshold <= 100:
         raise error("overlap_threshold must be in [0, 100]")
-    if token_budget is not None and token_budget < 1:
+    if token_budget < 1:
         raise error("token_budget must be >= 1")
     if on_overflow not in OVERFLOW_ACTIONS:
         raise error("on_overflow must be 'truncate' or 'drop'")

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
+import qfs_forge.compose as compose_module
 import qfs_forge.config as config_module
 from qfs_forge.backends import CompletionParams, MockBackend
 from qfs_forge.cli import main
+from qfs_forge.compose import ComposeError
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
 from qfs_forge.taxonomy import YES_NO_TYPES
 from qfs_forge.tokenizer import tokenize
@@ -223,6 +225,38 @@ class TestAnnotateCommand:
         else:
             assert triplets["a"] == ["What does the text say about The river rose?"]
             assert list(triplets) == ["a", "b"] and audit == []
+
+    @pytest.mark.parametrize(
+        "paths, flags, audit",
+        [
+            ({}, ["--output", "{out}", "--audit", "{dir}/./t.jsonl"], "{dir}/./t.jsonl"),
+            ({"output": "{out}", "audit": "{out}"}, [], "{out}"),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_audit_path_that_is_the_output_path_is_refused(
+        self, tmp_path, corpus, monkeypatch, capsys, paths, flags, audit
+    ):
+        # the audit, written after the triplets, would be renamed over them
+        built = []
+        monkeypatch.setattr(BackendConfig, "build", lambda config: built.append(config))
+        out = tmp_path / "t.jsonl"
+        out.write_bytes(b"earlier triplets\n")
+        names = {"out": str(out), "dir": str(tmp_path)}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"backend": {"kind": "mock"}, "paths": {k: v.format(**names) for k, v in paths.items()}}
+        ))
+        argv = ["--config", str(config), "annotate", "--input", corpus]
+        assert run(argv + [flag.format(**names) for flag in flags]) == 2
+        assert capsys.readouterr().err == (
+            f"error: audit path {audit.format(**names)!r} is the output path\n"
+        )
+        assert out.read_bytes() == b"earlier triplets\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "config.json", "pairs.jsonl", "t.jsonl"
+        ]
+        assert built == []
 
     def test_live_backend_without_key_is_config_error(self, tmp_path, corpus, monkeypatch, capsys):
         monkeypatch.delenv("QFS_FORGE_API_KEY", raising=False)
@@ -730,28 +764,37 @@ class TestMalformedConfig:
         )
         assert list(tmp_path.glob("out.jsonl*")) == []
 
-    def test_parallelism_flag_rescues_a_config_parallelism_below_one(self, tmp_path, capsys):
-        # the config is validated once, after --seed and --parallelism are applied
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"parallelism": 0}))
-        out = tmp_path / "stats.jsonl"
-        argv = ["--config", str(config), "--parallelism", "2",
-                "stats", "--input", str(GOLDEN_CLI / "triplets.jsonl"), "--output", str(out)]
-        assert run(argv) == 0
-        assert capsys.readouterr().err == ""
-        assert out.read_bytes() == (GOLDEN_CLI / "stats.jsonl").read_bytes()
-
-    def test_token_budget_flag_rescues_a_config_token_budget_below_one(self, tmp_path, capsys):
-        # compose's flag replaces the config's budget, so only the flag is checked
+    @pytest.mark.parametrize(
+        "key, bad, argv, golden, printed",
+        [
+            ("parallelism", 0,
+             ["--parallelism", "2", "stats", "--input", str(GOLDEN_CLI / "triplets.jsonl")],
+             "stats.jsonl", "corpus\t3\t"),
+            ("token_budget", 0,
+             ["compose", "--input", str(SAMPLE / "clusters.jsonl"), "--token-budget", "60"],
+             "composed.jsonl", "composed 2 clusters"),
+            ("query_format", "bogus",
+             ["unify", "--input", str(SAMPLE / "unify_queries.jsonl"), "--query-format", "words",
+              "--strategy", "template"],
+             "unified_template.jsonl", "(words, template)"),
+            ("recall_only", "no",
+             ["evaluate", "--predictions", str(SAMPLE / "predictions.jsonl"),
+              "--references", str(SAMPLE / "references.jsonl"), "--recall-only"],
+             "rouge.jsonl", "c1\t0.7500\t0.4545\t0.7500\n"),  # recall, not F1
+        ],
+        ids=["parallelism", "token_budget", "query_format", "recall_only"],
+    )
+    def test_flag_rescues_a_bad_config_value(self, tmp_path, capsys, key, bad, argv, golden, printed):
+        # the flag replaces the file's value before the config is read, so only the flag is checked
         settings = json.loads((SAMPLE / "config.json").read_text())
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({**settings, "token_budget": 0}))
-        out = tmp_path / "composed.jsonl"
-        argv = ["--config", str(config), "compose", "--input", str(SAMPLE / "clusters.jsonl"),
-                "--output", str(out), "--token-budget", str(settings["token_budget"])]
-        assert run(argv) == 0
-        assert capsys.readouterr().err == ""
-        assert out.read_bytes() == (GOLDEN_CLI / "composed.jsonl").read_bytes()
+        config.write_text(json.dumps({**settings, key: bad}))
+        out = tmp_path / golden
+        assert run(["--config", str(config), *argv, "--output", str(out)]) == 0
+        stdout, stderr = capsys.readouterr()
+        assert stderr == ""
+        assert printed in stdout
+        assert out.read_bytes() == (GOLDEN_CLI / golden).read_bytes()
 
     def test_parallelism_one_flag_rescues_a_script_at_config_parallelism_two(self, tmp_path, capsys):
         script = tmp_path / "script.json"
@@ -900,6 +943,38 @@ class TestMalformedConfig:
         config.write_text(json.dumps(settings))
         assert load_config(str(config)) == RunConfig(paths={"output": "o.jsonl"})
 
+    @pytest.mark.parametrize(
+        "flag, value, bad, message",
+        [
+            ("seed", 5, "5", "backend.seed must be an integer, got '5'"),
+            ("parallelism", 3, 0, "parallelism must be >= 1"),
+            ("token_budget", 40, 0, "token_budget must be >= 1"),
+            ("query_format", "words", "bogus", "query_format must be one of"),
+            ("recall_only", True, "no", "recall_only must be a boolean, got 'no'"),
+        ],
+        ids=["seed", "parallelism", "token_budget", "query_format", "recall_only"],
+    )
+    def test_a_flag_is_read_as_its_config_key(self, tmp_path, flag, value, bad, message):
+        config = tmp_path / "config.json"
+
+        def in_file(setting):
+            config.write_text(
+                json.dumps({"backend": {"seed": setting}} if flag == "seed" else {flag: setting})
+            )
+            return str(config)
+
+        expected = load_config(in_file(value))
+        assert expected != RunConfig()
+        assert load_config(None, **{flag: value}) == expected
+        assert load_config(in_file(bad), **{flag: value}) == expected
+        assert load_config(in_file(value), **{flag: None}) == expected
+        with pytest.raises(ConfigError) as from_file:
+            load_config(in_file(bad))
+        with pytest.raises(ConfigError) as from_flag:
+            load_config(None, **{flag: bad})
+        assert message in str(from_file.value)
+        assert str(from_flag.value) == str(from_file.value)
+
 
 class TestCliPlumbing:
     def test_missing_input_path_is_error(self, mock_config, capsys):
@@ -965,7 +1040,14 @@ class TestCliPlumbing:
         assert Path(corpus).read_bytes() == before
 
     def test_backend_closed_when_command_ends(self, tmp_path, corpus, mock_config, monkeypatch):
-        closed = []
+        built, closed = [], []
+        build = BackendConfig.build
+
+        def counted_build(config):
+            built.append(build(config))
+            return built[-1]
+
+        monkeypatch.setattr(BackendConfig, "build", counted_build)
         monkeypatch.setattr(MockBackend, "close", lambda backend: closed.append(backend))
         out = str(tmp_path / "out.jsonl")
         assert run(["--config", mock_config, "annotate", "--input", corpus, "--output", out]) == 0
@@ -981,5 +1063,15 @@ class TestCliPlumbing:
         )
         compose = ["compose", "--input", clusters, "--output", out]
         assert run(["--config", mock_config, *compose]) == 0
-        assert run(["--config", mock_config, *compose, "--token-budget", "0"]) == 2
+        assert len(closed) == 3
+
+        # an error inside the command still closes its backend
+        def fail(documents, query, config):
+            raise ComposeError("summarization failed")
+
+        monkeypatch.setattr(compose_module, "compose_cluster", fail)
+        assert run(["--config", mock_config, *compose]) == 2
         assert len(closed) == 4
+        # a bad flag is refused as the config loads, before any backend is built
+        assert run(["--config", mock_config, *compose, "--token-budget", "0"]) == 2
+        assert closed == built and len(built) == 4

@@ -15,9 +15,10 @@ a summary. The runtime needs only the standard library: neither ``requests``
 nor ``numpy`` is imported, and a run on the mock backend loads none of the
 HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
-and default from the dataclass field, and the mock backend reads the prompt
-labels from the prompt and the summarization input by the template pieces
-in ``prompts.py`` rather than keeping its own copy. ``prompts.py`` owns every
+and default from the dataclass field, a command-line flag that names a key
+reaches a subcommand only through the config, and the mock backend reads
+the prompt labels from the prompt and the summarization input by the
+template pieces in ``prompts.py`` rather than keeping its own copy. ``prompts.py`` owns every
 prompt and completion format, so no stage module imports another but
 annotate, which classifies the queries it writes.
 The completion backend is the one ``Protocol``, so a new extension point
@@ -29,6 +30,8 @@ set-up and each subcommand load only the modules they use; the README's
 library examples run against the lazy names.
 """
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -164,6 +167,28 @@ def test_no_stage_module_imports_another():
 
 def test_config_reads_no_key_by_literal_name():
     assert not re.search(r"_typed\([^,()]+,\s*[\"']", SOURCES["config.py"])
+
+
+def test_no_command_reads_a_config_flag_from_args():
+    # load_config merges these flags into the file's values before checking them
+    flags = {"seed", "parallelism", "token_budget", "query_format", "recall_only"}
+    reads = [
+        (function.name, node.attr)
+        for function in ast.parse(SOURCES["cli.py"]).body
+        if isinstance(function, ast.FunctionDef) and function.name.startswith("cmd_")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "args" and node.attr in flags
+    ]
+    assert reads == []
+
+
+def test_every_config_flag_names_a_config_key():
+    from qfs_forge import cli
+    from qfs_forge.config import RunConfig
+
+    keys = {field.name for field in dataclasses.fields(RunConfig)}
+    assert [name for name in cli._CONFIG_FLAGS if name not in keys | {"seed"}] == []
 
 
 def test_no_module_imports_requests():

@@ -1,9 +1,9 @@
 """qfs-forge command line: the pipeline as subcommands over JSONL files.
 
-Subcommands: annotate, classify, stats, unify, compose, evaluate. Every
-command reads its declared inputs, writes one output/report file, and is
-re-runnable: identical inputs plus mock backends give byte-identical
-outputs.
+Subcommands: annotate, classify, stats, unify, compose, evaluate. Each
+writes one output (annotate, triplets plus an audit) and never a file it
+reads. Identical inputs give byte-identical outputs: on the generated mock
+at any parallelism, and on a scripted mock, which runs only at parallelism 1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from contextlib import closing
 
 from .backends import map_ordered
-from .config import ConfigError, RunConfig, load_config
+from .config import _PATH_KEYS, ConfigError, RunConfig, load_config
 from .corpus import (
     DOCUMENT,
     FORMAT_TEMPLATE_STYLE,
@@ -33,23 +33,20 @@ from .corpus import (
     write_triplets,
 )
 
-# the flags that name a config key: "seed" names backend.seed, the rest their own key
-_CONFIG_FLAGS = ("seed", "parallelism", "token_budget", "query_format", "recall_only")
+# each flag that names a config key, by its argparse name: "section.key" is a key of that section
+_CONFIG_FLAGS = {
+    "seed": "backend.seed",
+    **{name: name for name in ("parallelism", "token_budget", "query_format", "recall_only")},
+    **{name: f"paths.{name}" for name in _PATH_KEYS},
+}
 
 # Each command imports its own stage module, so a run loads only the stage it uses.
 
 
-def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_annotate(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .annotate import annotate_pair, describe_outcomes
 
-    input_path = config.path("input", args.input)
-    output_path = config.path("output", args.output)
-    audit_path = args.audit or config.paths.get("audit", output_path + ".failures.jsonl")
-    if os.path.realpath(audit_path) == os.path.realpath(output_path):
-        # the audit, written last, would be renamed over the triplets
-        raise ConfigError(f"audit path {audit_path!r} is the output path")
-
-    pairs = load_corpus(input_path)
+    pairs = load_corpus(paths["input"])
     specs = {domain: config.prompt_spec(domain) for domain in {pair.domain for pair in pairs}}
     with closing(config.backend.build()) as backend:
         outcomes = map_ordered(
@@ -67,7 +64,7 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
         )
 
     triplets = [outcome.triplet for outcome in outcomes if outcome.ok]
-    write_triplets(triplets, output_path)
+    write_triplets(triplets, paths["output"])
     failures = [
         {
             "id": pair.id,
@@ -78,55 +75,49 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace) -> int:
         for pair, outcome in zip(pairs, outcomes)
         if not outcome.ok
     ]
-    write_jsonl(audit_path, failures)
+    write_jsonl(paths["audit"], failures)
 
     failure_rate = len(failures) / len(outcomes) if outcomes else 0.0
-    print(f"annotated {describe_outcomes(outcomes)} -> {output_path}")
+    print(f"annotated {describe_outcomes(outcomes)} -> {paths['output']}")
     return 0 if failure_rate <= config.failure_ceiling else 1
 
 
-def cmd_classify(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_classify(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .taxonomy import QueryType, aggregate_distribution, classify_query, format_distribution_table
 
-    input_path = config.path("input", args.input)
-    output_path = config.path("output", args.output)
-    triplets = load_triplets(input_path)
+    triplets = load_triplets(paths["input"])
     if not triplets:
-        raise CorpusError(f"{input_path}: no triplets to classify")
+        raise CorpusError(f"{paths['input']}: no triplets to classify")
     by_mode: dict[str, list[QueryType]] = {}
     for triplet in triplets:
         bucket = by_mode.setdefault(triplet.mode, [])
         bucket += [classify_query(q) for q in triplet.queries]
     rows = {mode: aggregate_distribution(types) for mode, types in sorted(by_mode.items())}
     write_jsonl(
-        output_path, ({"row": label, **dist.to_record()} for label, dist in rows.items())
+        paths["output"], ({"row": label, **dist.to_record()} for label, dist in rows.items())
     )
     print(format_distribution_table(rows))
     return 0
 
 
-def cmd_stats(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_stats(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .stats import corpus_stats, format_stats_table
 
-    input_path = config.path("input", args.input)
-    output_path = config.path("output", args.output)
-    triplets = load_triplets(input_path)
+    triplets = load_triplets(paths["input"])
     if not triplets:
-        raise CorpusError(f"{input_path}: no triplets to measure")
+        raise CorpusError(f"{paths['input']}: no triplets to measure")
     stats = corpus_stats(triplets, ntp_numerator=config.ntp_numerator)
-    write_jsonl(output_path, [{"row": "corpus", **stats.to_record()}])
+    write_jsonl(paths["output"], [{"row": "corpus", **stats.to_record()}])
     print(format_stats_table({"corpus": stats}))
     return 0
 
 
-def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_unify(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .unify import PromptedGenerator, template_fallback, unify_batch
 
-    input_path = config.path("input", args.input)
-    output_path = config.path("output", args.output)
     # a query stands in for the summary of the generator's pseudo-pair
     records = read_records(
-        input_path, {"id": STRING, "document": DOCUMENT, "query": SUMMARY}, dict, unique="id"
+        paths["input"], {"id": STRING, "document": DOCUMENT, "query": SUMMARY}, dict, unique="id"
     )
 
     if config.query_format not in FORMAT_TEMPLATE_STYLE:  # natural questions
@@ -145,26 +136,21 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace) -> int:
                 generator,
                 parallelism=config.parallelism,
             )
-    write_jsonl(
-        output_path,
-        (
-            {"id": record["id"], "document": record["document"], "query": query}
-            for record, query in zip(records, unified)
-        ),
-    )
+    for record, query in zip(records, unified):
+        record["query"] = query
+    write_jsonl(paths["output"], records)
     print(
-        f"unified {len(records)} queries ({config.query_format}, {args.strategy}) -> {output_path}"
+        f"unified {len(records)} queries ({config.query_format}, {args.strategy})"
+        f" -> {paths['output']}"
     )
     return 0
 
 
-def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_compose(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .compose import CompositionConfig, compose_cluster
 
-    input_path = config.path("input", args.input)
-    output_path = config.path("output", args.output)
     clusters = read_records(
-        input_path,
+        paths["input"],
         {"cluster_id": STRING, "query": TEXT, "documents": TEXTS},
         dict,
         unique="cluster_id",
@@ -189,21 +175,32 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace) -> int:
                     "truncated": result.truncated,
                 }
             )
-    write_jsonl(output_path, results)
-    print(f"composed {len(results)} clusters -> {output_path}")
+    write_jsonl(paths["output"], results)
+    print(f"composed {len(results)} clusters -> {paths['output']}")
     return 0
 
 
-def cmd_evaluate(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_evaluate(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]) -> int:
     from .rouge import evaluate_run
 
-    predictions = config.path("predictions", args.predictions)
-    references = config.path("references", args.references)
-    output_path = config.path("output", args.output)
-    report = evaluate_run(predictions, references)
-    write_jsonl(output_path, report.to_records())
+    report = evaluate_run(paths["predictions"], paths["references"])
+    write_jsonl(paths["output"], report.to_records())
     print(report.format_table(recall_only=config.recall_only))
     return 0
+
+
+def resolve_paths(config: RunConfig, reads: tuple, writes: tuple) -> dict[str, str]:
+    """The paths a command reads and writes, by key; the audit defaults to
+    ``<output>.failures.jsonl``. A missing path is a ConfigError, and so is a
+    written path that an earlier key names, as its rename would replace that file."""
+    paths, keys = {}, {}  # keys: the key that first named each real path
+    for key in reads + writes:
+        audit = key == "audit" and not config.paths.get(key)
+        path = paths[key] = paths["output"] + ".failures.jsonl" if audit else config.path(key)
+        other = keys.setdefault(os.path.realpath(path), key)
+        if key in writes and other != key:
+            raise ConfigError(f"{key} path {path!r} is the {other} path")
+    return paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,17 +219,17 @@ def build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--input", help="document-summary pairs (jsonl)")
     annotate.add_argument("--output", help="triplet output path (jsonl)")
     annotate.add_argument("--audit", help="failure audit path (default: <output>.failures.jsonl)")
-    annotate.set_defaults(func=cmd_annotate)
+    annotate.set_defaults(func=cmd_annotate, reads=("input",), writes=("output", "audit"))
 
     classify = commands.add_parser("classify", help="query-type distribution of triplets")
     classify.add_argument("--input", help="triplets (jsonl)")
     classify.add_argument("--output", help="distribution report path (jsonl)")
-    classify.set_defaults(func=cmd_classify)
+    classify.set_defaults(func=cmd_classify, reads=("input",), writes=("output",))
 
     stats = commands.add_parser("stats", help="length/NTP/correlation statistics")
     stats.add_argument("--input", help="triplets (jsonl)")
     stats.add_argument("--output", help="stats report path (jsonl)")
-    stats.set_defaults(func=cmd_stats)
+    stats.set_defaults(func=cmd_stats, reads=("input",), writes=("output",))
 
     unify = commands.add_parser("unify", help="convert raw queries to natural questions")
     unify.add_argument("--input", help="records with id/document/query (jsonl)")
@@ -254,20 +251,22 @@ def build_parser() -> argparse.ArgumentParser:
         default="news",
         help="one-shot example domain for the prompted generator",
     )
-    unify.set_defaults(func=cmd_unify)
+    unify.set_defaults(func=cmd_unify, reads=("input",), writes=("output",))
 
     compose = commands.add_parser("compose", help="multi-document composition")
     compose.add_argument("--input", help="clusters with cluster_id/query/documents (jsonl)")
     compose.add_argument("--output", help="composed summaries path (jsonl)")
     compose.add_argument("--token-budget", type=int, dest="token_budget")
-    compose.set_defaults(func=cmd_compose)
+    compose.set_defaults(func=cmd_compose, reads=("input",), writes=("output",))
 
     evaluate = commands.add_parser("evaluate", help="ROUGE evaluation of predictions")
     evaluate.add_argument("--predictions", help="records with id/text (jsonl)")
     evaluate.add_argument("--references", help="records with id/text (jsonl)")
     evaluate.add_argument("--output", help="report path (jsonl)")
     evaluate.add_argument("--recall-only", action="store_true", default=None)
-    evaluate.set_defaults(func=cmd_evaluate)
+    evaluate.set_defaults(
+        func=cmd_evaluate, reads=("predictions", "references"), writes=("output",)
+    )
     return parser
 
 
@@ -280,9 +279,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         # a subcommand without one of these flags leaves its key to the file
-        flags = {name: getattr(args, name, None) for name in _CONFIG_FLAGS}
+        flags = {key: getattr(args, name, None) for name, key in _CONFIG_FLAGS.items()}
         config = load_config(args.config, **flags)
-        return args.func(config, args)
+        return args.func(config, args, resolve_paths(config, args.reads, args.writes))
     except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

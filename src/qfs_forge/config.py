@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -31,11 +32,11 @@ class ConfigError(QfsError, ValueError):
     pass
 
 
-# the keys of ``paths``: defaults for the subcommands' file flags
+# the keys of ``paths``, which the subcommands' file flags also set
 _PATH_KEYS = ("input", "output", "audit", "predictions", "references")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
     kind: str = "mock"  # mock | live
     endpoint: str = ""
@@ -68,7 +69,7 @@ class BackendConfig:
         return MockBackend(script=script, seed=self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     mode: str = "wh"
@@ -88,7 +89,7 @@ class RunConfig:
     overlap_threshold: float = 50.0
     token_budget: int = 250
     on_overflow: str = "truncate"
-    # optional path defaults, overridable on the command line
+    # the files the subcommands read and write, by key
     paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -135,19 +136,18 @@ class RunConfig:
     def summarization_params(self) -> CompletionParams:
         return self.backend.params or SUMMARIZATION_PARAMS
 
-    def path(self, key: str, override: str | None) -> str:
-        value = override or self.paths.get(key, "")
-        if not value:
+    def path(self, key: str) -> str:
+        if not self.paths.get(key):
             raise ConfigError(f"no {key!r} path given (flag or config paths.{key})")
-        return value
+        return self.paths[key]
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _typed(raw: dict, key: str, default, where: str = ""):
+def _typed(raw: dict, key: str, default, where: str = "", encode=str.encode):
     """``raw[key]``, which must have the JSON type of ``default``: a boolean,
-    integer, string without lone surrogates or finite number. A number key
+    integer, string that ``encode`` takes or finite number. A number key
     also takes a JSON integer; absent or ``null`` is ``default``."""
     value = raw.get(key)
     if value is None:
@@ -158,7 +158,7 @@ def _typed(raw: dict, key: str, default, where: str = ""):
     if type(value) is not kind or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{where}{key} must be {_KINDS[kind]}, got {value!r}")
     if kind is str:
-        check_text(value, f"{where}{key}", ConfigError)
+        check_text(value, f"{where}{key}", ConfigError, encode)
     return value
 
 
@@ -172,10 +172,10 @@ def _object(raw: dict, key: str, where: str = "") -> dict:
     return value
 
 
-def _strings(raw: dict, key: str) -> dict:
-    """``raw[key]`` as a JSON object of strings; a ``null`` value is absent."""
+def _strings(raw: dict, key: str, encode=str.encode) -> dict:
+    """``raw[key]`` as a JSON object of strings that ``encode`` takes; ``null`` is absent."""
     value = _object(raw, key)
-    return {name: _typed(value, name, "", f"{key}.") for name in value if value[name] is not None}
+    return {k: _typed(value, k, "", f"{key}.", encode) for k in value if value[k] is not None}
 
 
 def _check_keys(raw: dict, known, where: str) -> None:
@@ -198,9 +198,7 @@ def _params(raw: dict) -> CompletionParams | None:
     if not raw:
         return None
     numbers = _scalars(CompletionParams, raw, "backend.params.", ("stop",))
-    stop = raw.get("stop")
-    if stop is None:
-        stop = []
+    stop = [] if raw.get("stop") is None else raw["stop"]
     if not is_string_list(stop):
         raise ConfigError(f"backend.params.stop must be a list of strings, got {stop!r}")
     for text in stop:
@@ -214,10 +212,10 @@ def _params(raw: dict) -> CompletionParams | None:
 def load_config(path: str | None, **flags) -> RunConfig:
     """Read the JSON config file; a missing path yields the defaults.
 
-    Each keyword is a command-line flag that names a config key: ``seed``
-    names ``backend.seed`` and any other keyword the top-level key of its
-    name. A flag that is not None replaces the file's value before the config
-    is read, so it is typed and checked as that value would be.
+    Each keyword is the value of a command-line flag, named by the config key
+    it sets: ``section.key`` is ``key`` of that section, any other name a
+    top-level key. A value that is not None replaces the file's value before
+    the config is read, so it is typed and checked as that value would be.
 
     Each boolean, integer, number or string field of ``RunConfig``,
     ``BackendConfig`` and ``CompletionParams`` is read with the JSON type of
@@ -237,15 +235,18 @@ def load_config(path: str | None, **flags) -> RunConfig:
             raise ConfigError(f"config {path} is not valid UTF-8: {exc.reason}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-    flags = {name: value for name, value in flags.items() if value is not None}
-    if "seed" in flags:
-        raw["backend"] = {**_object(raw, "backend"), "seed": flags.pop("seed")}
-    raw.update(flags)
+    for key, value in flags.items():
+        section, _, name = key.rpartition(".")
+        if value is not None and section:
+            raw[section] = {**_object(raw, section), name: value}
+        elif value is not None:
+            raw[name] = value
 
     settings = _scalars(RunConfig, raw, nested=("backend", "labels", "paths"))
     labels = _strings(raw, "labels")
     _check_keys(labels, [label.name for label in fields(PromptLabels)], "labels.")
-    paths = _strings(raw, "paths")
+    # argv decodes a non-UTF-8 byte to a lone surrogate, which os.fsencode turns back
+    paths = _strings(raw, "paths", os.fsencode)
     _check_keys(paths, _PATH_KEYS, "paths.")
     backend = _object(raw, "backend")
     return RunConfig(

@@ -234,11 +234,14 @@ def read_jsonl(path: str):
         raise CorpusError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from exc
 
 
-def check_text(text: str, where: str, error: type[QfsError] = CorpusError) -> None:
-    """Raise ``error`` naming ``where`` if ``text`` holds a lone surrogate,
-    which no UTF-8 encodes."""
+def check_text(
+    text: str, where: str, error: type[QfsError] = CorpusError, encode=str.encode
+) -> None:
+    """Raise ``error`` naming ``where`` if ``encode`` refuses a lone surrogate
+    in ``text``: UTF-8 encodes none, ``os.fsencode`` those that stand for
+    undecodable bytes."""
     try:
-        text.encode("utf-8")
+        encode(text)
     except UnicodeEncodeError as exc:
         code = ord(exc.object[exc.start])
         raise error(f"{where}: lone surrogate \\u{code:04x} is not valid text") from exc

@@ -1,7 +1,9 @@
 import json
 import logging
+import os
+import sys
 import threading
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import qfs_forge.compose as compose_module
 import qfs_forge.config as config_module
 from qfs_forge.backends import CompletionParams, MockBackend
-from qfs_forge.cli import main
+from qfs_forge.cli import _CONFIG_FLAGS, main
 from qfs_forge.compose import ComposeError
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
 from qfs_forge.taxonomy import YES_NO_TYPES
@@ -649,10 +651,11 @@ class TestMalformedConfig:
     unparseable script file exits 2 with ``error:`` naming it, never a traceback."""
 
     def assert_exits_2(self, tmp_path, corpus, capsys, settings, message):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
+        # the output path is a file value, which a "paths" setting replaces, as an --output flag would
         out = tmp_path / "out.jsonl"
-        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"output": str(out)}, **settings}))
+        code = run(["--config", str(config), "annotate", "--input", corpus])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ")
@@ -911,13 +914,15 @@ class TestMalformedConfig:
         loaded = load_config(str(config))
         params = CompletionParams(**param_values)
         assert loaded == RunConfig(**run_values, backend=BackendConfig(**backend_values, params=params))
+        with pytest.raises(FrozenInstanceError):  # a built config keeps the values it was checked with
+            loaded.token_budget = 0
         for obj, values in (
             (loaded, run_values), (loaded.backend, backend_values), (loaded.backend.params, param_values)
         ):
             assert all(type(getattr(obj, name)) is type(value) for name, value in values.items())
 
     def test_a_new_scalar_field_is_loaded_and_type_checked(self, tmp_path, monkeypatch):
-        @dataclass
+        @dataclass(frozen=True)
         class Extended(RunConfig):
             new_knob: int = 7
 
@@ -951,27 +956,29 @@ class TestMalformedConfig:
             ("token_budget", 40, 0, "token_budget must be >= 1"),
             ("query_format", "words", "bogus", "query_format must be one of"),
             ("recall_only", True, "no", "recall_only must be a boolean, got 'no'"),
+            ("input", "pairs.jsonl", 5, "paths.input must be a string, got 5"),
+            ("audit", "audit.jsonl", "audit\ud800.jsonl", "paths.audit: lone surrogate \\ud800"),
         ],
-        ids=["seed", "parallelism", "token_budget", "query_format", "recall_only"],
+        ids=["seed", "parallelism", "token_budget", "query_format", "recall_only", "input", "audit"],
     )
     def test_a_flag_is_read_as_its_config_key(self, tmp_path, flag, value, bad, message):
         config = tmp_path / "config.json"
+        key = _CONFIG_FLAGS[flag]
+        section, _, name = key.rpartition(".")
 
         def in_file(setting):
-            config.write_text(
-                json.dumps({"backend": {"seed": setting}} if flag == "seed" else {flag: setting})
-            )
+            config.write_text(json.dumps({section: {name: setting}} if section else {key: setting}))
             return str(config)
 
         expected = load_config(in_file(value))
         assert expected != RunConfig()
-        assert load_config(None, **{flag: value}) == expected
-        assert load_config(in_file(bad), **{flag: value}) == expected
-        assert load_config(in_file(value), **{flag: None}) == expected
+        assert load_config(None, **{key: value}) == expected
+        assert load_config(in_file(bad), **{key: value}) == expected
+        assert load_config(in_file(value), **{key: None}) == expected
         with pytest.raises(ConfigError) as from_file:
             load_config(in_file(bad))
         with pytest.raises(ConfigError) as from_flag:
-            load_config(None, **{flag: bad})
+            load_config(None, **{key: bad})
         assert message in str(from_file.value)
         assert str(from_flag.value) == str(from_file.value)
 
@@ -994,6 +1001,69 @@ class TestCliPlumbing:
         )
         assert run(["--config", str(config), "annotate"]) == 0
         assert out.exists()
+
+    def test_a_file_flag_replaces_the_config_path(self, tmp_path, corpus, capsys):
+        out = tmp_path / "t.jsonl"
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"paths": {"input": str(tmp_path / "missing.jsonl"), "output": str(out)}})
+        )
+        assert run(["--config", str(config), "annotate", "--input", corpus]) == 0
+        assert [t["id"] for t in read_jsonl(out)] == ["a", "b", "c"]
+        # an empty flag replaces the file's path too, so none is left
+        assert run(["--config", str(config), "annotate", "--input", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: no 'input' path given (flag or config paths.input)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, key, other",
+        [
+            (["stats", "--input", "{t}", "--output", "{t}"], "output", "input"),
+            (["evaluate", "--predictions", "{p}", "--references", "{r}", "--output", "{p}"],
+             "output", "predictions"),
+            (["annotate", "--input", "{pairs}", "--output", "{o}", "--audit", "{pairs}"],
+             "audit", "input"),
+            (["annotate", "--input", "{pairs}", "--output", "{pairs}"], "output", "input"),
+        ],
+        ids=["stats", "evaluate", "annotate-audit", "annotate-output"],
+    )
+    def test_a_command_never_writes_over_a_file_it_reads(
+        self, tmp_path, monkeypatch, capsys, argv, key, other
+    ):
+        built = []
+        monkeypatch.setattr(BackendConfig, "build", lambda config: built.append(config))
+        sources = {
+            "t": GOLDEN_CLI / "triplets.jsonl", "p": SAMPLE / "predictions.jsonl",
+            "r": SAMPLE / "references.jsonl", "pairs": SAMPLE / "pairs.jsonl",
+        }
+        for name, source in sources.items():
+            (tmp_path / f"{name}.jsonl").write_bytes(source.read_bytes())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = [arg.format(o=tmp_path / "o.jsonl", **{n: tmp_path / f"{n}.jsonl" for n in sources})
+                for arg in argv]
+        assert run(["--config", str(SAMPLE / "config.json"), *argv]) == 2
+        path = argv[argv.index(f"--{key}") + 1]
+        assert capsys.readouterr().err == f"error: {key} path {path!r} is the {other} path\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert built == []
+
+    def test_file_names_that_are_not_utf8_reach_open_unchanged(self, tmp_path):
+        # argv decodes byte 0xff to "\udcff", which os.fsencode turns back into 0xff
+        if sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("file names are not encoded as UTF-8 here")
+        root = os.fsencode(tmp_path)
+        pairs, out = (os.fsdecode(root + name) for name in (b"/pairs\xff.jsonl", b"/out\xff.jsonl"))
+        try:
+            Path(pairs).write_bytes((SAMPLE / "pairs.jsonl").read_bytes())
+        except OSError:
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        argv = ["--config", str(SAMPLE / "config.json"), "annotate", "--input", pairs, "--output", out]
+        assert run(argv) == 0
+        assert Path(out).read_bytes() == (GOLDEN_CLI / "triplets.jsonl").read_bytes()
+        assert sorted(os.listdir(root)) == [
+            b"out\xff.jsonl", b"out\xff.jsonl.failures.jsonl", b"pairs\xff.jsonl"
+        ]
 
     def test_seed_flag_overrides_config(self, tmp_path, corpus, mock_config):
         out_a = tmp_path / "a.jsonl"

@@ -170,8 +170,11 @@ def test_config_reads_no_key_by_literal_name():
 
 
 def test_no_command_reads_a_config_flag_from_args():
-    # load_config merges these flags into the file's values before checking them
-    flags = {"seed", "parallelism", "token_budget", "query_format", "recall_only"}
+    # main merges these flags into the file's values, and resolves the paths, before a command runs
+    from qfs_forge import cli
+
+    flags = set(cli._CONFIG_FLAGS)
+    assert {"input", "output", "audit", "predictions", "references"} <= flags
     reads = [
         (function.name, node.attr)
         for function in ast.parse(SOURCES["cli.py"]).body
@@ -185,10 +188,38 @@ def test_no_command_reads_a_config_flag_from_args():
 
 def test_every_config_flag_names_a_config_key():
     from qfs_forge import cli
+    from qfs_forge.config import _PATH_KEYS, BackendConfig, RunConfig
+
+    keys = {
+        "": {field.name for field in dataclasses.fields(RunConfig)},
+        "backend": {field.name for field in dataclasses.fields(BackendConfig)},
+        "paths": set(_PATH_KEYS),
+    }
+    split = [key.rpartition(".") for key in cli._CONFIG_FLAGS.values()]
+    assert [section + dot + name for section, dot, name in split if name not in keys[section]] == []
+    assert [section for section, _, _ in split if section] == ["backend"] + ["paths"] * 5
+
+
+def test_run_config_defaults_are_the_library_defaults():
+    # each of these defaults is written twice; a change to one copy alone fails here
+    from qfs_forge.annotate import annotate_corpus, annotate_pair
+    from qfs_forge.compose import CompositionConfig
     from qfs_forge.config import RunConfig
 
-    keys = {field.name for field in dataclasses.fields(RunConfig)}
-    assert [name for name in cli._CONFIG_FLAGS if name not in keys | {"seed"}] == []
+    def parameters(function):
+        return {name: p.default for name, p in inspect.signature(function).parameters.items()}
+
+    ours = {field.name: field.default for field in dataclasses.fields(RunConfig)}
+    library = [
+        (parameters(annotate_pair), ("retries", "max_document_tokens", "failure_action")),
+        (parameters(annotate_corpus), ("parallelism", "retries")),
+        (
+            {field.name: field.default for field in dataclasses.fields(CompositionConfig)},
+            ("overlap_threshold", "token_budget", "on_overflow", "parallelism"),
+        ),
+    ]
+    for defaults, names in library:
+        assert {name: defaults[name] for name in names} == {name: ours[name] for name in names}
 
 
 def test_no_module_imports_requests():

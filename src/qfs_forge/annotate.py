@@ -131,13 +131,8 @@ def _ok_outcome(
     pair: DocumentSummaryPair, mode: str, queries: list[str], attempts: int, raw: str
 ) -> AnnotationOutcome:
     normalized = tuple(normalize_query(q) for q in queries)
-    triplet = AnnotatedTriplet(
-        id=pair.id,
-        document=pair.document,
-        summary=pair.summary,
-        queries=normalized,
-        mode=mode,
-        query_types=tuple(classify_query(q).value for q in normalized),
+    triplet = AnnotatedTriplet.from_pair(
+        pair, normalized, mode, tuple(classify_query(q).value for q in normalized)
     )
     return AnnotationOutcome(
         status=STATUS_OK, triplet=triplet, attempts=attempts, raw_completion=raw

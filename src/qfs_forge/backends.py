@@ -169,6 +169,14 @@ def _pick(state, options: int, suffix: str = "") -> int:
     return int.from_bytes(state.digest()[:8], "big") % options
 
 
+def _content_end(text: str) -> int:
+    """``len(text.rstrip())``, without copying ``text``."""
+    end = len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
+    return end
+
+
 class MockBackend:
     """Deterministic stand-in for a completion endpoint.
 
@@ -212,11 +220,13 @@ class MockBackend:
     @staticmethod
     def _target_summary_sentences(prompt: str) -> list[str]:
         # an annotation prompt ends "<summary label>\n1. ...\n\n<query label>\n";
-        # split from the end only, as the document before it can be long
-        blocks = prompt.rstrip().rsplit("\n\n", 2)
-        if len(blocks) < 2:
+        # search from the end only, as the document before it can be long
+        last = prompt.rfind("\n\n", 0, _content_end(prompt))
+        if last < 0:
             return []
-        return [sentence for _, sentence in numbered_lines(blocks[-2])]
+        start = prompt.rfind("\n\n", 0, last)
+        block = prompt[start + 2 if start >= 0 else 0 : last]
+        return [sentence for _, sentence in numbered_lines(block)]
 
     def _generated_summary(self, prompt: str) -> str:
         # query-focused summarization input: answer with a leading snippet
@@ -230,8 +240,8 @@ class MockBackend:
     def _asks_yes_no(prompt: str) -> bool:
         # in yes/no mode the one-shot example's first question, the first
         # "1. " line under the prompt's closing query label, carries "Yes:"/"No:"
-        text = prompt.rstrip()
-        label = text[text.rfind("\n") + 1 :]
+        end = _content_end(prompt)
+        label = prompt[prompt.rfind("\n", 0, end) + 1 : end]
         opening = f"\n\n{label}\n1. "
         start = prompt.find(opening)
         return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))

@@ -29,6 +29,7 @@ from .corpus import (
     load_corpus,
     load_triplets,
     read_records,
+    temp_path,
     write_jsonl,
     write_triplets,
 )
@@ -192,14 +193,20 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace, paths: dict[str, s
 def resolve_paths(config: RunConfig, reads: tuple, writes: tuple) -> dict[str, str]:
     """The paths a command reads and writes, by key; the audit defaults to
     ``<output>.failures.jsonl``. A missing path is a ConfigError, and so is a
-    written path that an earlier key names, as its rename would replace that file."""
-    paths, keys = {}, {}  # keys: the key that first named each real path
+    written path, or the temporary file it is written to, that an earlier
+    key names, as writing it would replace that file."""
+    paths, names = {}, {}  # names: what first named each real path
     for key in reads + writes:
         audit = key == "audit" and not config.paths.get(key)
         path = paths[key] = paths["output"] + ".failures.jsonl" if audit else config.path(key)
-        other = keys.setdefault(os.path.realpath(path), key)
-        if key in writes and other != key:
-            raise ConfigError(f"{key} path {path!r} is the {other} path")
+        files = {path: f"the {key} path"}
+        if key in writes:
+            files[temp_path(path)] = f"the {key} path's temporary file"
+        for file, name in files.items():
+            other = names.setdefault(os.path.realpath(file), name)
+            if key in writes and other != name:
+                temp = "" if file == path else f": its temporary file {file!r}"
+                raise ConfigError(f"{key} path {path!r}{temp} is {other}")
     return paths
 
 
@@ -277,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # a path that is not UTF-8 reaches a summary line as lone surrogates, which strict stdout refuses
+    if sys.stdout.errors == "strict":
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         # a subcommand without one of these flags leaves its key to the file
         flags = {key: getattr(args, name, None) for name, key in _CONFIG_FLAGS.items()}

@@ -248,6 +248,9 @@ def load_config(path: str | None, **flags) -> RunConfig:
     # argv decodes a non-UTF-8 byte to a lone surrogate, which os.fsencode turns back
     paths = _strings(raw, "paths", os.fsencode)
     _check_keys(paths, _PATH_KEYS, "paths.")
+    for key, value in paths.items():
+        if "\0" in value:  # JSON allows it, and os.fsencode too, but no file name holds one
+            raise ConfigError(f"paths.{key}: a path cannot hold a NUL character")
     backend = _object(raw, "backend")
     return RunConfig(
         **settings,

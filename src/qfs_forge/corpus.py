@@ -119,7 +119,8 @@ class AnnotatedTriplet:
     """Document, generated queries (one per summary sentence), and summary.
 
     Its document and summary hold what a pair's do, and every query holds a
-    token and ends with ``?``.
+    token and ends with ``?``. ``from_pair`` builds one from a pair that
+    already holds the document and summary rules and its summary sentences.
     """
 
     id: str
@@ -132,7 +133,32 @@ class AnnotatedTriplet:
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "query_types", tuple(self.query_types))
-        n_sentences = len(_summary_sentences("triplet", self.id, self.document, self.summary))
+        self._check_queries(
+            len(_summary_sentences("triplet", self.id, self.document, self.summary))
+        )
+
+    @classmethod
+    def from_pair(
+        cls, pair: DocumentSummaryPair, queries, mode: str, query_types=()
+    ) -> "AnnotatedTriplet":
+        """The triplet of ``pair`` and its queries, checked by the query rules
+        only: the pair's contract already holds the rest."""
+        triplet = object.__new__(cls)  # skips __post_init__, which would segment the summary
+        triplet.__dict__.update(
+            id=pair.id,
+            document=pair.document,
+            summary=pair.summary,
+            queries=tuple(queries),
+            mode=mode,
+            query_types=tuple(query_types),
+        )
+        triplet._check_queries(len(pair.summary_sentences))
+        return triplet
+
+    def _check_queries(self, n_sentences: int) -> None:
+        """The rules of a triplet beyond its pair's: mode, one query per
+        summary sentence, each ending with ``?`` and holding a token, and
+        a type per query if any."""
         if self.mode not in MODES:
             raise InvariantError(f"triplet {self.id!r}: bad mode {self.mode!r}")
         if len(self.queries) != n_sentences:
@@ -259,12 +285,17 @@ def _undecodable_line(path: str) -> int:
     return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
+def temp_path(path: str) -> str:
+    """The file ``write_jsonl`` writes before renaming it over ``path``."""
+    return path + ".tmp"
+
+
 def write_jsonl(path: str, records) -> None:
-    """Write one JSON object per line to ``<path>.tmp``, then rename it over ``path``.
+    """Write one JSON object per line to ``temp_path(path)``, then rename it over ``path``.
 
     A failed or killed write leaves the old file (no fsync: power loss is not covered).
     """
-    tmp_path = path + ".tmp"
+    tmp_path = temp_path(path)
     try:
         with open(tmp_path, "w", encoding="utf-8") as handle:
             for record in records:

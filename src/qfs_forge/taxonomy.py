@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .corpus import QfsError
-from .tokenizer import tokenize
+from .tokenizer import first_token
 
 
 class QueryType(str, enum.Enum):
@@ -78,10 +78,10 @@ class TaxonomyError(QfsError, ValueError):
 
 
 def _head_token(query: str) -> str | None:
-    tokens = tokenize(query)
-    if not tokens:
+    head = first_token(query)
+    if head is None:
         return None
-    head = tokens[0].replace("’", "'")
+    head = head.replace("’", "'")
     if head in _CONTRACTION_HEADS:
         return _CONTRACTION_HEADS[head]
     if "'" in head:

@@ -46,6 +46,20 @@ def tokenize(text: str) -> list[str]:
     return list(filter(None, map(str.strip, pieces, repeat(punct))))
 
 
+def first_token(text: str) -> str | None:
+    """``tokenize(text)[0]``, or None for a text without a token.
+
+    Only the chunks up to the first that holds a token are lowercased and
+    stripped, each by its own punctuation.
+    """
+    for chunk in text.split():
+        chunk = chunk.lower()
+        token = chunk.strip(_punctuation(chunk))
+        if token:
+            return token
+    return None
+
+
 def has_token(text: str) -> bool:
     """``bool(tokenize(text))``: whether any character is neither whitespace nor punctuation."""
     for ch in text:

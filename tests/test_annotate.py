@@ -363,9 +363,9 @@ def test_no_completion_breaks_a_later_stage(tmp_path_factory, completion, mode, 
             classify_query(query)
 
 
-# A built pair keeps its summary sentences, so annotate segments the summary
-# once, in the triplet contract; a truncated prompt pair re-runs the pair contract.
-@pytest.mark.parametrize("max_document_tokens, segmented", [(3000, 1), (3, 2)])
+# A built pair keeps its summary sentences, and its triplet is built from them,
+# so annotate segments no summary; a truncated prompt pair re-runs the pair contract.
+@pytest.mark.parametrize("max_document_tokens, segmented", [(3000, 0), (3, 1)])
 def test_annotate_segments_a_built_pair_once(monkeypatch, max_document_tokens, segmented):
     pair = DocumentSummaryPair(
         id="p", document="Rain fell on the town. Roads closed at noon.",

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -1047,6 +1048,67 @@ class TestCliPlumbing:
         assert capsys.readouterr().err == f"error: {key} path {path!r} is the {other} path\n"
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert built == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stats", "--input", "{o}.tmp", "--output", "{o}"],
+             "output path {o!r}: its temporary file {tmp!r} is the input path"),
+            (["annotate", "--input", "{pairs}", "--output", "{o}", "--audit", "{o}.tmp"],
+             "audit path {tmp!r} is the output path's temporary file"),
+            (["annotate", "--input", "{pairs}", "--output", "{a}.tmp", "--audit", "{a}"],
+             "audit path {a!r}: its temporary file {a_tmp!r} is the output path"),
+        ],
+        ids=["input", "audit", "output"],
+    )
+    def test_a_command_never_writes_over_a_file_it_reads_or_writes_by_its_temporary_file(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        built = []
+        monkeypatch.setattr(BackendConfig, "build", lambda config: built.append(config))
+        (tmp_path / "o.jsonl.tmp").write_bytes((GOLDEN_CLI / "triplets.jsonl").read_bytes())
+        (tmp_path / "pairs.jsonl").write_bytes((SAMPLE / "pairs.jsonl").read_bytes())
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        names = {"o": str(tmp_path / "o.jsonl"), "a": str(tmp_path / "a.jsonl"),
+                 "pairs": str(tmp_path / "pairs.jsonl")}
+        names.update(tmp=names["o"] + ".tmp", a_tmp=names["a"] + ".tmp")
+        argv = [arg.format(**names) for arg in argv]
+        assert run(["--config", str(SAMPLE / "config.json"), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert built == []
+
+    def test_a_nul_in_a_path_is_an_error_before_any_file_is_read(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"input": "a\u0000b"}}))
+        out = tmp_path / "x.jsonl"
+        assert run(["--config", str(config), "stats", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: paths.input: a path cannot hold a NUL character\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("command", ["annotate", "unify", "compose"])
+    def test_a_summary_line_prints_a_path_that_is_not_utf8(self, tmp_path, command):
+        # pytest's capture replaces what it cannot encode, so only a real stdout shows the error
+        if sys.getfilesystemencoding() != "utf-8":
+            pytest.skip("file names are not encoded as UTF-8 here")
+        source = {"annotate": "pairs.jsonl", "unify": "unify_queries.jsonl",
+                  "compose": "clusters.jsonl"}[command]
+        root = os.fsencode(tmp_path)
+        inputs, out = (os.fsdecode(root + name) for name in (b"/in\xff.jsonl", b"/out\xff.jsonl"))
+        try:
+            Path(inputs).write_bytes((SAMPLE / source).read_bytes())
+        except OSError:
+            pytest.skip("the file system refuses a file name that is not UTF-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src"),
+               "PYTHONIOENCODING": "utf-8"}
+        argv = [sys.executable, "-m", "qfs_forge.cli", "--config", str(SAMPLE / "config.json"),
+                command, "--input", inputs, "--output", out]
+        if command == "unify":
+            argv += ["--query-format", "words", "--strategy", "template"]
+        result = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout.endswith(b"-> " + root + b"/out\\udcff.jsonl\n")
+        assert Path(out).exists()
 
     def test_file_names_that_are_not_utf8_reach_open_unchanged(self, tmp_path):
         # argv decodes byte 0xff to "\udcff", which os.fsencode turns back into 0xff

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qfs_forge.corpus import (
+    AnnotatedTriplet,
     CorpusError,
     DocumentSummaryPair,
     InvariantError,
@@ -303,6 +304,45 @@ class TestTripletRoundTrip:
         write_triplets([make_triplet()], str(path))
         record = json.loads(path.read_text())
         assert list(record) == ["id", "document", "summary", "queries", "mode", "query_types"]
+
+
+class TestTripletFromPair:
+    """A triplet built from its pair is the triplet the constructor builds."""
+
+    PAIR = DocumentSummaryPair(
+        id="t1", document="alpha beta gamma delta", summary="Alpha happened.\nBeta follows.",
+        domain="news",
+    )
+
+    @pytest.mark.parametrize("query_types", [("what", "what"), ()])
+    def test_equals_the_constructed_triplet(self, query_types):
+        queries = ["What is alpha?", "What follows beta?"]  # a list, stored as a tuple
+        built = AnnotatedTriplet.from_pair(self.PAIR, queries, "wh", query_types)
+        constructed = make_triplet(query_types=query_types)
+        assert built == constructed
+        assert hash(built) == hash(constructed)
+        assert repr(built) == repr(constructed)
+        assert type(built.queries) is type(built.query_types) is tuple
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"queries": ("Only one?",)},
+            {"queries": ("What is alpha?", "no question mark")},
+            {"queries": ("What is alpha?", "?")},
+            {"queries": ("What is alpha?", "What follows beta?", "Why?")},
+            {"mode": "bogus"},
+            {"query_types": ("what",)},
+        ],
+    )
+    def test_refuses_what_the_constructor_refuses(self, bad):
+        with pytest.raises(InvariantError) as refused:
+            make_triplet(**bad)
+        values = {"queries": ("What is alpha?", "What follows beta?"), "mode": "wh",
+                  "query_types": ("what", "what"), **bad}
+        with pytest.raises(InvariantError) as from_pair:
+            AnnotatedTriplet.from_pair(self.PAIR, **values)
+        assert str(from_pair.value) == str(refused.value)
 
 
 def test_normalize_query():

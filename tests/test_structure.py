@@ -95,6 +95,11 @@ def test_record_contract_only_in_corpus():
     ]
 
 
+def test_temporary_file_named_only_in_corpus():
+    # write_jsonl writes it and resolve_paths guards it; both read corpus.temp_path
+    assert modules_matching(r"\.tmp\b") == ["corpus.py"]
+
+
 def test_summaries_segmented_only_in_corpus():
     # prompts and annotate read a pair's summary_sentences instead
     assert modules_matching(r"\bsegment_sentences\(") == ["corpus.py"]

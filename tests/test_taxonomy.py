@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qfs_forge.taxonomy as taxonomy
+import qfs_forge.tokenizer as tokenizer
 from qfs_forge.taxonomy import (
     QueryType,
     QueryTypeDistribution,
@@ -94,6 +96,21 @@ class TestClassifyQuery:
         base = classify_query(head + "?")
         extended = classify_query(" ".join([head] + tail) + "?")
         assert base == extended
+
+    def test_classifying_tokenizes_no_query(self, monkeypatch):
+        # only the head token is read, by first_token; no query is tokenized in full
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenizer.tokenize(text)
+
+        monkeypatch.setattr(tokenizer, "tokenize", counting)
+        monkeypatch.setattr(taxonomy, "tokenize", counting, raising=False)
+        queries = ["What happened?", "“Don’t they know?”", "... why not?", "?"] * 25
+        types = [classify_query(q) for q in queries]
+        assert calls == []
+        assert types == [QueryType.WHAT, QueryType.DO_DOES_DID, QueryType.WHY, QueryType.OTHER] * 25
 
 
 class TestAggregateDistribution:

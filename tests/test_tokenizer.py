@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qfs_forge import compose, rouge, stats
 from qfs_forge.annotate import truncate_document
 from qfs_forge.compose import truncate_to_tokens
-from qfs_forge.tokenizer import has_token, nth_token_chunk, tokenize
+from qfs_forge.tokenizer import first_token, has_token, nth_token_chunk, tokenize
 
 from conftest import make_triplet
 
@@ -259,6 +259,22 @@ def test_has_token_is_a_non_empty_tokenize(text):
 def test_has_token_edge_cases(text, holds):
     assert has_token(text) is holds
     assert bool(tokenize(text)) is holds
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), _MIXED_TEXT))
+def test_first_token_is_the_head_of_tokenize(text):
+    assert first_token(text) == (tokenize(text) or [None])[0]
+
+
+@pytest.mark.parametrize(
+    "text, head",
+    [("", None), ("\u3000\x1c — …", None), ("İstanbul is", "i̇stanbul"), ("“Why” not", "why"),
+     ("... -- «What's» up", "what's"), ("\ud800, b", "\ud800")],
+)
+def test_first_token_edge_cases(text, head):
+    assert first_token(text) == head
+    assert tokenize(text)[:1] == ([head] if head else [])
 
 
 class TestEachTextTokenizedOnce:

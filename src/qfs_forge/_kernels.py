@@ -1,17 +1,20 @@
 """Pure-Python kernels behind the ROUGE scorer and the corpus means.
 
-Three kernels, none of which needs a compiler, a JIT or numpy:
+None of the kernels needs a compiler, a JIT or numpy:
 
 - ``lcs_length``: the LCS length for ROUGE-L, a bit-parallel recurrence
   over Python ints, split into ``match_masks`` and ``lcs_with_masks`` so
   that one text's masks serve all the texts it is compared with;
+- ``clipped_matches``: the clipped unigram and bigram match counts for
+  ROUGE-1 and ROUGE-2 (Lin 2004), one walk of the reference against the
+  candidate's counts, which the candidate builds once;
 - ``clipped_overlap`` / ``counts_overlap``: the clipped multiset overlap
-  for ROUGE-N, the sum of ``min(count_a, count_b)`` over n-gram
-  ``Counter``s (Lin 2004);
+  of two sequences or ``Counter``s, the sum of ``min(count_a, count_b)``;
+  ROUGE no longer calls them;
 - ``pairwise_mean``: numpy's pairwise summation, ported so that means
   keep the exact bits ``np.mean`` gave.
 
-The sequence kernels take any sequence of hashables: token strings,
+The LCS and overlap kernels take any sequence of hashables: token strings,
 bigram tuples, or integer ids (numpy int64 arrays included).
 """
 
@@ -62,11 +65,43 @@ def lcs_with_masks(masks: dict, m: int, b: Sequence[Hashable]) -> int:
     return m - (v & full).bit_count()
 
 
+def clipped_matches(unigrams: dict, bigrams: dict, b: Sequence[Hashable]) -> tuple[int, int]:
+    """Clipped unigram and bigram overlaps of ``b`` with a sequence of these counts.
+
+    ``unigrams`` and ``bigrams`` count the tokens and the adjacent pairs of
+    the other sequence. One pass over ``b`` takes each match from a copy of
+    those counts, so a count is used at most once on either side. A token
+    the other sequence lacks matches nothing and breaks every bigram through
+    it, so it is skipped, and a bigram tuple is built only when both of its
+    tokens are the other sequence's.
+    """
+    unigrams_left, bigrams_left = dict(unigrams), dict(bigrams)
+    matches1 = matches2 = 0
+    previous = None  # the token before this one, if the other sequence holds it
+    for token in b:
+        left = unigrams_left.get(token)
+        if left is None:
+            previous = None
+            continue
+        if left:
+            unigrams_left[token] = left - 1
+            matches1 += 1
+        if previous is not None:
+            pair = (previous, token)
+            left = bigrams_left.get(pair)
+            if left:
+                bigrams_left[pair] = left - 1
+                matches2 += 1
+        previous = token
+    return matches1, matches2
+
+
 def counts_overlap(a: Counter, b: Counter) -> int:
     """Clipped overlap of two ``Counter``s: sum of min(a[k], b[k]) over keys.
 
     Walks the Counter with fewer keys and looks each key up in the other;
-    ``Counter.__and__`` would build a third Counter in a Python loop.
+    ``Counter.__and__`` would build a third Counter in a Python loop. ROUGE
+    counts its matches with ``clipped_matches`` instead.
     """
     if len(a) > len(b):
         a, b = b, a

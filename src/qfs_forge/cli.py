@@ -64,8 +64,6 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace, paths: dict[str, s
             config.parallelism,
         )
 
-    triplets = [outcome.triplet for outcome in outcomes if outcome.ok]
-    write_triplets(triplets, paths["output"])
     failures = [
         {
             "id": pair.id,
@@ -76,7 +74,9 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace, paths: dict[str, s
         for pair, outcome in zip(pairs, outcomes)
         if not outcome.ok
     ]
+    # the audit first: new triplets never sit beside an earlier run's audit
     write_jsonl(paths["audit"], failures)
+    write_triplets([outcome.triplet for outcome in outcomes if outcome.ok], paths["output"])
 
     failure_rate = len(failures) / len(outcomes) if outcomes else 0.0
     print(f"annotated {describe_outcomes(outcomes)} -> {paths['output']}")
@@ -190,12 +190,24 @@ def cmd_evaluate(config: RunConfig, args: argparse.Namespace, paths: dict[str, s
     return 0
 
 
-def resolve_paths(config: RunConfig, reads: tuple, writes: tuple) -> dict[str, str]:
+def resolve_paths(
+    config: RunConfig, reads: tuple, writes: tuple, config_file: str | None = None
+) -> dict[str, str]:
     """The paths a command reads and writes, by key; the audit defaults to
     ``<output>.failures.jsonl``. A missing path is a ConfigError, and so is a
     written path, or the temporary file it is written to, that an earlier
-    key names, as writing it would replace that file."""
+    key names, as writing it would replace that file. The config file, and
+    the example and script files it names, count as read paths of every
+    command."""
     paths, names = {}, {}  # names: what first named each real path
+    config_files = {
+        "the config file": config_file,
+        "the example_path file": config.example_path,
+        "the backend.script file": config.backend.script,
+    }
+    for name, file in config_files.items():
+        if file:
+            names.setdefault(os.path.realpath(file), name)
     for key in reads + writes:
         audit = key == "audit" and not config.paths.get(key)
         path = paths[key] = paths["output"] + ".failures.jsonl" if audit else config.path(key)
@@ -291,7 +303,8 @@ def main(argv: list[str] | None = None) -> int:
         # a subcommand without one of these flags leaves its key to the file
         flags = {key: getattr(args, name, None) for name, key in _CONFIG_FLAGS.items()}
         config = load_config(args.config, **flags)
-        return args.func(config, args, resolve_paths(config, args.reads, args.writes))
+        paths = resolve_paths(config, args.reads, args.writes, args.config)
+        return args.func(config, args, paths)
     except (QfsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,9 +52,9 @@ def _scores(docs: list[str], query: str) -> list[float]:
 
     idf(t) = ln(N / df(t)) + 1, computed on the cluster only; the +1 keeps
     cluster-universal terms from vanishing. Query terms absent from every
-    document carry no weight. The dot product runs over whichever side has
-    fewer weighted terms (the document on a tie), in that side's order:
-    another order can move a score by an ulp and so reorder near-ties.
+    document carry no weight. Every sum is ``math.fsum``, exactly rounded,
+    so a score depends neither on term order nor on the interpreter (the
+    builtin ``sum`` is compensated from Python 3.12 on).
     """
     doc_counts = [Counter(tokenize(doc)) for doc in docs]
     df = Counter()
@@ -66,27 +66,20 @@ def _scores(docs: list[str], query: str) -> list[float]:
     query_weights = {
         term: tf * idf[term] for term, tf in Counter(tokenize(query)).items() if term in idf
     }
-    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
+    query_norm = math.sqrt(math.fsum(w * w for w in query_weights.values()))
     scores = []
     for counts in doc_counts:
         # a term on one side only adds 0.0 to the dot, so only shared terms are summed
-        if len(query_weights) < len(counts):
-            dot = sum(
-                weight * (counts[term] * idf[term])
-                for term, weight in query_weights.items()
-                if term in counts
-            )
-        else:
-            dot = sum(
-                tf * idf[term] * query_weights[term]
-                for term, tf in counts.items()
-                if term in query_weights
-            )
+        dot = math.fsum(
+            weight * (counts[term] * idf[term])
+            for term, weight in query_weights.items()
+            if term in counts
+        )
         if dot == 0.0:
             scores.append(0.0)
         else:
             weights = list(map(mul, counts.values(), map(idf.__getitem__, counts)))
-            norm = math.sqrt(sum(map(mul, weights, weights)))
+            norm = math.sqrt(math.fsum(map(mul, weights, weights)))
             scores.append(dot / (norm * query_norm))
     return scores
 

@@ -248,14 +248,17 @@ def load_config(path: str | None, **flags) -> RunConfig:
     # argv decodes a non-UTF-8 byte to a lone surrogate, which os.fsencode turns back
     paths = _strings(raw, "paths", os.fsencode)
     _check_keys(paths, _PATH_KEYS, "paths.")
-    for key, value in paths.items():
-        if "\0" in value:  # JSON allows it, and os.fsencode too, but no file name holds one
-            raise ConfigError(f"paths.{key}: a path cannot hold a NUL character")
     backend = _object(raw, "backend")
+    backend_settings = _scalars(BackendConfig, backend, "backend.", ("params",))
+    files = {"example_path": settings["example_path"], "backend.script": backend_settings["script"]}
+    files.update((f"paths.{key}", value) for key, value in paths.items())
+    for key, value in files.items():
+        if "\0" in value:  # JSON allows it, and os.fsencode too, but no file name holds one
+            raise ConfigError(f"{key}: a path cannot hold a NUL character")
     return RunConfig(
         **settings,
         backend=BackendConfig(
-            **_scalars(BackendConfig, backend, "backend.", ("params",)),
+            **backend_settings,
             params=_params(_object(backend, "params", "backend.")),
         ),
         labels=labels,

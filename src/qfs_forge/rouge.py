@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ._kernels import counts_overlap, lcs_length, lcs_with_masks, match_masks, pairwise_mean
+from ._kernels import clipped_matches, lcs_length, lcs_with_masks, match_masks, pairwise_mean
 from .corpus import STRING, QfsError, read_records
 from .tokenizer import tokenize
 
@@ -42,26 +42,31 @@ class RougeScore:
         return {"p": self.precision, "r": self.recall, "f1": self.f1}
 
 
-def _grams(tokens: list[str]) -> tuple[list[str], Counter, Counter]:
-    """A text's tokens, unigram and bigram Counters: ``grams[n]`` counts its n-grams.
+class _Candidate:
+    """A candidate's tokens and what each reference is matched against, built
+    once: the LCS match masks, the unigram counts (the masks' popcounts) and
+    the bigram counts."""
 
-    Built once per text, so a candidate is counted once for all its references.
-    """
-    return tokens, Counter(tokens), Counter(zip(tokens, tokens[1:]))
+    __slots__ = ("tokens", "masks", "unigrams", "bigrams")
 
-
-def _rouge_n(cand: tuple, ref: tuple, n: int) -> RougeScore:
-    matches = counts_overlap(cand[n], ref[n])
-    return RougeScore.from_counts(
-        matches, max(len(cand[0]) - n + 1, 0), max(len(ref[0]) - n + 1, 0)
-    )
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self.masks = match_masks(tokens)
+        self.unigrams = {token: mask.bit_count() for token, mask in self.masks.items()}
+        self.bigrams = Counter(zip(tokens, tokens[1:]))
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    return _rouge_n(_grams(tokenize(candidate)), _grams(tokenize(reference)), n)
+    cand, ref = _Candidate(tokenize(candidate)), tokenize(reference)
+    matches = clipped_matches(cand.unigrams, cand.bigrams, ref)[n - 1]
+    return _rouge_n(matches, len(cand.tokens), len(ref), n)
+
+
+def _rouge_n(matches: int, cand_len: int, ref_len: int, n: int) -> RougeScore:
+    return RougeScore.from_counts(matches, max(cand_len - n + 1, 0), max(ref_len - n + 1, 0))
 
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
@@ -70,13 +75,13 @@ def rouge_l(candidate: str, reference: str) -> RougeScore:
     return RougeScore.from_counts(lcs_length(cand, ref), len(cand), len(ref))
 
 
-def _scores(cand: tuple, cand_masks: dict, ref: tuple) -> dict[str, RougeScore]:
-    # cand_masks: the candidate's LCS match masks, built once for all its references
-    lcs = lcs_with_masks(cand_masks, len(cand[0]), ref[0])
+def _scores(cand: _Candidate, ref: list[str]) -> dict[str, RougeScore]:
+    matches1, matches2 = clipped_matches(cand.unigrams, cand.bigrams, ref)
+    m, n = len(cand.tokens), len(ref)
     return {
-        "rouge1": _rouge_n(cand, ref, 1),
-        "rouge2": _rouge_n(cand, ref, 2),
-        "rougeL": RougeScore.from_counts(lcs, len(cand[0]), len(ref[0])),
+        "rouge1": _rouge_n(matches1, m, n, 1),
+        "rouge2": _rouge_n(matches2, m, n, 2),
+        "rougeL": RougeScore.from_counts(lcs_with_masks(cand.masks, m, ref), m, n),
     }
 
 
@@ -84,11 +89,10 @@ def score_multi_reference(candidate: str, references: list[str]) -> dict[str, Ro
     """Per metric, the best (by F1) score over the references."""
     if not references:
         raise RougeError("need at least one reference")
-    cand = _grams(tokenize(candidate))
-    cand_masks = match_masks(cand[0])
+    cand = _Candidate(tokenize(candidate))
     best: dict[str, RougeScore] = {}
     for reference in references:
-        scores = _scores(cand, cand_masks, _grams(tokenize(reference)))
+        scores = _scores(cand, tokenize(reference))
         for metric in METRICS:
             if metric not in best or scores[metric].f1 > best[metric].f1:
                 best[metric] = scores[metric]

@@ -1078,6 +1078,66 @@ class TestCliPlumbing:
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
         assert built == []
 
+    @pytest.mark.parametrize(
+        "settings, argv, key, other",
+        [
+            (lambda n: {}, ["stats", "--input", "{t}", "--output", "{c}"], "output", "the config file"),
+            (lambda n: {}, ["annotate", "--input", "{pairs}", "--output", "{o}", "--audit", "{c}"],
+             "audit", "the config file"),
+            (lambda n: {"example_path": n["e"]}, ["stats", "--input", "{t}", "--output", "{e}"],
+             "output", "the example_path file"),
+            (lambda n: {"backend": {"kind": "mock", "script": n["s"]}, "parallelism": 1},
+             ["stats", "--input", "{t}", "--output", "{s}"], "output", "the backend.script file"),
+        ],
+        ids=["config", "annotate-audit-config", "example_path", "backend.script"],
+    )
+    def test_a_command_never_writes_over_its_config_or_a_file_the_config_names(
+        self, tmp_path, monkeypatch, capsys, settings, argv, key, other
+    ):
+        built = []
+        monkeypatch.setattr(BackendConfig, "build", lambda config: built.append(config))
+        names = {name: str(tmp_path / f"{name}.json") for name in ("t", "pairs", "o", "c", "e", "s")}
+        Path(names["t"]).write_bytes((GOLDEN_CLI / "triplets.jsonl").read_bytes())
+        Path(names["pairs"]).write_bytes((SAMPLE / "pairs.jsonl").read_bytes())
+        Path(names["e"]).write_text(json.dumps(
+            {"document": "d", "summary_sentences": ["s"], "queries": {"wh": ["q?"]}, "domain": "news"}
+        ))
+        Path(names["s"]).write_text(json.dumps(["1. What fell?"]))
+        Path(names["c"]).write_text(json.dumps(settings(names)))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = [arg.format(**names) for arg in argv]
+        assert run(["--config", names["c"], *argv]) == 2
+        path = argv[argv.index(f"--{key}") + 1]
+        assert capsys.readouterr().err == f"error: {key} path {path!r} is {other}\n"
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+        assert built == []
+
+    @pytest.mark.parametrize("key", ["example_path", "backend.script"])
+    def test_a_nul_in_a_file_the_config_names_is_an_error(self, tmp_path, capsys, key):
+        section, _, name = key.rpartition(".")
+        settings = {section: {name: "a\u0000b"}} if section else {name: "a\u0000b"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "x.jsonl"
+        argv = ["annotate", "--input", SAMPLE_PAIRS, "--output", str(out)]
+        assert run(["--config", str(config), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {key}: a path cannot hold a NUL character\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+    def test_annotate_renames_its_audit_before_its_triplets(self, tmp_path, corpus, monkeypatch):
+        replaced = []
+        replace = os.replace
+
+        def recording_replace(source, target):
+            replaced.append(target)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        out, audit = str(tmp_path / "t.jsonl"), str(tmp_path / "audit.jsonl")
+        argv = ["annotate", "--input", corpus, "--output", out, "--audit", audit]
+        assert run(["--config", str(SAMPLE / "config.json"), *argv]) == 0
+        assert replaced == [audit, out]
+
     def test_a_nul_in_a_path_is_an_error_before_any_file_is_read(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"paths": {"input": "a\u0000b"}}))

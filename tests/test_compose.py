@@ -65,8 +65,10 @@ def brute_force_rank(docs, query):
 
 
 class OracleTfIdfIndex:
-    """Verbatim ``compose.TfIdfIndex`` and ``_cosine`` (below) from before
-    ``rank_documents`` scored a cluster inline."""
+    """``compose.TfIdfIndex`` and ``_cosine`` (below) from before
+    ``rank_documents`` scored a cluster inline, verbatim but for the sums,
+    which are ``math.fsum`` as in ``compose._scores``: exactly rounded, so
+    their bits do not depend on the interpreter or on term order."""
 
     def __init__(self, docs: list[str]):
         if not docs:
@@ -91,11 +93,11 @@ def oracle_cosine(u: dict[str, float], v: dict[str, float]) -> float:
         return 0.0
     if len(v) < len(u):
         u, v = v, u
-    dot = sum(weight * v.get(term, 0.0) for term, weight in u.items())
+    dot = math.fsum(weight * v.get(term, 0.0) for term, weight in u.items())
     if dot == 0.0:
         return 0.0
-    norm_u = math.sqrt(sum(w * w for w in u.values()))
-    norm_v = math.sqrt(sum(w * w for w in v.values()))
+    norm_u = math.sqrt(math.fsum(w * w for w in u.values()))
+    norm_v = math.sqrt(math.fsum(w * w for w in v.values()))
     return dot / (norm_u * norm_v)
 
 
@@ -113,9 +115,10 @@ def dot_over(u: dict[str, float], v: dict[str, float]) -> float:
 _WORDS = st.sampled_from(["snow", "Snow,", "market", "river", "the", "a", "apples", "—"])
 _DOCS = st.lists(st.lists(_WORDS, min_size=1, max_size=8).map(" ".join), min_size=1, max_size=7)
 
-# Clusters where document 1's dot product sums to another float when taken
-# over the other side: the query has more weighted terms than the document,
-# fewer, and as many (a tie runs over the document).
+# Clusters where document 1's dot product, added left to right, sums to
+# another float when taken over the other side: the query has more weighted
+# terms than the document, fewer, and as many. ``_scores`` sums exactly, so
+# either side gives it the oracle's bits.
 _SIDE_CASES = {
     "query-more-terms": (
         ["cold apples", "market town town snow", "snow a"],

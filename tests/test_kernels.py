@@ -98,6 +98,17 @@ class TestTokenSequences:
                     bigrams(a), bigrams(b)
                 )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.lists(st.sampled_from("abcde"), max_size=30),
+        b=st.lists(st.sampled_from("abcdef"), max_size=30),
+    )
+    def test_clipped_matches_equal_the_oracle_on_tokens_and_bigrams(self, a, b):
+        unigrams, pairs = Counter(a), Counter(bigrams(a))
+        expected = (oracle_overlap(a, b), oracle_overlap(bigrams(a), bigrams(b)))
+        assert _kernels.clipped_matches(unigrams, pairs, b) == expected
+        assert (unigrams, pairs) == (Counter(a), Counter(bigrams(a)))  # the counts are not used up
+
     def test_counts_overlap_walks_either_side(self):
         small, large = Counter({"a": 3, "b": 1}), Counter({"a": 1, "b": 5, "c": 2, "d": 1})
         assert _kernels.counts_overlap(small, large) == 2

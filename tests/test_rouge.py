@@ -3,9 +3,11 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfs_forge.rouge as rouge_module
+from qfs_forge._kernels import pairwise_mean
 from qfs_forge.corpus import CorpusError
 from qfs_forge.rouge import (
     METRICS,
@@ -95,6 +97,27 @@ class TestRougeN:
     def test_single_token_has_no_bigrams(self):
         assert rouge_n("one", "one", 2).empty_input
 
+    def test_a_token_the_candidate_lacks_breaks_the_bigram(self):
+        assert rouge_n("a b", "a x b", 2) == RougeScore(0.0, 0.0, 0.0)
+        one = rouge_n("a b", "a x b", 1)
+        assert (one.precision, one.recall) == (1.0, 2 / 3)  # 2 matches
+
+    def test_bigram_matches_are_clipped_on_both_sides(self):
+        # candidate bigrams ab ab ba, reference ab ab ab ba ba: min(2, 3) + min(1, 2) = 3
+        score = rouge_n("a b a b", "a b a b a b", 2)
+        assert (score.precision, score.recall) == (1.0, 3 / 5)
+        score = rouge_n("a b a b a b", "a b a b", 2)
+        assert (score.precision, score.recall) == (3 / 5, 1.0)
+
+    def test_one_token_candidate(self):
+        one = rouge_n("a", "a b a", 1)
+        assert (one.precision, one.recall) == (1.0, 1 / 3)
+        assert rouge_n("a", "a b a", 2).empty_input
+        scores = score_multi_reference("a", ["b", "a b a"])
+        assert scores["rouge1"] == one
+        assert scores["rouge2"].empty_input
+        assert (scores["rougeL"].precision, scores["rougeL"].recall) == (1.0, 1 / 3)
+
     def test_invalid_n_rejected(self):
         with pytest.raises(RougeError):
             rouge_n("a", "b", 3)
@@ -180,6 +203,69 @@ class TestScoreHelpers:
                 if metric not in best or scores[metric].f1 > best[metric].f1:
                     best[metric] = scores[metric]
         assert score_multi_reference(candidate, references) == best
+
+
+class TestCountsOnce:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_references_build_no_counter(self, monkeypatch, k):
+        built = []
+
+        class CountingCounter(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rouge_module, "Counter", CountingCounter)
+        references = [f"the cat sat on mat {i} the cat" for i in range(k)]
+        score_multi_reference("the cat sat on the mat", references)
+        assert len(built) == 1  # the candidate's bigrams, whatever k is
+
+
+# Examples of a candidate and one to three references over four letters: F1 ties are common.
+_EXAMPLES = st.lists(
+    st.tuples(texts, st.lists(texts, min_size=1, max_size=3)), min_size=1, max_size=5
+)
+
+
+class TestEvaluateRelations:
+    """How evaluate's rows and means move when its files change."""
+
+    @staticmethod
+    def write(directory, examples, order):
+        """Prediction and reference files of (id, candidate, references)
+        examples, the predictions in ``order`` and each id's references
+        interleaved with the others' in that order too."""
+        preds = [{"id": examples[i][0], "text": examples[i][1]} for i in order]
+        refs = [
+            {"id": examples[i][0], "text": text}
+            for position in range(3)
+            for i in order
+            for text in examples[i][2][position:position + 1]
+        ]
+        return (write_jsonl(directory / "p.jsonl", preds), write_jsonl(directory / "r.jsonl", refs))
+
+    @staticmethod
+    def rows(report):
+        return {row["id"]: row for row in report.to_records()[:-1]}
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=_EXAMPLES, b=_EXAMPLES, seed=st.integers(0, 2**16))
+    def test_rows_do_not_depend_on_other_records_or_their_order(self, tmp_path_factory, a, b, seed):
+        a = [(f"a{i}", c, refs) for i, (c, refs) in enumerate(a)]
+        b = [(f"b{i}", c, refs) for i, (c, refs) in enumerate(b)]
+        alone = evaluate_run(*self.write(tmp_path_factory.mktemp("a"), a, range(len(a))))
+        both = a + b
+        order = list(range(len(both)))
+        random.Random(seed).shuffle(order)
+        shuffled = evaluate_run(*self.write(tmp_path_factory.mktemp("ab"), both, order))
+        rows = self.rows(shuffled)
+        assert list(rows) == [both[i][0] for i in order]
+        assert {rid: rows[rid] for rid, _, _ in a} == self.rows(alone)
+        for report in (alone, shuffled):  # the means sum in file order, by design
+            for metric in METRICS:
+                for stat in ("precision", "recall", "f1"):
+                    values = [getattr(row[metric], stat) for row in report.per_example]
+                    assert getattr(report.means[metric], stat) == pairwise_mean(values)
 
 
 class TestEvaluateRun:

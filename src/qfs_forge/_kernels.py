@@ -2,20 +2,25 @@
 
 None of the kernels needs a compiler, a JIT or numpy:
 
-- ``lcs_length``: the LCS length for ROUGE-L, a bit-parallel recurrence
-  over Python ints, split into ``match_masks`` and ``lcs_with_masks`` so
-  that one text's masks serve all the texts it is compared with;
-- ``clipped_matches``: the clipped unigram and bigram match counts for
-  ROUGE-1 and ROUGE-2 (Lin 2004), one walk of the reference against the
-  candidate's counts, which the candidate builds once;
+- ``index_tokens``: dense ids for a candidate's distinct tokens, with one
+  LCS match mask per id, built once per candidate; each reference is then
+  mapped to those ids in one ``map(ids.get, ...)`` pass, ``None`` where the
+  candidate lacks the token;
+- ``lcs_of_ids``: the LCS length for ROUGE-L, a bit-parallel recurrence
+  over Python ints that indexes the list of masks;
+- ``clipped_id_matches``: the clipped unigram and bigram match counts for
+  ROUGE-1 and ROUGE-2 (Lin 2004), one walk of the reference's ids against
+  the candidate's counts, with bigrams keyed by int;
+- ``lcs_length``: ``index_tokens`` plus ``lcs_of_ids`` on two sequences;
 - ``clipped_overlap`` / ``counts_overlap``: the clipped multiset overlap
   of two sequences or ``Counter``s, the sum of ``min(count_a, count_b)``;
-  ROUGE no longer calls them;
+  no stage calls them, they stay for perfbench only;
 - ``pairwise_mean``: numpy's pairwise summation, ported so that means
   keep the exact bits ``np.mean`` gave.
 
-The LCS and overlap kernels take any sequence of hashables: token strings,
-bigram tuples, or integer ids (numpy int64 arrays included).
+``index_tokens``, ``lcs_length`` and the overlaps take any sequence of
+hashables: token strings, bigram tuples, or integer ids (numpy int64 arrays
+included).
 """
 
 from __future__ import annotations
@@ -32,22 +37,37 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two token sequences."""
     if len(a) < len(b):
         a, b = b, a
-    return lcs_with_masks(match_masks(a), len(a), b)
+    ids, masks, _ = index_tokens(a)
+    return lcs_of_ids(masks, len(a), list(map(ids.get, b)))
 
 
-def match_masks(a: Sequence[Hashable]) -> dict:
-    """Per token t of ``a``, the int whose bit i is set where ``a[i] == t``."""
-    masks: dict = {}
+def index_tokens(a: Sequence[Hashable]) -> tuple[dict, list[int], list[int]]:
+    """``(ids, masks, seq)`` for the tokens of ``a``.
+
+    ``ids`` numbers the distinct tokens from 0 in first-seen order,
+    ``masks[i]`` is the int whose bit j is set where ``a[j]`` has id i (its
+    LCS match mask), and ``seq`` is ``a`` as ids.
+    """
+    ids: dict = {}
+    masks: list[int] = []
+    seq: list[int] = []
     bit = 1
     for token in a:
-        masks[token] = masks.get(token, 0) | bit
+        i = ids.get(token)
+        if i is None:
+            i = ids[token] = len(masks)
+            masks.append(bit)
+        else:
+            masks[i] |= bit
+        seq.append(i)
         bit <<= 1
-    return masks
+    return ids, masks, seq
 
 
-def lcs_with_masks(masks: dict, m: int, b: Sequence[Hashable]) -> int:
+def lcs_of_ids(masks: list[int], m: int, b: Sequence[int | None]) -> int:
     """LCS length of ``b`` and the length-``m`` sequence ``masks`` was built from.
 
+    ``b`` holds ids into ``masks``, ``None`` for a token with no mask.
     Bit-vector LCS-length recurrence (Allison & Dix 1986; Hyyrö 2004): the
     low m bits of ``v`` hold one zero per LCS step taken so far. One pass
     over ``b`` with ``u = v & M[t]; v = (v + u) | (v - u)`` leaves
@@ -57,42 +77,44 @@ def lcs_with_masks(masks: dict, m: int, b: Sequence[Hashable]) -> int:
     """
     full = (1 << m) - 1
     v = full
-    for token in b:
-        match = masks.get(token)
-        if match is not None:
-            u = v & match
+    for i in b:
+        if i is not None:
+            u = v & masks[i]
             v = (v + u) | (v - u)
     return m - (v & full).bit_count()
 
 
-def clipped_matches(unigrams: dict, bigrams: dict, b: Sequence[Hashable]) -> tuple[int, int]:
+def clipped_id_matches(
+    unigrams: list[int], bigrams: dict[int, int], k: int, b: Sequence[int | None]
+) -> tuple[int, int]:
     """Clipped unigram and bigram overlaps of ``b`` with a sequence of these counts.
 
-    ``unigrams`` and ``bigrams`` count the tokens and the adjacent pairs of
-    the other sequence. One pass over ``b`` takes each match from a copy of
-    those counts, so a count is used at most once on either side. A token
-    the other sequence lacks matches nothing and breaks every bigram through
-    it, so it is skipped, and a bigram tuple is built only when both of its
-    tokens are the other sequence's.
+    The other sequence has ``k`` distinct ids: ``unigrams[i]`` counts id i
+    in it and ``bigrams[p * k + i]`` counts its adjacent pairs ``(p, i)``, a
+    key that is one-to-one on pairs of ids below k. ``b`` holds ids, and
+    ``None`` for a token the other sequence lacks, which matches nothing
+    and breaks every bigram through it. One pass over ``b`` takes each
+    match from a copy of the counts, so a count is used at most once on
+    either side.
     """
-    unigrams_left, bigrams_left = dict(unigrams), dict(bigrams)
+    unigrams_left, bigrams_left = unigrams.copy(), dict(bigrams)
     matches1 = matches2 = 0
-    previous = None  # the token before this one, if the other sequence holds it
-    for token in b:
-        left = unigrams_left.get(token)
-        if left is None:
+    previous = None  # k times the id before this one, if it has one
+    for i in b:
+        if i is None:
             previous = None
             continue
+        left = unigrams_left[i]
         if left:
-            unigrams_left[token] = left - 1
+            unigrams_left[i] = left - 1
             matches1 += 1
         if previous is not None:
-            pair = (previous, token)
-            left = bigrams_left.get(pair)
+            key = previous + i
+            left = bigrams_left.get(key)
             if left:
-                bigrams_left[pair] = left - 1
+                bigrams_left[key] = left - 1
                 matches2 += 1
-        previous = token
+        previous = i * k
     return matches1, matches2
 
 
@@ -101,7 +123,7 @@ def counts_overlap(a: Counter, b: Counter) -> int:
 
     Walks the Counter with fewer keys and looks each key up in the other;
     ``Counter.__and__`` would build a third Counter in a Python loop. ROUGE
-    counts its matches with ``clipped_matches`` instead.
+    counts its matches with ``clipped_id_matches`` instead.
     """
     if len(a) > len(b):
         a, b = b, a

@@ -215,7 +215,10 @@ class MockBackend:
         return self._generated(prompt)
 
     def _state(self, prompt: str):
-        return hashlib.sha256(f"{self.seed}:{prompt}".encode("utf-8"))
+        # the digest of f"{seed}:{prompt}", without building that copy of the prompt
+        state = hashlib.sha256(f"{self.seed}:".encode("utf-8"))
+        state.update(prompt.encode("utf-8"))
+        return state
 
     @staticmethod
     def _target_summary_sentences(prompt: str) -> list[str]:

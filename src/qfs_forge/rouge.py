@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from ._kernels import clipped_matches, lcs_length, lcs_with_masks, match_masks, pairwise_mean
+from ._kernels import clipped_id_matches, index_tokens, lcs_of_ids, pairwise_mean
 from .corpus import STRING, QfsError, read_records
 from .tokenizer import tokenize
 
@@ -43,26 +43,25 @@ class RougeScore:
 
 
 class _Candidate:
-    """A candidate's tokens and what each reference is matched against, built
-    once: the LCS match masks, the unigram counts (the masks' popcounts) and
-    the bigram counts."""
+    """A candidate indexed once, and what each reference is matched against:
+    its token ids, one LCS match mask per id, the unigram counts (the masks'
+    popcounts) and the bigram counts keyed by ``previous_id * k + id``."""
 
-    __slots__ = ("tokens", "masks", "unigrams", "bigrams")
+    __slots__ = ("length", "ids", "masks", "unigrams", "bigrams")
 
     def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.masks = match_masks(tokens)
-        self.unigrams = {token: mask.bit_count() for token, mask in self.masks.items()}
-        self.bigrams = Counter(zip(tokens, tokens[1:]))
+        self.ids, self.masks, seq = index_tokens(tokens)
+        self.length = len(seq)
+        self.unigrams = [mask.bit_count() for mask in self.masks]
+        k = len(self.masks)
+        self.bigrams = Counter([previous * k + i for previous, i in zip(seq, seq[1:])])
 
 
 def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    cand, ref = _Candidate(tokenize(candidate)), tokenize(reference)
-    matches = clipped_matches(cand.unigrams, cand.bigrams, ref)[n - 1]
-    return _rouge_n(matches, len(cand.tokens), len(ref), n)
+    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))[f"rouge{n}"]
 
 
 def _rouge_n(matches: int, cand_len: int, ref_len: int, n: int) -> RougeScore:
@@ -71,17 +70,17 @@ def _rouge_n(matches: int, cand_len: int, ref_len: int, n: int) -> RougeScore:
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Longest-common-subsequence score over token sequences."""
-    cand, ref = tokenize(candidate), tokenize(reference)
-    return RougeScore.from_counts(lcs_length(cand, ref), len(cand), len(ref))
+    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))["rougeL"]
 
 
 def _scores(cand: _Candidate, ref: list[str]) -> dict[str, RougeScore]:
-    matches1, matches2 = clipped_matches(cand.unigrams, cand.bigrams, ref)
-    m, n = len(cand.tokens), len(ref)
+    ref_ids = list(map(cand.ids.get, ref))  # None where the candidate lacks the token
+    matches1, matches2 = clipped_id_matches(cand.unigrams, cand.bigrams, len(cand.masks), ref_ids)
+    m, n = cand.length, len(ref)
     return {
         "rouge1": _rouge_n(matches1, m, n, 1),
         "rouge2": _rouge_n(matches2, m, n, 2),
-        "rougeL": RougeScore.from_counts(lcs_with_masks(cand.masks, m, ref), m, n),
+        "rougeL": RougeScore.from_counts(lcs_of_ids(cand.masks, m, ref_ids), m, n),
     }
 
 

@@ -248,16 +248,41 @@ class TestMockReadsThePromptInPlace:
 
 
 def _count_sha256(monkeypatch) -> list:
-    """Record the input of every sha256 the backends module builds from now on."""
-    inputs = []
+    """Record, in order, every input fed to a sha256 the backends module builds
+    from now on, to its constructor or to ``update``, and each ``copy()`` as None."""
+    log = []
     sha256 = hashlib.sha256
 
+    class Recording:
+        def __init__(self, state):
+            self._state = state
+
+        def update(self, data):
+            log.append(bytes(data))
+            self._state.update(data)
+
+        def copy(self):
+            log.append(None)
+            return Recording(self._state.copy())
+
+        def digest(self):
+            return self._state.digest()
+
     def counting(data=b"", **kwargs):
-        inputs.append(data)
-        return sha256(data, **kwargs)
+        log.append(bytes(data))
+        return Recording(sha256(data, **kwargs))
 
     monkeypatch.setattr(backends.hashlib, "sha256", counting)
-    return inputs
+    return log
+
+
+def _assert_prompt_hashed_once(log: list, seed: int, prompt: str) -> None:
+    """The prompt's bytes reach sha256 in exactly one input, and the inputs
+    before the first ``copy()`` join to ``f"{seed}:{prompt}"``."""
+    fed = [data for data in log if data is not None]
+    assert sum(prompt.encode("utf-8") in data for data in fed) == 1
+    first_copy = log.index(None) if None in log else len(log)
+    assert b"".join(log[:first_copy]) == f"{seed}:{prompt}".encode("utf-8")
 
 
 class TestMockHashesOnce:
@@ -270,16 +295,17 @@ class TestMockHashesOnce:
         summary = " ".join(f"Snow fell on day {i}." for i in range(1, k + 1))
         pair = DocumentSummaryPair(id="p", document=self.DOCUMENT, summary=summary, domain="news")
         prompt = build_annotation_prompt(pair, default_spec("news", "wh"))
-        inputs = _count_sha256(monkeypatch)
+        log = _count_sha256(monkeypatch)
         completion = MockBackend(seed=1).complete(prompt, QUERY_GEN_PARAMS)
         assert len(completion.splitlines()) == k
-        assert len(inputs) == 1 and prompt.encode("utf-8") in inputs[0]
+        assert log.count(None) == k  # one copy per pick
+        _assert_prompt_hashed_once(log, 1, prompt)
 
     def test_summarization(self, monkeypatch):
         prompt = build_qfs_input("snow", self.DOCUMENT)
-        inputs = _count_sha256(monkeypatch)
+        log = _count_sha256(monkeypatch)
         MockBackend(seed=1).complete(prompt, SUMMARIZATION_PARAMS)
-        assert len(inputs) == 1 and prompt.encode("utf-8") in inputs[0]
+        _assert_prompt_hashed_once(log, 1, prompt)
 
 
 class TestMapOrdered:

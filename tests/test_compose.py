@@ -108,7 +108,11 @@ def oracle_scores(docs: list[str], query: str) -> list[float]:
 
 
 def dot_over(u: dict[str, float], v: dict[str, float]) -> float:
-    return sum(weight * v.get(term, 0.0) for term, weight in u.items())
+    # left to right with `+=`: sum() is compensated from Python 3.12 on
+    total = 0.0
+    for term, weight in u.items():
+        total += weight * v.get(term, 0.0)
+    return total
 
 
 # Few words and short documents, so clusters repeat documents and tie often.

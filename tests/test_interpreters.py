@@ -1,9 +1,9 @@
 """The same commands write the same bytes under every supported interpreter.
 
-Runs the quickstart ``annotate`` and ``compose``, and ``compose`` on generated
-near-tie clusters, under each other installed CPython 3.10 or later, and
-compares every output byte with what the interpreter running the tests
-writes. The interpreters are the ``os.pathsep``-separated paths in
+Runs the quickstart ``annotate``, ``compose`` and ``evaluate``, and
+``compose`` on generated near-tie clusters, under each other installed
+CPython 3.10 or later, and compares every output byte with what the
+interpreter running the tests writes. The interpreters are the ``os.pathsep``-separated paths in
 ``QFS_FORGE_TEST_PYTHONS`` or, when that is unset, pyenv's
 ``~/.pyenv/versions/*/bin/python3``. The test skips when it finds no other.
 """
@@ -74,7 +74,7 @@ def near_tie_clusters(n: int = 40, seed: int = 7) -> list[dict]:
 
 def commands(out: Path, clusters: str) -> list[list[str]]:
     config = ["--config", str(SAMPLE / "config.json")]
-    steps = [QUICKSTART[0], QUICKSTART[5]]
+    steps = [QUICKSTART[0], QUICKSTART[5], QUICKSTART[6]]
     argvs = [[*config, *(arg.format(sample=SAMPLE, out=out) for arg in step)] for step in steps]
     argvs.append([*config, "compose", "--input", clusters, "--output", str(out / "near_tie.jsonl")])
     return argvs

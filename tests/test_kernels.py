@@ -25,6 +25,15 @@ def bigrams(tokens):
     return list(zip(tokens, tokens[1:]))
 
 
+def id_counts(a, b):
+    """The candidate counts of ``a`` that ``clipped_id_matches`` takes, and ``b`` as ids."""
+    ids, masks, seq = _kernels.index_tokens(a)
+    k = len(masks)
+    unigrams = [mask.bit_count() for mask in masks]
+    pairs = Counter(previous * k + i for previous, i in zip(seq, seq[1:]))
+    return unigrams, pairs, k, list(map(ids.get, b))
+
+
 def random_pairs(n, max_len, vocab, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -84,8 +93,9 @@ class TestTokenSequences:
         for _ in range(120):
             a, b = random_tokens(rng, 150, 6), random_tokens(rng, 150, 6)
             expected = oracle_lcs(a, b)
-            assert _kernels.lcs_with_masks(_kernels.match_masks(a), len(a), b) == expected
-            assert _kernels.lcs_with_masks(_kernels.match_masks(b), len(b), a) == expected
+            for x, y in ((a, b), (b, a)):
+                ids, masks, _ = _kernels.index_tokens(x)
+                assert _kernels.lcs_of_ids(masks, len(x), list(map(ids.get, y))) == expected
 
     def test_overlap_matches_counter_oracle_on_tokens_and_bigrams(self):
         rng = random.Random(8)
@@ -104,10 +114,10 @@ class TestTokenSequences:
         b=st.lists(st.sampled_from("abcdef"), max_size=30),
     )
     def test_clipped_matches_equal_the_oracle_on_tokens_and_bigrams(self, a, b):
-        unigrams, pairs = Counter(a), Counter(bigrams(a))
+        unigrams, pairs, k, b_ids = id_counts(a, b)
         expected = (oracle_overlap(a, b), oracle_overlap(bigrams(a), bigrams(b)))
-        assert _kernels.clipped_matches(unigrams, pairs, b) == expected
-        assert (unigrams, pairs) == (Counter(a), Counter(bigrams(a)))  # the counts are not used up
+        assert _kernels.clipped_id_matches(unigrams, pairs, k, b_ids) == expected
+        assert (unigrams, pairs) == id_counts(a, b)[:2]  # the counts are not used up
 
     def test_counts_overlap_walks_either_side(self):
         small, large = Counter({"a": 3, "b": 1}), Counter({"a": 1, "b": 5, "c": 2, "d": 1})
@@ -120,6 +130,81 @@ class TestTokenSequences:
         b = [token[:1] + token[1:] for token in "the mat and the cat".split()]
         assert _kernels.lcs_length(a, b) == oracle_lcs(a, b) == 2
         assert _kernels.clipped_overlap(a, b) == 4
+
+
+# The former bodies of ``match_masks``, ``lcs_with_masks`` and
+# ``clipped_matches``, the string-keyed kernels ROUGE ran before it matched
+# on ids, verbatim.
+def _former_match_masks(a):
+    masks: dict = {}
+    bit = 1
+    for token in a:
+        masks[token] = masks.get(token, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _former_lcs_with_masks(masks, m, b):
+    full = (1 << m) - 1
+    v = full
+    for token in b:
+        match = masks.get(token)
+        if match is not None:
+            u = v & match
+            v = (v + u) | (v - u)
+    return m - (v & full).bit_count()
+
+
+def _former_clipped_matches(unigrams, bigrams, b):
+    unigrams_left, bigrams_left = dict(unigrams), dict(bigrams)
+    matches1 = matches2 = 0
+    previous = None  # the token before this one, if the other sequence holds it
+    for token in b:
+        left = unigrams_left.get(token)
+        if left is None:
+            previous = None
+            continue
+        if left:
+            unigrams_left[token] = left - 1
+            matches1 += 1
+        if previous is not None:
+            pair = (previous, token)
+            left = bigrams_left.get(pair)
+            if left:
+                bigrams_left[pair] = left - 1
+                matches2 += 1
+        previous = token
+    return matches1, matches2
+
+
+# Token lists over one letter (heavy repeats), two, five, or three letters
+# that no other alphabet holds (no token in common); any may be empty.
+_TOKEN_LISTS = st.sampled_from(["a", "ab", "abcde", "xyz"]).flatmap(
+    lambda alphabet: st.lists(st.sampled_from(alphabet), max_size=40)
+)
+
+
+class TestIdKernelsKeepTheFormerBodies:
+    """The id kernels against the string kernels they replaced, kept verbatim
+    above as ``_former_*``: the same masks, LCS lengths and clipped counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_TOKEN_LISTS, b=_TOKEN_LISTS)
+    def test_same_counts_as_the_former_bodies(self, a, b):
+        ids, masks, seq = _kernels.index_tokens(a)
+        assert list(ids) == list(dict.fromkeys(a))  # ids in first-seen order
+        assert list(ids.values()) == list(range(len(ids)))
+        assert [list(ids)[i] for i in seq] == a
+        former = _former_match_masks(a)
+        assert dict(zip(ids, masks)) == former
+        unigrams, pairs, k, b_ids = id_counts(a, b)
+        assert _kernels.lcs_of_ids(masks, len(a), b_ids) == _former_lcs_with_masks(former, len(a), b)
+        assert _kernels.clipped_id_matches(unigrams, pairs, k, b_ids) == _former_clipped_matches(
+            Counter(a), Counter(bigrams(a)), b
+        )
+        assert _kernels.lcs_length(a, b) == _kernels.lcs_length(b, a) == _former_lcs_with_masks(
+            former, len(a), b
+        )
 
 
 class TestBitParallelLcs:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfs_forge.rouge as rouge_module
-from qfs_forge._kernels import pairwise_mean
+from qfs_forge._kernels import index_tokens, pairwise_mean
 from qfs_forge.corpus import CorpusError
 from qfs_forge.rouge import (
     METRICS,
@@ -208,17 +208,23 @@ class TestScoreHelpers:
 class TestCountsOnce:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_references_build_no_counter(self, monkeypatch, k):
-        built = []
+        built, indexed = [], []
 
         class CountingCounter(Counter):
             def __init__(self, *args, **kwargs):
                 built.append(1)
                 super().__init__(*args, **kwargs)
 
+        def counting_index(tokens):
+            indexed.append(list(tokens))
+            return index_tokens(tokens)
+
         monkeypatch.setattr(rouge_module, "Counter", CountingCounter)
+        monkeypatch.setattr(rouge_module, "index_tokens", counting_index)
         references = [f"the cat sat on mat {i} the cat" for i in range(k)]
         score_multi_reference("the cat sat on the mat", references)
         assert len(built) == 1  # the candidate's bigrams, whatever k is
+        assert indexed == [tokenize("the cat sat on the mat")]  # the candidate, once
 
 
 # Examples of a candidate and one to three references over four letters: F1 ties are common.
@@ -266,6 +272,36 @@ class TestEvaluateRelations:
                 for stat in ("precision", "recall", "f1"):
                     values = [getattr(row[metric], stat) for row in report.per_example]
                     assert getattr(report.means[metric], stat) == pairwise_mean(values)
+
+
+# A candidate and one to three references as ids below 6, and two injective
+# renderings of those ids as words that the tokenizer keeps as they are.
+_ID_LISTS = st.lists(st.integers(0, 5), max_size=30)
+_VOCABS = st.lists(st.text(alphabet="abcdefgh", min_size=1, max_size=4), min_size=6, max_size=6, unique=True)
+
+
+class TestRelabeling:
+    """Scores depend on token equality only: renaming every token through one
+    injective map leaves each metric unchanged."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        candidate=_ID_LISTS,
+        references=st.lists(_ID_LISTS, min_size=1, max_size=3),
+        first=_VOCABS,
+        second=_VOCABS,
+    )
+    def test_renaming_tokens_keeps_every_score(self, candidate, references, first, second):
+        def render(ids, words):
+            text = " ".join(words[i] for i in ids)
+            assert tokenize(text) == [words[i] for i in ids]
+            return text
+
+        scores = [
+            score_multi_reference(render(candidate, words), [render(r, words) for r in references])
+            for words in (first, second)
+        ]
+        assert scores[0] == scores[1]
 
 
 class TestEvaluateRun:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from operator import mul
 
@@ -90,7 +90,8 @@ def pearson(xs, ys) -> float:
 
 @dataclass(frozen=True)
 class CorpusStats:
-    """Means over a triplet corpus, in the report's column order."""
+    """Means over a triplet corpus, in the report's column order: each field
+    is a report column, named without its ``mean_`` prefix."""
 
     count: int
     mean_len_doc: float
@@ -105,27 +106,10 @@ class CorpusStats:
     pearson_len_query_vs_sum: float | None
 
     def to_record(self) -> dict:
-        return {
-            "count": self.count,
-            "len_doc": self.mean_len_doc,
-            "len_query": self.mean_len_query,
-            "len_sum": self.mean_len_sum,
-            "ntp_sum_doc": self.ntp_sum_doc,
-            "ntp_query_doc": self.ntp_query_doc,
-            "ntp_doc_sum": self.ntp_doc_sum,
-            "ntp_doc_query": self.ntp_doc_query,
-            "ntp_query_sum": self.ntp_query_sum,
-            "ntp_sum_query": self.ntp_sum_query,
-            "pearson_len_query_vs_sum": self.pearson_len_query_vs_sum,
-        }
+        return dict(zip(_KEYS, astuple(self)))
 
 
-# The per-triplet columns, in report order: a bad triplet fails on the first NTP column.
-_COLUMNS = (
-    "len_doc", "len_query", "len_sum",
-    "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
-    "ntp_doc_query", "ntp_query_sum", "ntp_sum_query",
-)
+_KEYS = tuple(f.name.removeprefix("mean_") for f in fields(CorpusStats))
 
 
 def corpus_stats(
@@ -166,6 +150,7 @@ def corpus_stats(
         sum_doc = doc_counts.keys() & sum_counts.keys()
         query_doc = doc_counts.keys() & query_counts.keys()
         query_sum = query_counts.keys() & sum_counts.keys()
+        # the per-triplet columns, in field order: a bad triplet fails on the first NTP column
         rows.append((
             len(doc_tokens), len(query_tokens), len(sum_tokens),
             _ntp(*summary, sum_doc, ntp_numerator),
@@ -175,45 +160,19 @@ def corpus_stats(
             _ntp(*query, query_sum, ntp_numerator),
             _ntp(*summary, query_sum, ntp_numerator),
         ))
-    columns = dict(zip(_COLUMNS, zip(*rows)))
-
-    means = {name: pairwise_mean(values) for name, values in columns.items()}
-    try:
-        correlation = (
-            pearson(columns["len_query"], columns["len_sum"])
-            if len(triplets) >= 2
-            else None
-        )
+    columns = list(zip(*rows))
+    try:  # columns 1 and 2 are the query and summary lengths
+        correlation = pearson(columns[1], columns[2]) if len(triplets) >= 2 else None
     except StatsError:
         correlation = None
-    return CorpusStats(
-        count=len(triplets),
-        mean_len_doc=means["len_doc"],
-        mean_len_query=means["len_query"],
-        mean_len_sum=means["len_sum"],
-        ntp_sum_doc=means["ntp_sum_doc"],
-        ntp_query_doc=means["ntp_query_doc"],
-        ntp_doc_sum=means["ntp_doc_sum"],
-        ntp_doc_query=means["ntp_doc_query"],
-        ntp_query_sum=means["ntp_query_sum"],
-        ntp_sum_query=means["ntp_sum_query"],
-        pearson_len_query_vs_sum=correlation,
-    )
+    return CorpusStats(len(triplets), *map(pairwise_mean, columns), correlation)
 
 
 def format_stats_table(rows: dict[str, CorpusStats]) -> str:
-    headers = [
-        "row", "count", "len_doc", "len_query", "len_sum",
-        "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
-        "ntp_doc_query", "ntp_query_sum", "ntp_sum_query", "pearson",
-    ]
-    lines = ["\t".join(headers)]
+    lines = ["\t".join(["row", *_KEYS[:-1], "pearson"])]
     for label, stats in rows.items():
-        record = stats.to_record()
-        cells = [label, str(record["count"])]
-        for key in headers[2:-1]:
-            cells.append(f"{record[key]:.2f}")
-        corr = record["pearson_len_query_vs_sum"]
+        count, *means, corr = astuple(stats)
+        cells = [label, str(count), *(f"{mean:.2f}" for mean in means)]
         cells.append("-" if corr is None else f"{corr:.4f}")
         lines.append("\t".join(cells))
     return "\n".join(lines)

@@ -77,6 +77,10 @@ class TaxonomyError(QfsError, ValueError):
     pass
 
 
+# How far the bucket percentages may sum from 100.
+_TOTAL_TOLERANCE = 1e-6
+
+
 def _head_token(query: str) -> str | None:
     head = first_token(query)
     if head is None:
@@ -109,14 +113,11 @@ class QueryTypeDistribution:
 
     @classmethod
     def from_percentages(
-        cls,
-        percentages: dict[QueryType, float],
-        sample_count: int = 0,
-        tolerance: float = 1e-6,
+        cls, percentages: dict[QueryType, float], sample_count: int = 0
     ) -> "QueryTypeDistribution":
         filled = {qt: float(percentages.get(qt, 0.0)) for qt in QueryType}
         total = sum(filled.values())
-        if abs(total - 100.0) > tolerance:
+        if abs(total - 100.0) > _TOTAL_TOLERANCE:
             raise TaxonomyError(f"bucket percentages sum to {total}, expected 100")
         return cls(
             percentages=filled,
@@ -138,13 +139,14 @@ def aggregate_distribution(types: list[QueryType]) -> QueryTypeDistribution:
     if not types:
         raise TaxonomyError("cannot aggregate an empty classification list")
     counts = {qt: 0 for qt in QueryType}
-    for qt in types:
-        counts[QueryType(qt)] += 1
+    try:
+        for qt in types:
+            counts[QueryType(qt)] += 1
+    except ValueError:
+        raise TaxonomyError(f"unknown query type {qt!r}") from None
     total = len(types)
     percentages = {qt: 100.0 * counts[qt] / total for qt in QueryType}
-    return QueryTypeDistribution.from_percentages(
-        percentages, sample_count=total, tolerance=1e-6
-    )
+    return QueryTypeDistribution.from_percentages(percentages, sample_count=total)
 
 
 def format_distribution_table(rows: dict[str, QueryTypeDistribution]) -> str:

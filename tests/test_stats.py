@@ -317,6 +317,63 @@ def test_corpus_stats_tokenizes_each_text_once(monkeypatch, numerator):
     assert len(calls) == 3 * len(triplets)
 
 
+def _former_to_record(self):
+    """The former ``CorpusStats.to_record`` body, one key per line."""
+    return {
+        "count": self.count,
+        "len_doc": self.mean_len_doc,
+        "len_query": self.mean_len_query,
+        "len_sum": self.mean_len_sum,
+        "ntp_sum_doc": self.ntp_sum_doc,
+        "ntp_query_doc": self.ntp_query_doc,
+        "ntp_doc_sum": self.ntp_doc_sum,
+        "ntp_doc_query": self.ntp_doc_query,
+        "ntp_query_sum": self.ntp_query_sum,
+        "ntp_sum_query": self.ntp_sum_query,
+        "pearson_len_query_vs_sum": self.pearson_len_query_vs_sum,
+    }
+
+
+def _former_format_stats_table(rows):
+    """The former ``format_stats_table`` body, with its own header list."""
+    headers = [
+        "row", "count", "len_doc", "len_query", "len_sum",
+        "ntp_sum_doc", "ntp_query_doc", "ntp_doc_sum",
+        "ntp_doc_query", "ntp_query_sum", "ntp_sum_query", "pearson",
+    ]
+    lines = ["\t".join(headers)]
+    for label, stats in rows.items():
+        record = _former_to_record(stats)
+        cells = [label, str(record["count"])]
+        for key in headers[2:-1]:
+            cells.append(f"{record[key]:.2f}")
+        corr = record["pearson_len_query_vs_sum"]
+        cells.append("-" if corr is None else f"{corr:.4f}")
+        lines.append("\t".join(cells))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n_triplets", [4, 1])
+def test_report_columns_equal_the_former_lists(n_triplets):
+    triplets = [
+        make_triplet(
+            id=f"t{i}",
+            document=f"Doc {i} holds {'many ' * i}words, and more words.",
+            summary="Words are held.\nMore follow." if i % 2 else "Words are held.",
+            queries=("What is held?", "What follows?")[:1 + i % 2],
+            query_types=("what", "what")[:1 + i % 2],
+        )
+        for i in range(n_triplets)
+    ]
+    stats = corpus_stats(triplets)
+    # four triplets of two lengths correlate; one triplet has no correlation
+    assert (stats.pearson_len_query_vs_sum is None) == (n_triplets == 1)
+    assert list(stats.to_record().items()) == list(_former_to_record(stats).items())
+    rows = {"corpus": stats, "again": stats}
+    assert format_stats_table(rows) == _former_format_stats_table(rows)
+    assert format_stats_table({}) == _former_format_stats_table({})
+
+
 class TestCorpusStats:
     def test_degenerate_single_triplet(self):
         triplet = make_triplet(

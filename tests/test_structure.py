@@ -18,7 +18,9 @@ Each run option is written once: the config reader takes every key, type
 and default from the dataclass field, a command-line flag that names a key
 reaches a subcommand only through the config, and the mock backend reads
 the prompt labels from the prompt and the summarization input by the
-template pieces in ``prompts.py`` rather than keeping its own copy. ``prompts.py`` owns every
+template pieces in ``prompts.py`` rather than keeping its own copy. The
+stats report's columns are the ``CorpusStats`` fields, so ``stats.py``
+names no column in a string. ``prompts.py`` owns every
 prompt and completion format, so no stage module imports another but
 annotate, which classifies the queries it writes.
 The completion backend is the one ``Protocol``, so a new extension point
@@ -172,6 +174,15 @@ def test_no_stage_module_imports_another():
 
 def test_config_reads_no_key_by_literal_name():
     assert not re.search(r"_typed\([^,()]+,\s*[\"']", SOURCES["config.py"])
+
+
+def test_stats_names_no_report_column_in_a_string():
+    # the CorpusStats fields are the one list of the report's columns
+    literals = [
+        node.value for node in ast.walk(ast.parse(SOURCES["stats.py"]))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    ]
+    assert [value for value in literals if re.search(r"\b(len|ntp)_", value)] == []
 
 
 def test_no_command_reads_a_config_flag_from_args():

@@ -132,8 +132,12 @@ class TestAggregateDistribution:
         with pytest.raises(TaxonomyError):
             aggregate_distribution([])
 
+    def test_unknown_type_errors_with_its_name(self):
+        with pytest.raises(TaxonomyError, match="unknown query type 'nope'"):
+            aggregate_distribution(["what", "nope"])
+
     def test_cnn_dm_wh_row_aggregates(self):
-        dist = QueryTypeDistribution.from_percentages(CNN_DM_WH_ROW, tolerance=1e-6)
+        dist = QueryTypeDistribution.from_percentages(CNN_DM_WH_ROW)
         assert dist.wh_aggregate == pytest.approx(99.61, abs=0.01)
         assert dist.yes_no_aggregate == pytest.approx(0.29, abs=0.01)
 

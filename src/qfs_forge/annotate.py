@@ -144,25 +144,13 @@ def annotate_corpus(
     spec: PromptSpec,
     backend: CompletionBackend,
     parallelism: int = 1,
-    retries: int = 2,
-    params: CompletionParams = QUERY_GEN_PARAMS,
-    max_document_tokens: int = DEFAULT_MAX_DOCUMENT_TOKENS,
-    failure_action: str = "drop",
+    **options,
 ) -> list[AnnotationOutcome]:
-    """Annotate pairs with bounded parallelism; results come back in input order."""
-
-    def work(pair: DocumentSummaryPair) -> AnnotationOutcome:
-        return annotate_pair(
-            pair,
-            spec,
-            backend,
-            retries=retries,
-            params=params,
-            max_document_tokens=max_document_tokens,
-            failure_action=failure_action,
-        )
-
-    outcomes = map_ordered(work, pairs, parallelism)
+    """``annotate_pair`` over pairs with bounded parallelism, in input order;
+    ``options`` are its keyword options (``retries``, ``params``, ...)."""
+    outcomes = map_ordered(
+        lambda pair: annotate_pair(pair, spec, backend, **options), pairs, parallelism
+    )
     log.info("annotated %s", describe_outcomes(outcomes))
     return outcomes
 

@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 from contextlib import closing
+from dataclasses import asdict
 
 from .backends import map_ordered
 from .config import _PATH_KEYS, ConfigError, RunConfig, load_config
@@ -165,17 +166,13 @@ def cmd_compose(config: RunConfig, args: argparse.Namespace, paths: dict[str, st
             on_overflow=config.on_overflow,
             parallelism=config.parallelism,
         )
-        results = []
-        for cluster in clusters:
-            result = compose_cluster(cluster["documents"], cluster["query"], cfg)
-            results.append(
-                {
-                    "cluster_id": cluster["cluster_id"],
-                    "summary": result.summary,
-                    "selected_doc_indices": list(result.selected_doc_indices),
-                    "truncated": result.truncated,
-                }
-            )
+        results = [
+            {
+                "cluster_id": cluster["cluster_id"],
+                **asdict(compose_cluster(cluster["documents"], cluster["query"], cfg)),
+            }
+            for cluster in clusters
+        ]
     write_jsonl(paths["output"], results)
     print(f"composed {len(results)} clusters -> {paths['output']}")
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Callable, NamedTuple
 
 DOMAINS = ("news", "dialogue")
@@ -355,22 +355,13 @@ def load_corpus(path: str) -> list[DocumentSummaryPair]:
 
 
 def triplet_to_record(triplet: AnnotatedTriplet) -> dict:
-    return {
-        "id": triplet.id,
-        "document": triplet.document,
-        "summary": triplet.summary,
-        "queries": list(triplet.queries),
-        "mode": triplet.mode,
-        "query_types": list(triplet.query_types),
-    }
+    """The triplet's fields by name, in field order; its tuples write as JSON lists."""
+    return {f.name: getattr(triplet, f.name) for f in dataclass_fields(triplet)}
 
 
 def write_triplets(triplets: list[AnnotatedTriplet], path: str) -> None:
     """Write one JSON record per triplet."""
-    try:
-        write_jsonl(path, (triplet_to_record(triplet) for triplet in triplets))
-    except OSError as exc:
-        raise CorpusError(f"cannot write triplets to {path}: {exc}") from exc
+    write_jsonl(path, map(triplet_to_record, triplets))
 
 
 _TRIPLET_FIELDS = {

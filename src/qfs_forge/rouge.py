@@ -61,7 +61,7 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     """Clipped n-gram overlap score for n in {1, 2}."""
     if n not in (1, 2):
         raise RougeError(f"rouge_n supports n in {{1, 2}}, got {n}")
-    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))[f"rouge{n}"]
+    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))[METRICS[n - 1]]
 
 
 def _rouge_n(matches: int, cand_len: int, ref_len: int, n: int) -> RougeScore:
@@ -70,18 +70,16 @@ def _rouge_n(matches: int, cand_len: int, ref_len: int, n: int) -> RougeScore:
 
 def rouge_l(candidate: str, reference: str) -> RougeScore:
     """Longest-common-subsequence score over token sequences."""
-    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))["rougeL"]
+    return _scores(_Candidate(tokenize(candidate)), tokenize(reference))[METRICS[2]]
 
 
 def _scores(cand: _Candidate, ref: list[str]) -> dict[str, RougeScore]:
+    """ROUGE-1, ROUGE-2 and ROUGE-L, keyed by ``METRICS``."""
     ref_ids = list(map(cand.ids.get, ref))  # None where the candidate lacks the token
     matches1, matches2 = clipped_id_matches(cand.unigrams, cand.bigrams, len(cand.masks), ref_ids)
     m, n = cand.length, len(ref)
-    return {
-        "rouge1": _rouge_n(matches1, m, n, 1),
-        "rouge2": _rouge_n(matches2, m, n, 2),
-        "rougeL": RougeScore.from_counts(lcs_of_ids(cand.masks, m, ref_ids), m, n),
-    }
+    lcs = RougeScore.from_counts(lcs_of_ids(cand.masks, m, ref_ids), m, n)
+    return dict(zip(METRICS, (_rouge_n(matches1, m, n, 1), _rouge_n(matches2, m, n, 2), lcs)))
 
 
 def score_multi_reference(candidate: str, references: list[str]) -> dict[str, RougeScore]:
@@ -104,32 +102,22 @@ class EvalReport:
     means: dict[str, RougeScore]
 
     def to_records(self) -> list[dict]:
-        records = []
-        for row in self.per_example:
-            record = {"id": row["id"]}
-            for metric in METRICS:
-                record[metric] = row[metric].to_record()
-            records.append(record)
-        records.append(
-            {"id": _MEAN_ID, **{m: self.means[m].to_record() for m in METRICS}}
-        )
-        return records
+        """One record per example, then the mean row, id ``"__mean__"``."""
+        rows = [*self.per_example, {"id": _MEAN_ID, **self.means}]
+        return [{"id": row["id"], **{m: row[m].to_record() for m in METRICS}} for row in rows]
 
     def format_table(self, recall_only: bool = False) -> str:
+        """``to_records()`` as tab-separated F1 (or recall) columns; the mean row reads ``mean``."""
         column = "r" if recall_only else "f1"
-        lines = ["id\trouge1\trouge2\trougeL"]
-        for row in self.per_example:
-            cells = [row["id"]]
-            cells += [f"{row[m].to_record()[column]:.4f}" for m in METRICS]
-            lines.append("\t".join(cells))
-        mean_cells = ["mean"]
-        mean_cells += [f"{self.means[m].to_record()[column]:.4f}" for m in METRICS]
-        lines.append("\t".join(mean_cells))
-        return "\n".join(lines)
+        records = self.to_records()
+        records[-1]["id"] = "mean"
+        lines = [("id", *METRICS)]
+        lines += [(r["id"], *(f"{r[m][column]:.4f}" for m in METRICS)) for r in records]
+        return "\n".join(map("\t".join, lines))
 
 
-def _load_id_text_records(path: str) -> list[tuple[str, str]]:
-    return read_records(path, {"id": STRING, "text": STRING}, lambda id, text: (id, text))
+def _load_id_text_records(path: str, unique: str | None = None) -> list[tuple[str, str]]:
+    return read_records(path, {"id": STRING, "text": STRING}, lambda id, text: (id, text), unique)
 
 
 def evaluate_run(predictions: str, references: str) -> EvalReport:
@@ -139,15 +127,12 @@ def evaluate_run(predictions: str, references: str) -> EvalReport:
     score per metric is taken. Prediction ids must be unique and must not be
     ``"__mean__"``, and the two id sets must coincide.
     """
-    pred_records = _load_id_text_records(predictions)
+    pred_records = _load_id_text_records(predictions, unique="id")
     ref_records = _load_id_text_records(references)
     if not pred_records:
         raise RougeError(f"{predictions}: prediction file has no records")
 
     pred_ids = [rid for rid, _ in pred_records]
-    duplicate_preds = sorted(rid for rid, count in Counter(pred_ids).items() if count > 1)
-    if duplicate_preds:
-        raise RougeError(f"duplicate prediction ids: {duplicate_preds}")
     if _MEAN_ID in pred_ids:
         raise RougeError(f"prediction id {_MEAN_ID!r} is reserved for the mean row")
 

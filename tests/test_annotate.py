@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -52,6 +54,19 @@ class FailingBackend:
 
     def complete(self, prompt, params):
         raise BackendError("no backend today")
+
+
+class OneQuestionBackend:
+    """Answers every prompt with one numbered question, and keeps the prompts."""
+
+    name = "one-question"
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt, params):
+        self.prompts.append(prompt)
+        return "1. What is told?"
 
 
 class TestParseCompletion:
@@ -265,6 +280,24 @@ class TestAnnotateCorpus:
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):
             annotate_corpus([], default_spec("news", "wh"), MockBackend(), parallelism=0)
+
+    def test_passes_annotate_pairs_options_through(self):
+        # one summary sentence of two answered: retries=0 repairs at once, and
+        # max_document_tokens=10 cuts each prompt's document before "ending too"
+        pairs = [replace(p, document="Words " + p.document) for p in self.make_pairs(4)]
+        spec = default_spec("news", "wh")
+        options = dict(retries=0, failure_action="repair", max_document_tokens=10)
+        corpus_backend, pair_backend = OneQuestionBackend(), OneQuestionBackend()
+        outcomes = annotate_corpus(pairs, spec, corpus_backend, **options)
+        assert outcomes == [annotate_pair(p, spec, pair_backend, **options) for p in pairs]
+        assert corpus_backend.prompts == pair_backend.prompts
+        assert [(o.status, o.attempts) for o in outcomes] == [(STATUS_OK, 1)] * 4
+        assert [p for p in corpus_backend.prompts if "ending too" in p] == []
+
+    def test_misspelled_option_is_a_type_error(self):
+        pairs = self.make_pairs(2)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'retry'"):
+            annotate_corpus(pairs, default_spec("news", "wh"), MockBackend(seed=1), retry=0)
 
 
 class TestQfsInput:

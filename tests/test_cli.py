@@ -8,12 +8,14 @@ from dataclasses import FrozenInstanceError, dataclass, fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfs_forge.compose as compose_module
 import qfs_forge.config as config_module
 from qfs_forge.backends import CompletionParams, MockBackend
 from qfs_forge.cli import _CONFIG_FLAGS, main
-from qfs_forge.compose import ComposeError
+from qfs_forge.compose import ComposeError, ComposeResult
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
 from qfs_forge.taxonomy import YES_NO_TYPES
 from qfs_forge.tokenizer import tokenize
@@ -302,6 +304,20 @@ def test_repeated_parallel_runs_write_the_serial_bytes(tmp_path):
     assert threading.active_count() <= threads  # no run after the first starts a thread
 
 
+def _former_compose_record(cluster_id: str, result: ComposeResult) -> dict:
+    return {
+        "cluster_id": cluster_id,
+        "summary": result.summary,
+        "selected_doc_indices": list(result.selected_doc_indices),
+        "truncated": result.truncated,
+    }
+
+
+_COMPOSE_RESULTS = st.builds(
+    ComposeResult, st.text(), st.lists(st.integers(0, 9)).map(tuple), st.booleans()
+)
+
+
 class TestPipelineCommands:
     @pytest.fixture
     def triplets(self, tmp_path, corpus, mock_config):
@@ -420,6 +436,30 @@ class TestPipelineCommands:
         assert len(tokenize(record["summary"])) <= 10
         assert set(record) == {"cluster_id", "summary", "selected_doc_indices", "truncated"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_compose_record_is_the_former_body(self, tmp_path_factory, ids, data):
+        # each cluster's record is its id and its result's fields, as the record that spelled them out
+        results = [data.draw(_COMPOSE_RESULTS) for _ in ids]
+        directory = tmp_path_factory.mktemp("compose")
+        config = write_jsonl(directory / "config.json", [{"backend": {"kind": "mock"}}])
+        clusters = write_jsonl(
+            directory / "c.jsonl",
+            [{"cluster_id": i, "query": "snow", "documents": ["Snow fell."]} for i in ids],
+        )
+        out = directory / "o.jsonl"
+        given_results = iter(results)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compose_module, "compose_cluster", lambda *args: next(given_results))
+            assert run(["--config", config, "compose", "--input", clusters, "--output", str(out)]) == 0
+        expected = [_former_compose_record(i, result) for i, result in zip(ids, results)]
+        assert out.read_text(encoding="utf-8") == "".join(
+            json.dumps(record, ensure_ascii=False) + "\n" for record in expected
+        )
+
     def test_evaluate_identity_means_one(self, tmp_path, mock_config, capsys):
         records = [{"id": "x", "text": "the cat sat"}, {"id": "y", "text": "dogs bark loud"}]
         preds = write_jsonl(tmp_path / "p.jsonl", records)
@@ -484,6 +524,17 @@ class TestMalformedRecords:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{path}:2: duplicate {key} {record[key]!r}" in err
+        assert not out.exists()
+
+    def test_repeated_prediction_id(self, tmp_path, mock_config, capsys):
+        # prediction ids are checked by the same reader as every other unique id
+        record = {"id": "a", "text": "Snow fell."}
+        preds = write_jsonl(tmp_path / "p.jsonl", [record, record])
+        refs = write_jsonl(tmp_path / "r.jsonl", [record])
+        out = tmp_path / "out.jsonl"
+        argv = ["evaluate", "--predictions", preds, "--references", refs, "--output", str(out)]
+        assert run(["--config", mock_config, *argv]) == 2
+        assert capsys.readouterr().err == f"error: {preds}:2: duplicate id 'a'\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1213,10 +1264,15 @@ class TestCliPlumbing:
         assert "error: backend.kind must be mock or live" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    @pytest.mark.parametrize("command", ["annotate", "stats", "evaluate"])
     def test_unwritable_output_names_the_output_path(self, tmp_path, mock_config, capsys, command):
         out = tmp_path / "missing_dir" / "out.jsonl"
-        if command == "stats":
+        audit = tmp_path / "audit.jsonl"
+        if command == "annotate":
+            # the audit is written first, so it is this run's even though the triplets fail
+            audit.write_text("stale\n")
+            inputs = ["--input", SAMPLE_PAIRS, "--audit", str(audit)]
+        elif command == "stats":
             inputs = ["--input", str(GOLDEN_CLI / "triplets.jsonl")]
         else:
             inputs = ["--predictions", str(SAMPLE / "predictions.jsonl"),
@@ -1225,6 +1281,12 @@ class TestCliPlumbing:
         err = capsys.readouterr().err
         assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
         assert list(tmp_path.rglob("*.tmp")) == []
+        if command == "annotate":
+            written = tmp_path / "written"
+            written.mkdir()
+            argv = [*inputs[:-1], str(written / "audit.jsonl"), "--output", str(written / "t.jsonl")]
+            assert run(["--config", mock_config, command, *argv]) == 0
+            assert audit.read_bytes() == (written / "audit.jsonl").read_bytes()
 
     def test_inputs_never_mutated(self, tmp_path, corpus, mock_config):
         before = Path(corpus).read_bytes()

@@ -2,10 +2,11 @@ import json
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfs_forge.corpus import (
+    MODES,
     AnnotatedTriplet,
     CorpusError,
     DocumentSummaryPair,
@@ -227,9 +228,43 @@ class TestJsonl:
         assert path.read_bytes() == b'{"old": true}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["w.jsonl"]
 
-    def test_unwritable_triplet_path_is_corpus_error(self, tmp_path):
-        with pytest.raises(CorpusError, match="cannot write triplets"):
-            write_triplets([make_triplet()], str(tmp_path / "missing-dir" / "t.jsonl"))
+    def test_unwritable_triplet_path_is_os_error(self, tmp_path):
+        # write_jsonl's own OSError, naming the output path, as for every other output
+        path = str(tmp_path / "missing-dir" / "t.jsonl")
+        with pytest.raises(OSError) as excinfo:
+            write_triplets([make_triplet()], path)
+        assert not isinstance(excinfo.value, CorpusError)
+        assert str(excinfo.value) == f"[Errno 2] No such file or directory: {path!r}"
+
+
+def _former_triplet_to_record(triplet: AnnotatedTriplet) -> dict:
+    return {
+        "id": triplet.id,
+        "document": triplet.document,
+        "summary": triplet.summary,
+        "queries": list(triplet.queries),
+        "mode": triplet.mode,
+        "query_types": list(triplet.query_types),
+    }
+
+
+# words with JSON escapes and non-ASCII text; each heads one summary sentence and its query
+_RECORD_WORDS = st.text(alphabet='aé"\\\t', min_size=1, max_size=4)
+_TRIPLETS = st.builds(
+    lambda id, document, words, mode, typed: make_triplet(
+        id=id,
+        document=document + " alpha",
+        summary="\n".join(f"{word} happened." for word in words),
+        queries=[f"What is {word}?" for word in words],
+        mode=mode,
+        query_types=("what",) * len(words) if typed else (),
+    ),
+    id=st.text(alphabet="t1é ", min_size=1, max_size=4).filter(str.strip),
+    document=st.text(max_size=12),
+    words=st.lists(_RECORD_WORDS, min_size=1, max_size=4),
+    mode=st.sampled_from(MODES),
+    typed=st.booleans(),
+)
 
 
 class TestTripletRoundTrip:
@@ -304,6 +339,13 @@ class TestTripletRoundTrip:
         write_triplets([make_triplet()], str(path))
         record = json.loads(path.read_text())
         assert list(record) == ["id", "document", "summary", "queries", "mode", "query_types"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(triplet=_TRIPLETS)
+    def test_record_is_the_former_body(self, triplet):
+        # the same JSON text, key by key, as the record that spelled each field out
+        record = json.dumps(triplet_to_record(triplet), ensure_ascii=False)
+        assert record == json.dumps(_former_triplet_to_record(triplet), ensure_ascii=False)
 
 
 class TestTripletFromPair:

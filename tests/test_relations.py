@@ -2,9 +2,11 @@
 
 Each property runs the code on a generated input and on a transformed copy,
 and compares the two outputs with each other, so none needs an oracle of what
-either output must be.
+either output must be. The CLI relations run the shipped commands on the
+generated mock backend, whose completion depends only on the prompt and seed.
 """
 
+import json
 import random
 
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from qfs_forge.cli import main
 from qfs_forge.compose import _scores, rank_documents
 from qfs_forge.corpus import MODES, write_triplets
 
-from conftest import make_triplet, read_jsonl
+from conftest import make_triplet, read_jsonl, write_jsonl
 
 # Short words over few letters: a document repeats some and holds many types.
 _WORDS = st.text(alphabet="abcdefg", min_size=1, max_size=2)
@@ -91,3 +93,76 @@ def test_shuffling_triplets_leaves_the_classify_rows(tmp_path_factory, records, 
     assert _classify_rows(tmp_path_factory.mktemp("shuffled"), shuffled) == _classify_rows(
         tmp_path_factory.mktemp("given"), triplets
     )
+
+
+# Pairs of one to three summary sentences, in either domain; clusters and unify
+# records from the same words. Ids are given by position.
+_SUMMARIES = st.lists(_QUERIES, min_size=1, max_size=3).map(lambda s: "\n".join(f"{t}." for t in s))
+_PAIRS = st.lists(
+    st.tuples(st.sampled_from(("news", "dialogue")), _TEXTS, _SUMMARIES), min_size=1, max_size=6
+).map(
+    lambda rows: [
+        {"id": f"p{i}", "document": document, "summary": summary, "domain": domain}
+        for i, (domain, document, summary) in enumerate(rows)
+    ]
+)
+_CLUSTER_RECORDS = st.lists(st.tuples(_QUERIES, _CLUSTERS), min_size=1, max_size=4).map(
+    lambda rows: [
+        {"cluster_id": f"c{i}", "query": query, "documents": documents}
+        for i, (query, documents) in enumerate(rows)
+    ]
+)
+_UNIFY_RECORDS = st.lists(st.tuples(_TEXTS, _QUERIES), min_size=1, max_size=4).map(
+    lambda rows: [
+        {"id": f"u{i}", "document": document, "query": query}
+        for i, (document, query) in enumerate(rows)
+    ]
+)
+# each command's extra flags and the files it writes
+_COMMANDS = {
+    "annotate": ([], ("out.jsonl", "out.jsonl.failures.jsonl")),
+    "unify": (["--query-format", "words"], ("out.jsonl",)),
+    "compose": ([], ("out.jsonl",)),
+}
+
+
+def _run(directory, command, records, *flags):
+    """The lines of each output ``command`` writes for ``records`` on a seeded mock."""
+    config = write_jsonl(directory / "config.json", [{"backend": {"kind": "mock", "seed": 5}}])
+    inputs = write_jsonl(directory / "in.jsonl", records)
+    extra, outputs = _COMMANDS[command]
+    argv = ["--config", config, *flags, command, "--input", inputs,
+            "--output", str(directory / "out.jsonl"), *extra]
+    assert main(argv) in (0, 1)  # annotate exits 1 above its failure ceiling
+    return [(directory / name).read_text(encoding="utf-8").splitlines() for name in outputs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(command=st.sampled_from(["annotate", "compose"]), data=st.data())
+def test_a_records_output_does_not_depend_on_the_other_records(tmp_path_factory, command, data):
+    key = "id" if command == "annotate" else "cluster_id"
+    records = _PAIRS if command == "annotate" else _CLUSTER_RECORDS
+    a = data.draw(records)
+    b = [{**record, key: "other-" + record[key]} for record in data.draw(records)]
+    ids = {record[key] for record in a}
+    alone = _run(tmp_path_factory.mktemp(command), command, a)
+    # out(A + B) and out(B + A), restricted to A, are out(A), line for line
+    for both in (a + b, b + a):
+        outputs = _run(tmp_path_factory.mktemp(command), command, both)
+        assert [[line for line in lines if json.loads(line)[key] in ids] for lines in outputs] == alone
+
+
+@settings(max_examples=10, deadline=None)
+@given(pairs=_PAIRS, records=_UNIFY_RECORDS, clusters=_CLUSTER_RECORDS)
+def test_parallelism_leaves_every_byte(tmp_path_factory, pairs, records, clusters):
+    inputs = {"annotate": pairs, "unify": records, "compose": clusters}
+    outputs = [
+        {
+            command: _run(tmp_path_factory.mktemp(command), command, inputs[command],
+                          "--parallelism", str(parallelism))
+            for command in _COMMANDS
+        }
+        for parallelism in (1, 2, 4)
+    ]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]

@@ -1,9 +1,10 @@
+import json
 import random
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfs_forge.rouge as rouge_module
@@ -11,6 +12,7 @@ from qfs_forge._kernels import index_tokens, pairwise_mean
 from qfs_forge.corpus import CorpusError
 from qfs_forge.rouge import (
     METRICS,
+    EvalReport,
     RougeError,
     RougeScore,
     evaluate_run,
@@ -381,8 +383,9 @@ class TestEvaluateRun:
     def test_duplicate_prediction_ids_rejected(self, tmp_path):
         preds = write_jsonl(tmp_path / "p.jsonl", [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])
         refs = write_jsonl(tmp_path / "r.jsonl", [{"id": "a", "text": "x"}])
-        with pytest.raises(RougeError, match="duplicate"):
+        with pytest.raises(CorpusError) as excinfo:
             evaluate_run(preds, refs)
+        assert str(excinfo.value) == f"{preds}:2: duplicate id 'a'"
 
     def test_duplicate_check_on_large_file_names_only_the_repeat(self, tmp_path):
         # 30k ids: a list.count scan per id is quadratic and takes seconds at this size.
@@ -390,9 +393,9 @@ class TestEvaluateRun:
         records.append({"id": "r12345", "text": "w"})
         preds = write_jsonl(tmp_path / "p.jsonl", records)
         refs = write_jsonl(tmp_path / "r.jsonl", records[:-1])
-        with pytest.raises(RougeError) as excinfo:
+        with pytest.raises(CorpusError) as excinfo:
             evaluate_run(preds, refs)
-        assert str(excinfo.value) == "duplicate prediction ids: ['r12345']"
+        assert str(excinfo.value) == f"{preds}:30001: duplicate id 'r12345'"
 
     def test_mean_row_id_rejected_as_prediction_id(self, tmp_path):
         # the report ends with a row of this id, so a prediction of it would write two
@@ -422,6 +425,65 @@ class TestEvaluateRun:
         assert recall_table.endswith("mean\t1.0000\t1.0000\t1.0000")
         records_out = report.to_records()
         assert records_out[-1]["id"] == "__mean__"
+
+
+def _former_to_records(report: EvalReport) -> list[dict]:
+    records = []
+    for row in report.per_example:
+        record = {"id": row["id"]}
+        for metric in METRICS:
+            record[metric] = row[metric].to_record()
+        records.append(record)
+    records.append(
+        {"id": "__mean__", **{m: report.means[m].to_record() for m in METRICS}}
+    )
+    return records
+
+
+def _former_format_table(report: EvalReport, recall_only: bool = False) -> str:
+    column = "r" if recall_only else "f1"
+    lines = ["id\trouge1\trouge2\trougeL"]
+    for row in report.per_example:
+        cells = [row["id"]]
+        cells += [f"{row[m].to_record()[column]:.4f}" for m in METRICS]
+        lines.append("\t".join(cells))
+    mean_cells = ["mean"]
+    mean_cells += [f"{report.means[m].to_record()[column]:.4f}" for m in METRICS]
+    lines.append("\t".join(mean_cells))
+    return "\n".join(lines)
+
+
+_SCORES = st.builds(RougeScore, st.floats(), st.floats(), st.floats(), st.booleans())
+_SCORE_ROWS = st.fixed_dictionaries({m: _SCORES for m in METRICS})
+_REPORTS = st.builds(
+    lambda ids, rows, means: EvalReport([{"id": i, **row} for i, row in zip(ids, rows)], means),
+    st.lists(st.one_of(st.sampled_from(["mean", "__mean__"]), st.text()), max_size=5),
+    st.lists(_SCORE_ROWS, min_size=5, max_size=5),
+    _SCORE_ROWS,
+)
+_MEAN_EXAMPLE = EvalReport(
+    [{"id": "mean", **{m: RougeScore(0.5, 0.25, 1 / 3) for m in METRICS}}],
+    {m: RougeScore(0.5, 0.25, 1 / 3) for m in METRICS},
+)
+
+
+class TestReportIsTheFormerBody:
+    """``to_records`` and ``format_table`` give what their former bodies,
+    which spelled out the mean row and the header, gave."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(report=_REPORTS)
+    @example(report=_MEAN_EXAMPLE)
+    def test_records(self, report):
+        # as JSON text: a NaN score is not equal to itself
+        assert json.dumps(report.to_records()) == json.dumps(_former_to_records(report))
+
+    @settings(max_examples=50, deadline=None)
+    @given(report=_REPORTS, recall_only=st.booleans())
+    @example(report=_MEAN_EXAMPLE, recall_only=False)
+    @example(report=_MEAN_EXAMPLE, recall_only=True)
+    def test_table(self, report, recall_only):
+        assert report.format_table(recall_only) == _former_format_table(report, recall_only)
 
 
 def test_thousand_random_pairs_match_oracles_exactly():

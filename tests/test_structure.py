@@ -20,7 +20,11 @@ reaches a subcommand only through the config, and the mock backend reads
 the prompt labels from the prompt and the summarization input by the
 template pieces in ``prompts.py`` rather than keeping its own copy. The
 stats report's columns are the ``CorpusStats`` fields, so ``stats.py``
-names no column in a string. ``prompts.py`` owns every
+names no column in a string. Likewise a compose record is its
+``ComposeResult``'s fields, ``rouge.py`` names its metrics only in
+``METRICS``, and ``annotate_pair`` alone names the annotate options. Every
+repeated id is refused by ``corpus.read_records``, and an unwritable output
+reaches the CLI as the ``OSError`` that ``write_jsonl`` raised. ``prompts.py`` owns every
 prompt and completion format, so no stage module imports another but
 annotate, which classifies the queries it writes.
 The completion backend is the one ``Protocol``, so a new extension point
@@ -176,13 +180,72 @@ def test_config_reads_no_key_by_literal_name():
     assert not re.search(r"_typed\([^,()]+,\s*[\"']", SOURCES["config.py"])
 
 
-def test_stats_names_no_report_column_in_a_string():
-    # the CorpusStats fields are the one list of the report's columns
-    literals = [
-        node.value for node in ast.walk(ast.parse(SOURCES["stats.py"]))
+def string_literals(tree: ast.AST) -> list[str]:
+    """Every string constant under ``tree``, f-string pieces included."""
+    return [
+        node.value for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     ]
+
+
+def test_stats_names_no_report_column_in_a_string():
+    # the CorpusStats fields are the one list of the report's columns
+    literals = string_literals(ast.parse(SOURCES["stats.py"]))
     assert [value for value in literals if re.search(r"\b(len|ntp)_", value)] == []
+
+
+def test_annotate_corpus_names_none_of_annotate_pairs_options():
+    # annotate_pair is the one home of retries, params, max_document_tokens and failure_action
+    from qfs_forge.annotate import annotate_corpus
+
+    assert list(inspect.signature(annotate_corpus).parameters) == [
+        "pairs", "spec", "backend", "parallelism", "options"
+    ]
+
+
+def test_rouge_spells_each_metric_name_only_in_metrics():
+    # the report's header, rows and score keys all read METRICS; "rouge" alone is an f-string's head
+    literals = string_literals(ast.parse(SOURCES["rouge.py"]))
+    names = [value for value in literals if re.search(r"rouge([12L]|$)", value)]
+    assert names == ["rouge1", "rouge2", "rougeL"]
+
+
+def test_no_module_spells_the_compose_result_fields():
+    # a compose record is its ComposeResult's fields
+    assert modules_matching(r"[\"']selected_doc_indices[\"']") == []
+
+
+def test_duplicate_ids_refused_only_in_corpus():
+    # read_records(..., unique=...) refuses every repeated id, naming path:line
+    raising = [
+        name
+        for name, source in SOURCES.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and any(re.search(r"(?i)duplicate", value) for value in string_literals(node))
+    ]
+    assert raising == ["corpus.py"]
+
+
+def test_no_module_rewraps_the_writers_os_error():
+    # write_jsonl raises OSError naming the output path, and the CLI prints it as it is
+    writers = {"write_jsonl", "write_triplets"}
+    rewrapped = []
+    for name, source in SOURCES.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Try):
+                continue
+            calls = {
+                call.func.id for statement in node.body for call in ast.walk(statement)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            }
+            caught = {
+                n.id for handler in node.handlers if handler.type is not None
+                for n in ast.walk(handler.type) if isinstance(n, ast.Name)
+            }
+            if calls & writers and caught & {"OSError", "IOError", "EnvironmentError", "Exception"}:
+                rewrapped.append(name)
+    assert rewrapped == []
 
 
 def test_no_command_reads_a_config_flag_from_args():
@@ -228,7 +291,7 @@ def test_run_config_defaults_are_the_library_defaults():
     ours = {field.name: field.default for field in dataclasses.fields(RunConfig)}
     library = [
         (parameters(annotate_pair), ("retries", "max_document_tokens", "failure_action")),
-        (parameters(annotate_corpus), ("parallelism", "retries")),
+        (parameters(annotate_corpus), ("parallelism",)),  # the rest are annotate_pair's
         (
             {field.name: field.default for field in dataclasses.fields(CompositionConfig)},
             ("overlap_threshold", "token_budget", "on_overflow", "parallelism"),

@@ -8,6 +8,7 @@ completion for audit.
 
 from __future__ import annotations
 
+import inspect
 import logging
 from collections import Counter
 from contextlib import suppress
@@ -92,10 +93,7 @@ def annotate_pair(
     failure_action: str = "drop",
 ) -> AnnotationOutcome:
     """Annotate one pair, retrying on parse mismatch or backend error."""
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if failure_action not in FAILURE_ACTIONS:
-        raise ValueError(f"failure_action must be 'drop' or 'repair', got {failure_action!r}")
+    _check_options(retries, max_document_tokens, failure_action)
     prompt_pair = pair
     truncated = truncate_document(pair.document, max_document_tokens)
     if truncated != pair.document:
@@ -127,6 +125,16 @@ def annotate_pair(
     return AnnotationOutcome(status=status, triplet=None, attempts=attempts, raw_completion=raw)
 
 
+def _check_options(retries: int, max_document_tokens: int, failure_action: str, **_) -> None:
+    """Raise ValueError for an ``annotate_pair`` option value it cannot use."""
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if max_document_tokens < 1:
+        raise ValueError("max_document_tokens must be >= 1")
+    if failure_action not in FAILURE_ACTIONS:
+        raise ValueError(f"failure_action must be 'drop' or 'repair', got {failure_action!r}")
+
+
 def _ok_outcome(
     pair: DocumentSummaryPair, mode: str, queries: list[str], attempts: int, raw: str
 ) -> AnnotationOutcome:
@@ -147,7 +155,14 @@ def annotate_corpus(
     **options,
 ) -> list[AnnotationOutcome]:
     """``annotate_pair`` over pairs with bounded parallelism, in input order;
-    ``options`` are its keyword options (``retries``, ``params``, ...)."""
+    ``options`` are its keyword options (``retries``, ``params``, ...).
+
+    Their names and values are checked against ``annotate_pair``'s signature
+    once, before any pair is annotated, so an empty list raises as any other.
+    """
+    options_with_defaults = inspect.signature(annotate_pair).bind(None, spec, backend, **options)
+    options_with_defaults.apply_defaults()
+    _check_options(**options_with_defaults.arguments)
     outcomes = map_ordered(
         lambda pair: annotate_pair(pair, spec, backend, **options), pairs, parallelism
     )

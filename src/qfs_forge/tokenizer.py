@@ -24,23 +24,48 @@ def _is_punct(ch: str) -> bool:
 _NON_PUNCT_ASCII = bytes(b for b in range(128) if not _is_punct(chr(b)))
 
 
+@lru_cache(maxsize=4096)
+def _is_punct_or_cased(ch: str) -> bool:
+    """Whether ``ch`` is punctuation or changes under ``str.lower``."""
+    return _is_punct(ch) or ch.lower() != ch
+
+
+def _kept_characters(encoded: bytes) -> set[str]:
+    """The distinct punctuation and non-ASCII characters of a UTF-8 text.
+
+    One C-level byte pass drops the ASCII that is not punctuation
+    (``surrogatepass`` round-trips lone surrogates), so only the few distinct
+    characters left need testing one by one.
+    """
+    return set(encoded.translate(None, _NON_PUNCT_ASCII).decode("utf-8", "surrogatepass"))
+
+
 def _punctuation(text: str) -> str:
     """The punctuation characters that occur in ``text``, for ``str.strip``.
 
     Stripping a piece of ``text`` by this set strips exactly its leading and
-    trailing punctuation. One C-level byte pass drops the ASCII that is not
-    punctuation (``surrogatepass`` round-trips lone surrogates), so only the
-    few distinct characters left are tested one by one.
+    trailing punctuation.
     """
-    rest = text.encode("utf-8", "surrogatepass").translate(None, _NON_PUNCT_ASCII)
-    return "".join(filter(_is_punct, set(rest.decode("utf-8", "surrogatepass"))))
+    return "".join(filter(_is_punct, _kept_characters(text.encode("utf-8", "surrogatepass"))))
 
 
 def tokenize(text: str) -> list[str]:
-    """Split ``text`` into lowercase tokens; internal punctuation survives."""
-    text = text.lower()
+    """Split ``text`` into lowercase tokens; internal punctuation survives.
+
+    The one UTF-8 encoding of ``text`` serves both lowercasing and the
+    punctuation scan. Lowercasing neither adds nor removes a punctuation
+    character, so the punctuation found in ``text`` strips its lowercase.
+    """
+    encoded = text.encode("utf-8", "surrogatepass")
+    marks = "".join(filter(_is_punct_or_cased, _kept_characters(encoded)))
+    if marks.lower() == marks:
+        # No non-ASCII character changes case, so only ASCII A-Z can.
+        text = encoded.lower().decode("utf-8", "surrogatepass")
+        punct = marks
+    else:
+        text = text.lower()
+        punct = "".join(filter(_is_punct, marks))
     pieces = text.split()
-    punct = _punctuation(text)
     if not punct:
         return pieces
     return list(filter(None, map(str.strip, pieces, repeat(punct))))

@@ -269,6 +269,18 @@ class TestAnnotateCorpus:
     def test_empty_corpus(self):
         assert annotate_corpus([], default_spec("news", "wh"), MockBackend()) == []
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"retries": -1}, "retries must be >= 0"),
+            ({"max_document_tokens": 0}, "max_document_tokens must be >= 1"),
+            ({"failure_action": "Repair"}, "failure_action must be 'drop' or 'repair'"),
+        ],
+    )
+    def test_empty_corpus_checks_option_values(self, option, message):
+        with pytest.raises(ValueError, match=message):
+            annotate_corpus([], default_spec("news", "wh"), MockBackend(), **option)
+
     def test_summarize_outcomes_counts(self):
         pairs = self.make_pairs(3)
         spec = default_spec("news", "wh")
@@ -298,6 +310,10 @@ class TestAnnotateCorpus:
         pairs = self.make_pairs(2)
         with pytest.raises(TypeError, match="unexpected keyword argument 'retry'"):
             annotate_corpus(pairs, default_spec("news", "wh"), MockBackend(seed=1), retry=0)
+
+    def test_misspelled_option_is_a_type_error_on_an_empty_list(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'retry'"):
+            annotate_corpus([], default_spec("news", "wh"), MockBackend(seed=1), retry=0)
 
 
 class TestQfsInput:

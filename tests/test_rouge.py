@@ -98,6 +98,7 @@ class TestRougeN:
 
     def test_single_token_has_no_bigrams(self):
         assert rouge_n("one", "one", 2).empty_input
+        assert rouge_n("a b", "a", 2).empty_input  # the reference side alone
 
     def test_a_token_the_candidate_lacks_breaks_the_bigram(self):
         assert rouge_n("a b", "a x b", 2) == RougeScore(0.0, 0.0, 0.0)

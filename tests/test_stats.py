@@ -99,6 +99,10 @@ class TestPearson:
     def test_one_constant_side_returns_zero(self):
         assert pearson([5, 5, 5], [1, 2, 3]) == 0.0
 
+    def test_zero_covariance_is_positive_zero(self):
+        # the stats JSONL would write a negative zero as -0.0
+        assert math.copysign(1.0, pearson([1, 2, 3], [1, 0, 1])) == 1.0
+
     @given(st.lists(st.integers(-1000, 1000), min_size=2, max_size=20, unique=True))
     def test_affine_transform_gives_unit_correlation(self, xs):
         ys = [2.5 * x + 1.0 for x in xs]

@@ -140,6 +140,7 @@ class TestAggregateDistribution:
         dist = QueryTypeDistribution.from_percentages(CNN_DM_WH_ROW)
         assert dist.wh_aggregate == pytest.approx(99.61, abs=0.01)
         assert dist.yes_no_aggregate == pytest.approx(0.29, abs=0.01)
+        assert dist.sample_count == 0
 
     def test_from_percentages_rejects_bad_total(self):
         with pytest.raises(TaxonomyError, match="sum to"):

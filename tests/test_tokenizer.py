@@ -277,6 +277,65 @@ def test_first_token_edge_cases(text, head):
     assert tokenize(text)[:1] == ([head] if head else [])
 
 
+class _NoLower(str):
+    def lower(self):
+        raise AssertionError("str.lower called")
+
+
+def test_a_text_without_cased_non_ascii_is_lowercased_as_bytes():
+    assert tokenize(_NoLower("Hello, “World” — ok")) == ["hello", "world", "ok"]
+    with pytest.raises(AssertionError, match="str.lower called"):
+        tokenize(_NoLower("Жук"))
+
+
+# ASCII letters of both cases, and non-ASCII characters that str.lower keeps
+# as they are: the text is then lowercased as bytes, never by str.lower.
+_CASELESS = "ßıªʰ" "中文字"
+_BYTE_PATH_TEXT = st.text(
+    alphabet="abzABZ09" + _PUNCTUATION + _SYMBOLS + _SEPARATORS + _MARKS + _CASELESS + _SURROGATES,
+    max_size=60,
+)
+
+
+def test_byte_path_alphabet_is_caseless_outside_ascii():
+    alphabet = _PUNCTUATION + _SYMBOLS + _SEPARATORS + _MARKS + _CASELESS + _SURROGATES
+    assert [ch for ch in alphabet if not ch.isascii() and ch.lower() != ch] == []
+
+
+@settings(max_examples=300)
+@given(_BYTE_PATH_TEXT)
+def test_byte_path_matches_the_character_loop(text):
+    assert tokenize(_NoLower(text)) == _oracle_tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("\u212aelvin, OK", ["kelvin", "ok"]),  # KELVIN SIGN lowercases to ASCII k
+        ("İstanbul, “Izmir”", ["i̇stanbul", "izmir"]),
+        ("ABΣ. Next", ["abς", "next"]),  # final sigma
+        ("ǅemal — «Hi»", ["ǆemal", "hi"]),
+        ("Ж-ray, OK", ["ж-ray", "ok"]),
+    ],
+)
+def test_one_cased_non_ascii_character_falls_back_to_str_lower(text, tokens):
+    assert tokenize(text) == _oracle_tokenize(text) == tokens
+    with pytest.raises(AssertionError, match="str.lower called"):
+        tokenize(_NoLower(text))
+
+
+def test_lowercasing_keeps_every_code_points_punctuation():
+    # tokenize strips a lowercased text by the punctuation of the text as
+    # given, and sees a case change in the lowercase of its kept characters
+    changed = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.lower() != ch]
+    assert len(changed) > 1000
+    for ch in changed:
+        lowered = ch.lower()
+        assert not _oracle_is_punct(ch)
+        assert not any(map(_oracle_is_punct, lowered))
+        assert lowered[0] != ch
+
+
 class TestEachTextTokenizedOnce:
     """Each stage tokenizes every text it measures exactly once."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 from .corpus import QfsError
-from .prompts import QFS_CONTEXT, QFS_QUESTION, number_sentences, numbered_lines, sentence_topic
+from .prompts import asks_yes_no, number_sentences, qfs_document, sentence_topic, target_sentences
 
 
 class BackendError(QfsError, RuntimeError):
@@ -169,25 +169,16 @@ def _pick(state, options: int, suffix: str = "") -> int:
     return int.from_bytes(state.digest()[:8], "big") % options
 
 
-def _content_end(text: str) -> int:
-    """``len(text.rstrip())``, without copying ``text``."""
-    end = len(text)
-    while end and text[end - 1].isspace():
-        end -= 1
-    return end
-
-
 class MockBackend:
     """Deterministic stand-in for a completion endpoint.
 
     Two layers: an ordered script of canned completions consumed in call
     order, and, once the script is exhausted (or when none is given), a
     generated completion derived purely from ``(prompt, seed)``. The
-    generated path reads the numbered summary block just before the
-    prompt's closing label and emits one matching numbered query per
-    sentence, whatever labels the prompt was built with, so parse success
-    does not depend on call order -- which is what makes corpus runs
-    reproducible at any parallelism.
+    generated path reads the prompt back with ``prompts``' readers and
+    emits one numbered query per target summary sentence, whatever labels
+    the prompt was built with, so parse success does not depend on call
+    order, which is what makes corpus runs reproducible at any parallelism.
     """
 
     def __init__(self, script: list[str] | None = None, seed: int = 0):
@@ -210,9 +201,13 @@ class MockBackend:
             self._calls += 1
         if index < len(self._script):
             return self._script[index]
-        if prompt.startswith(QFS_QUESTION):
-            return self._generated_summary(prompt)
-        return self._generated(prompt)
+        document = qfs_document(prompt)
+        if document is None:
+            return self._generated(prompt)
+        # a summarization input: answer with a leading snippet of the document, its length seeded
+        keep = 12 + _pick(self._state(prompt), 9)
+        chunks = document.split(None, keep)[:keep]
+        return " ".join(chunks) if chunks else "Nothing to summarize."
 
     def _state(self, prompt: str):
         # the digest of f"{seed}:{prompt}", without building that copy of the prompt
@@ -220,40 +215,11 @@ class MockBackend:
         state.update(prompt.encode("utf-8"))
         return state
 
-    @staticmethod
-    def _target_summary_sentences(prompt: str) -> list[str]:
-        # an annotation prompt ends "<summary label>\n1. ...\n\n<query label>\n";
-        # search from the end only, as the document before it can be long
-        last = prompt.rfind("\n\n", 0, _content_end(prompt))
-        if last < 0:
-            return []
-        start = prompt.rfind("\n\n", 0, last)
-        block = prompt[start + 2 if start >= 0 else 0 : last]
-        return [sentence for _, sentence in numbered_lines(block)]
-
-    def _generated_summary(self, prompt: str) -> str:
-        # query-focused summarization input: answer with a leading snippet
-        # of the document, length varied by (prompt, seed)
-        document = prompt.split(QFS_CONTEXT, 1)[-1]
-        keep = 12 + _pick(self._state(prompt), 9)
-        chunks = document.split(None, keep)[:keep]
-        return " ".join(chunks) if chunks else "Nothing to summarize."
-
-    @staticmethod
-    def _asks_yes_no(prompt: str) -> bool:
-        # in yes/no mode the one-shot example's first question, the first
-        # "1. " line under the prompt's closing query label, carries "Yes:"/"No:"
-        end = _content_end(prompt)
-        label = prompt[prompt.rfind("\n", 0, end) + 1 : end]
-        opening = f"\n\n{label}\n1. "
-        start = prompt.find(opening)
-        return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))
-
     def _generated(self, prompt: str) -> str:
-        sentences = self._target_summary_sentences(prompt)
+        sentences = target_sentences(prompt)
         if not sentences:
             return "1. What is this text about?"
-        questions = _YESNO_QUESTIONS if self._asks_yes_no(prompt) else _WH_QUESTIONS
+        questions = _YESNO_QUESTIONS if asks_yes_no(prompt) else _WH_QUESTIONS
         state = self._state(prompt)
         lines = []
         for i, sentence in enumerate(sentences, start=1):

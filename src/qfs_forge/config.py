@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -24,6 +23,7 @@ from .corpus import (
     check_composition,
     check_text,
     is_string_list,
+    read_json,
 )
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
@@ -57,11 +57,7 @@ class BackendConfig:
             return LiveBackend(self.endpoint, timeout=self.timeout)
         script = None
         if self.script:
-            try:
-                with open(self.script, encoding="utf-8") as handle:
-                    script = json.load(handle)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"backend.script {self.script!r} is not valid JSON: {exc}") from exc
+            script = read_json(self.script, f"backend.script {self.script!r}", ConfigError)
             if not is_string_list(script):
                 raise ConfigError(f"backend.script {self.script!r} must be a JSON list of strings")
             for text in script:
@@ -222,19 +218,9 @@ def load_config(path: str | None, **flags) -> RunConfig:
     its default. An unknown key is an error at the top level and under
     ``backend``, ``backend.params``, ``labels`` and ``paths``. The rules on
     values live in the dataclasses, which check them as they are built."""
-    raw = {}
-    if path:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid UTF-8: {exc.reason}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
+    raw = read_json(path, f"config {path}", ConfigError) if path else {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
     for key, value in flags.items():
         section, _, name = key.rpartition(".")
         if value is not None and section:

@@ -1,4 +1,4 @@
-"""Corpus records and JSONL serialization.
+"""Corpus records, JSONL serialization and the reader of the run's JSON side files.
 
 Input records are document-summary pairs; output records are
 document-queries-summary triplets with one query per summary sentence.
@@ -38,7 +38,8 @@ _NUMBER_PREFIX = re.compile(r"^\s*\d+[.)]\s+")
 # Piece that is nothing but a numbering artifact, e.g. "2." split off its line.
 _PURE_NUMBER = re.compile(r"^\d+[.)]$")
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
-# JSON escape of a UTF-16 surrogate: only a line holding one can load a lone surrogate
+# JSON escape of a UTF-16 surrogate: only a line holding one can load a lone surrogate.
+# Every match starts with a backslash, and `in` finds one far faster than this search runs.
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
@@ -253,11 +254,25 @@ def read_jsonl(path: str):
                     raise CorpusError(f"{path}:{line_no}: invalid JSON ({exc.msg})") from exc
                 if not isinstance(record, dict):
                     raise CorpusError(f"{path}:{line_no}: record must be a JSON object")
-                if _SURROGATE_ESCAPE.search(line):
+                if "\\" in line and _SURROGATE_ESCAPE.search(line):
                     check_text(json.dumps(record, ensure_ascii=False), f"{path}:{line_no}")
                 yield line_no, record
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}:{_undecodable_line(path)}: not valid UTF-8") from exc
+
+
+def read_json(path: str, role: str, error: type[QfsError]):
+    """The JSON value of the UTF-8 file ``path``. A file that cannot be read,
+    is not UTF-8 or is not JSON raises ``error`` naming the file by ``role``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise error(f"cannot read {role}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{role} is not valid UTF-8: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{role} is not valid JSON: {exc}") from exc
 
 
 def check_text(

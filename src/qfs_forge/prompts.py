@@ -6,6 +6,8 @@ and its numbered summary, ending with the query-section label so the
 completion backend fills in the numbered queries, which
 ``parse_completion`` reads back. The recovered query and its document
 become the summarizer's ``question: ... context: ...`` input.
+The mock backend reads both back with ``target_sentences``, ``asks_yes_no``
+and ``qfs_document``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .corpus import DOMAINS, MODES, DocumentSummaryPair, QfsError, check_text, is_string_list
+from .corpus import (
+    DOMAINS, MODES, DocumentSummaryPair, QfsError, check_text, is_string_list, read_json,
+)
 
 WH_INSTRUCTION = (
     "For each summary, write a general question about the article that can be "
@@ -40,7 +44,7 @@ _NUMBERED_LINE = re.compile(r"^\s*(\d{1,9})\.\s+(\S.*\S|\S)\s*$")
 # a yes/no query's leading answer label
 _YESNO_LABEL = re.compile(r"^(?:yes|no)\s*:\s*", re.IGNORECASE)
 
-# the query-focused summarization input; the mock backend spots and splits it by its pieces
+# the query-focused summarization input; qfs_document spots and splits it by its pieces
 QFS_QUESTION = "question:\n "
 QFS_CONTEXT = " \n context:\n"
 QFS_INPUT_TEMPLATE = QFS_QUESTION + "{query}" + QFS_CONTEXT + "{document}"
@@ -151,16 +155,11 @@ def _load_builtin(domain: str) -> dict:
 def load_example(path: str, mode: str) -> OneShotExample:
     """Load a one-shot example from a JSON file (same schema as the built-ins).
 
-    A file that is not UTF-8 JSON, does not follow the schema or holds a
-    lone surrogate in a text it gives is a ``PromptError`` naming the file.
+    A file that cannot be read or is not UTF-8 JSON, that does not follow the
+    schema or that holds a lone surrogate is a ``PromptError`` naming the file.
     """
     source = f"one-shot example file {path!r}"
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PromptError(f"{source} is not valid JSON: {exc}") from exc
-    example = _example_from_raw(raw, mode, source)
+    example = _example_from_raw(read_json(path, source, PromptError), mode, source)
     texts = (example.document, example.domain, *example.summary_sentences, *example.query_sentences)
     check_text("".join(texts), source, PromptError)
     return example
@@ -311,3 +310,36 @@ def build_qfs_input(query: str, document: str) -> str:
     if not document.strip():
         raise PromptError("document must be non-empty")
     return QFS_INPUT_TEMPLATE.format(query=query, document=document)
+
+
+def _content_end(text: str) -> int:
+    """``len(text.rstrip())``, without copying ``text``."""
+    end = len(text)
+    while end and text[end - 1].isspace():
+        end -= 1
+    return end
+
+
+def target_sentences(prompt: str) -> list[str]:
+    """The target summary's sentences, the numbered block before the closing label."""
+    last = prompt.rfind("\n\n", 0, _content_end(prompt))
+    if last < 0:
+        return []
+    start = prompt.rfind("\n\n", 0, last)
+    block = prompt[start + 2 if start >= 0 else 0 : last]
+    return [sentence for _, sentence in numbered_lines(block)]
+
+
+def asks_yes_no(prompt: str) -> bool:
+    """Whether the one-shot example's first query, the first "1. " line under
+    the annotation prompt's closing label, carries ``Yes:``/``No:``."""
+    end = _content_end(prompt)
+    label = prompt[prompt.rfind("\n", 0, end) + 1 : end]
+    opening = f"\n\n{label}\n1. "
+    start = prompt.find(opening)
+    return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))
+
+
+def qfs_document(prompt: str) -> str | None:
+    """The document of a ``build_qfs_input`` string; None for any other prompt."""
+    return prompt.split(QFS_CONTEXT, 1)[-1] if prompt.startswith(QFS_QUESTION) else None

@@ -129,10 +129,13 @@ class TestRepairQueries:
         assert repair_queries("1. A?\n2. B?\n3. C?", ("s1", "s2"), "wh") == ["A?", "B?"]
 
     def test_pads_deficit_from_summary(self):
-        repaired = repair_queries("1. A?", ("First thing.", "Second item here."), "wh")
+        summary = ("First thing.", "Second item here.", "The third one has six words.")
+        repaired = repair_queries("1. A?", summary, "wh")
         assert repaired[0] == "A?"
         assert "Second item here" in repaired[1]
         assert repaired[1].endswith("?")
+        # the topic is the sentence's first four words
+        assert repaired[2] == "What does the text say about The third one has?"
 
     def test_drops_yesno_labels_without_a_question(self):
         repaired = repair_queries("1. Yes:\n2. No: Is B?", ("First.", "Second one."), "yesno")
@@ -456,6 +459,6 @@ def test_prompt_numbers_the_pairs_sentences(summary, mode):
         reject()
     spec = default_spec("news", mode)
     prompt = build_annotation_prompt(pair, spec)
-    assert tuple(MockBackend._target_summary_sentences(prompt)) == pair.summary_sentences
+    assert tuple(prompts.target_sentences(prompt)) == pair.summary_sentences
     outcome = annotate_pair(pair, spec, MockBackend(seed=1), retries=0)
     assert outcome.status == STATUS_OK

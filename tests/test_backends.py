@@ -36,12 +36,13 @@ from qfs_forge.prompts import (
     QFS_INPUT_TEMPLATE,
     QFS_QUESTION,
     PromptLabels,
+    asks_yes_no,
     build_annotation_prompt,
     build_qfs_input,
     default_spec,
     number_sentences,
-    numbered_lines,
     sentence_topic,
+    target_sentences,
 )
 
 SRC = Path(__file__).parent.parent / "src"
@@ -127,10 +128,10 @@ def _reference_completion(prompt: str, seed: int) -> str:
         chunks = prompt.split(QFS_CONTEXT, 1)[-1].split()
         keep = 12 + pick(prompt, 9)
         return " ".join(chunks[:keep]) if chunks else "Nothing to summarize."
-    sentences = MockBackend._target_summary_sentences(prompt)
+    sentences = target_sentences(prompt)
     if not sentences:
         return "1. What is this text about?"
-    yes_no = MockBackend._asks_yes_no(prompt)
+    yes_no = asks_yes_no(prompt)
     questions = backends._YESNO_QUESTIONS if yes_no else backends._WH_QUESTIONS
     return number_sentences(
         questions[pick(f"{prompt}#{i}", len(questions))].format(sentence_topic(sentence))
@@ -187,64 +188,6 @@ class TestMockReference:
         prompt = QFS_INPUT_TEMPLATE.format(query=query, document=pad + gap.join(words) + pad)
         completion = MockBackend(seed=seed).complete(prompt, SUMMARIZATION_PARAMS)
         assert completion == _reference_completion(prompt, seed)
-
-
-# Former bodies of the mock's two prompt readers, which copied the prompt with
-# rstrip() and rsplit(); kept as oracles for the in-place rfind from its end.
-def _oracle_target_summary_sentences(prompt: str) -> list[str]:
-    blocks = prompt.rstrip().rsplit("\n\n", 2)
-    if len(blocks) < 2:
-        return []
-    return [sentence for _, sentence in numbered_lines(blocks[-2])]
-
-
-def _oracle_asks_yes_no(prompt: str) -> bool:
-    text = prompt.rstrip()
-    label = text[text.rfind("\n") + 1 :]
-    opening = f"\n\n{label}\n1. "
-    start = prompt.find(opening)
-    return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))
-
-
-# every character str.rstrip() removes, and pieces of a prompt's closing blocks
-_WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
-_PROMPT_PIECE = st.sampled_from([
-    "\n", "\n\n", "\n\n\n", "Summary:", "Questions:", "Gist:", "1. ", "1. Rain fell.",
-    "2. Roads closed.", "Yes: Is it wet?", "No: Was it dry?", "text", "\r\n",
-])
-_PROMPT_TEXT = st.one_of(
-    st.lists(_PROMPT_PIECE | st.sampled_from(_WHITESPACE), max_size=14).map("".join),
-    st.text(alphabet="\n1. Yes:No?ab" + _WHITESPACE, max_size=30),
-)
-
-
-class TestMockReadsThePromptInPlace:
-    """The mock's prompt readers equal their former copying bodies."""
-
-    @settings(max_examples=400)
-    @given(prompt=_PROMPT_TEXT)
-    @example(prompt="Summary:\n1. Rain fell.\nQuestions:\n")  # no blank line
-    @example(prompt="Summary:\n1. Rain fell.\n\n\nQuestions:\n\n\n")
-    @example(prompt=" \t\u3000\x85")
-    def test_on_any_text(self, prompt):
-        assert MockBackend._target_summary_sentences(prompt) == _oracle_target_summary_sentences(prompt)
-        assert MockBackend._asks_yes_no(prompt) == _oracle_asks_yes_no(prompt)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        mode=st.sampled_from(MODES),
-        labels=st.sampled_from([PromptLabels(), _CUSTOM_LABELS]),
-        tail=st.text(alphabet=_WHITESPACE, max_size=6),
-    )
-    def test_on_built_prompts_with_trailing_whitespace(self, mode, labels, tail):
-        pair = DocumentSummaryPair(
-            id="p", document="Rain fell.\n\nRoads closed.", summary="Rain fell. Roads closed.",
-            domain="news",
-        )
-        prompt = build_annotation_prompt(pair, default_spec("news", mode, labels=labels)) + tail
-        sentences = MockBackend._target_summary_sentences(prompt)
-        assert sentences == _oracle_target_summary_sentences(prompt) == ["Rain fell.", "Roads closed."]
-        assert MockBackend._asks_yes_no(prompt) == _oracle_asks_yes_no(prompt) == (mode == "yesno")
 
 
 def _count_sha256(monkeypatch) -> list:

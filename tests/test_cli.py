@@ -876,7 +876,7 @@ class TestMalformedConfig:
         "content, message",
         [
             (b"{broken", "is not valid JSON"),
-            (b"\xff\xfe{}", "is not valid JSON"),
+            (b"\xff\xfe{}", "is not valid UTF-8"),
             (b"[1]", "must hold a JSON object, got list"),
             (b'{"document": "d", "summary_sentences": ["s"], "domain": "news"}', "missing key 'queries'"),
             (b'{"document": "d", "summary_sentences": ["s"], "queries": [], "domain": "news"}',
@@ -895,6 +895,43 @@ class TestMalformedConfig:
         settings = {"example_path": str(example)}
         self.assert_exits_2(tmp_path, corpus, capsys, settings, f"one-shot example file {str(example)!r}")
         self.assert_exits_2(tmp_path, corpus, capsys, settings, message)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read {role}: [Errno 2] No such file or directory"),
+            (b'["\xff"]', "{role} is not valid UTF-8: invalid start byte"),
+            (b"[broken", "{role} is not valid JSON: Expecting value: line 1 column 2"),
+        ],
+        ids=["missing", "not-utf8", "not-json"],
+    )
+    @pytest.mark.parametrize("key", ["config", "backend.script", "example_path"])
+    def test_a_side_file_that_cannot_be_read_exits_2_naming_its_role(
+        self, tmp_path, corpus, capsys, key, content, message
+    ):
+        side = tmp_path / "side.json"
+        if content is not None:
+            side.write_bytes(content)
+        config = side
+        roles = {
+            "config": f"config {side}",
+            "backend.script": f"backend.script {str(side)!r}",
+            "example_path": f"one-shot example file {str(side)!r}",
+        }
+        if key != "config":
+            config = tmp_path / "config.json"
+            settings = {"example_path": str(side)}
+            if key == "backend.script":
+                settings = {"backend": {"kind": "mock", "script": str(side)}}
+            config.write_text(json.dumps(settings))
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message.format(role=roles[key])}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_example_with_no_summary_sentence_is_refused_naming_its_file(
         self, tmp_path, corpus, capsys

@@ -230,6 +230,9 @@ class TestTruncateToTokens:
 
     def test_zero_budget_empty(self):
         assert truncate_to_tokens("one two", 0) == ""
+        # a leading chunk holding no token is not kept either
+        assert truncate_to_tokens("— one two", 0) == ""
+        assert truncate_to_tokens("— one two", 1) == "— one"
 
     def test_budget_beyond_length_keeps_text(self):
         assert truncate_to_tokens("one two", 10) == "one two"
@@ -319,6 +322,12 @@ class TestConfigValidation:
     def test_budget_positive(self):
         with pytest.raises(ValueError):
             CompositionConfig(backend=MapBackend({}), token_budget=0)
+
+    def test_defaults(self):
+        cfg = CompositionConfig(backend=MapBackend({}))
+        assert (cfg.overlap_threshold, cfg.token_budget, cfg.on_overflow, cfg.parallelism) == (
+            50.0, 250, "truncate", 1
+        )
 
     def test_default_params_are_summarization_preset(self):
         cfg = CompositionConfig(backend=MapBackend({}))

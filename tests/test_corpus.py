@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfs_forge import corpus
 from qfs_forge.corpus import (
     MODES,
     AnnotatedTriplet,
@@ -202,6 +203,25 @@ class TestJsonl:
         path.write_text('{"\\ud800": 1}\n')
         with pytest.raises(CorpusError, match=re.escape(f"{path}:1: lone surrogate \\ud800")):
             list(read_jsonl(str(path)))
+
+    def test_read_searches_only_lines_holding_an_escape(self, tmp_path, monkeypatch):
+        searched = []
+        pattern = corpus._SURROGATE_ESCAPE
+
+        class Counting:
+            def search(self, line):
+                searched.append(line)
+                return pattern.search(line)
+
+        monkeypatch.setattr(corpus, "_SURROGATE_ESCAPE", Counting())
+        path = tmp_path / "r.jsonl"
+        # no line holds a backslash, so none can hold "\u"
+        path.write_text('{"a": "café ud800"}\n{"c": [1, "u"]}\n', encoding="utf-8")
+        assert [record for _, record in read_jsonl(str(path))] == [{"a": "café ud800"}, {"c": [1, "u"]}]
+        assert searched == []
+        path.write_text('{"a": 1}\n{"b": "caf\\u00e9"}\n')
+        assert [record for _, record in read_jsonl(str(path))] == [{"a": 1}, {"b": "café"}]
+        assert searched == ['{"b": "caf\\u00e9"}\n']
 
     def test_read_keeps_surrogate_pairs_and_escaped_backslashes(self, tmp_path):
         path = tmp_path / "r.jsonl"

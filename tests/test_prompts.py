@@ -1,10 +1,13 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfs_forge import prompts
-from qfs_forge.corpus import DocumentSummaryPair
+from qfs_forge.corpus import MODES, DocumentSummaryPair
 from qfs_forge.prompts import (
     OneShotExample,
     PromptError,
@@ -12,12 +15,16 @@ from qfs_forge.prompts import (
     PromptSpec,
     WH_INSTRUCTION,
     YESNO_INSTRUCTION,
+    asks_yes_no,
     build_annotation_prompt,
+    build_qfs_input,
     builtin_example,
     default_spec,
     load_example,
     number_sentences,
     numbered_lines,
+    qfs_document,
+    target_sentences,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -234,3 +241,76 @@ class TestRenderedHead:
         for _ in range(5):
             build_annotation_prompt(pair, spec)
         assert len(calls) == 5 + 2  # the example's summary and queries once, not per prompt
+
+
+# Former bodies of the mock backend's two annotation-prompt readers, which copied
+# the prompt with rstrip() and rsplit(); kept as oracles for the in-place rfind from its end.
+def _oracle_target_summary_sentences(prompt: str) -> list[str]:
+    blocks = prompt.rstrip().rsplit("\n\n", 2)
+    if len(blocks) < 2:
+        return []
+    return [sentence for _, sentence in numbered_lines(blocks[-2])]
+
+
+def _oracle_asks_yes_no(prompt: str) -> bool:
+    text = prompt.rstrip()
+    label = text[text.rfind("\n") + 1 :]
+    opening = f"\n\n{label}\n1. "
+    start = prompt.find(opening)
+    return start >= 0 and prompt.startswith(("Yes:", "No:"), start + len(opening))
+
+
+# every character str.rstrip() removes, and pieces of a prompt's closing blocks
+_WHITESPACE = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace())
+_PROMPT_PIECE = st.sampled_from([
+    "\n", "\n\n", "\n\n\n", "Summary:", "Questions:", "Gist:", "1. ", "1. Rain fell.",
+    "2. Roads closed.", "Yes: Is it wet?", "No: Was it dry?", "text", "\r\n",
+])
+_PROMPT_TEXT = st.one_of(
+    st.lists(_PROMPT_PIECE | st.sampled_from(_WHITESPACE), max_size=14).map("".join),
+    st.text(alphabet="\n1. Yes:No?ab" + _WHITESPACE, max_size=30),
+)
+_CUSTOM_LABELS = PromptLabels(document="Text:", summary="Gist:", query="Asks:")
+
+
+class TestPromptReaders:
+    """The prompt readers equal their former copying bodies, and read back
+    what the prompt builders wrote."""
+
+    @settings(max_examples=400)
+    @given(prompt=_PROMPT_TEXT)
+    @example(prompt="Summary:\n1. Rain fell.\nQuestions:\n")  # no blank line
+    @example(prompt="Summary:\n1. Rain fell.\n\n\nQuestions:\n\n\n")
+    @example(prompt=" \t\u3000\x85")
+    # the target block at the very start, after one line, and after a leading blank line
+    @example(prompt="1. Rain fell.\n\nQuestions:\n")
+    @example(prompt="text\n\n1. Rain fell.\n\nQuestions:\n")
+    @example(prompt="\n\n1. Rain fell.\n\nQuestions:\n")
+    @example(prompt="\n\nQuestions:\n1. Yes: Is it wet?\n\nQuestions:\n")  # the example at the start
+    def test_on_any_text(self, prompt):
+        assert target_sentences(prompt) == _oracle_target_summary_sentences(prompt)
+        assert asks_yes_no(prompt) == _oracle_asks_yes_no(prompt)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        labels=st.sampled_from([PromptLabels(), _CUSTOM_LABELS]),
+        tail=st.text(alphabet=_WHITESPACE, max_size=6),
+    )
+    def test_on_built_prompts_with_trailing_whitespace(self, mode, labels, tail):
+        pair = DocumentSummaryPair(
+            id="p", document="Rain fell.\n\nRoads closed.", summary="Rain fell. Roads closed.",
+            domain="news",
+        )
+        prompt = build_annotation_prompt(pair, default_spec("news", mode, labels=labels)) + tail
+        sentences = target_sentences(prompt)
+        assert sentences == _oracle_target_summary_sentences(prompt) == ["Rain fell.", "Roads closed."]
+        assert asks_yes_no(prompt) == _oracle_asks_yes_no(prompt) == (mode == "yesno")
+
+    @pytest.mark.parametrize("document", ["Rain fell.", "Rain \n context:\n fell.", " \n context:\n"])
+    def test_qfs_document(self, document):
+        assert qfs_document(build_qfs_input("Why?", document)) == document
+
+    def test_qfs_document_of_an_annotation_prompt_is_none(self):
+        prompt = build_annotation_prompt(GOLDEN_TARGETS["news"], default_spec("news", "wh"))
+        assert qfs_document(prompt) is None

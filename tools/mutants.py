@@ -8,8 +8,9 @@ Each mutant changes one operator or literal of one package module:
 - an int literal gains one.
 
 Annotations are not mutated, and docstrings hold no operator or int. Every
-mutant runs alone, one after another, against the module's own test file
-and ``tests/test_acceptance.py`` in a fresh copy of ``src`` and ``tests``
+mutant runs alone, one after another, against the module's own test files
+(``tests/test_<module>.py``, or the files ``TEST_FILES`` names for it) and
+``tests/test_acceptance.py`` in a fresh copy of ``src`` and ``tests``
 under the system temporary directory. A mutant the tests pass is a
 survivor. The probe exits 1 if a survivor is not listed in
 ``tools/equivalent_mutants.json`` with a reason, or if a listed one no
@@ -38,6 +39,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 EQUIVALENT = ROOT / "tools" / "equivalent_mutants.json"
 PACKAGE = Path("src") / "qfs_forge"
+# the modules whose tests are not, or not all, in tests/test_<module>.py
+TEST_FILES = {
+    "_kernels": ("tests/test_kernels.py",),
+    "config": ("tests/test_cli.py",),
+    "live": ("tests/test_backends.py",),
+    # parse_completion and repair_queries are tested beside annotate_pair, their caller
+    "prompts": ("tests/test_prompts.py", "tests/test_annotate.py"),
+}
 
 _SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -118,7 +127,7 @@ def _passes(copy: Path, tests: list[str], timeout: float) -> bool:
 def probe(module: str) -> list[dict]:
     """Run every mutant of ``module``; return its survivors."""
     source = (ROOT / PACKAGE / f"{module}.py").read_text(encoding="utf-8")
-    tests = [f"tests/test_{module}.py", "tests/test_acceptance.py"]
+    tests = [*TEST_FILES.get(module, (f"tests/test_{module}.py",)), "tests/test_acceptance.py"]
     sites = _sites(ast.parse(source))
     survivors = []
     with tempfile.TemporaryDirectory(prefix=f"mutants-{module}-") as scratch:

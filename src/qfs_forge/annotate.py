@@ -21,8 +21,8 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import FAILURE_ACTIONS
-from .corpus import AnnotatedTriplet, DocumentSummaryPair, InvariantError, normalize_query
+from .corpus import OPTION_RULES, AnnotatedTriplet, DocumentSummaryPair, InvariantError
+from .corpus import check_options, normalize_query
 from .prompts import (
     ParseMismatchError,
     PromptSpec,
@@ -93,7 +93,10 @@ def annotate_pair(
     failure_action: str = "drop",
 ) -> AnnotationOutcome:
     """Annotate one pair, retrying on parse mismatch or backend error."""
-    _check_options(retries, max_document_tokens, failure_action)
+    check_options(
+        ValueError, retries=retries, max_document_tokens=max_document_tokens,
+        failure_action=failure_action,
+    )
     prompt_pair = pair
     truncated = truncate_document(pair.document, max_document_tokens)
     if truncated != pair.document:
@@ -125,16 +128,6 @@ def annotate_pair(
     return AnnotationOutcome(status=status, triplet=None, attempts=attempts, raw_completion=raw)
 
 
-def _check_options(retries: int, max_document_tokens: int, failure_action: str, **_) -> None:
-    """Raise ValueError for an ``annotate_pair`` option value it cannot use."""
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
-    if max_document_tokens < 1:
-        raise ValueError("max_document_tokens must be >= 1")
-    if failure_action not in FAILURE_ACTIONS:
-        raise ValueError(f"failure_action must be 'drop' or 'repair', got {failure_action!r}")
-
-
 def _ok_outcome(
     pair: DocumentSummaryPair, mode: str, queries: list[str], attempts: int, raw: str
 ) -> AnnotationOutcome:
@@ -162,7 +155,8 @@ def annotate_corpus(
     """
     options_with_defaults = inspect.signature(annotate_pair).bind(None, spec, backend, **options)
     options_with_defaults.apply_defaults()
-    _check_options(**options_with_defaults.arguments)
+    arguments = options_with_defaults.arguments.items()
+    check_options(ValueError, **{name: value for name, value in arguments if name in OPTION_RULES})
     outcomes = map_ordered(
         lambda pair: annotate_pair(pair, spec, backend, **options), pairs, parallelism
     )

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from .corpus import QfsError
+from .corpus import QfsError, check_options
 from .prompts import asks_yes_no, number_sentences, qfs_document, sentence_topic, target_sentences
 
 
@@ -109,8 +109,7 @@ def map_ordered(fn: Callable, items: Sequence, parallelism: int) -> list:
     a later one, so a run starts a new daemon thread only when no helper is
     idle, as in a nested map.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be >= 1")
+    check_options(ValueError, parallelism=parallelism)
     if parallelism == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     results = [None] * len(items)

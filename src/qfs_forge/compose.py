@@ -21,7 +21,7 @@ from .backends import (
     CompletionParams,
     map_ordered,
 )
-from .corpus import QfsError, check_composition
+from .corpus import QfsError, check_options
 from .prompts import build_qfs_input
 from .tokenizer import nth_token_chunk, tokenize
 
@@ -42,9 +42,10 @@ class CompositionConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ValueError)
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        check_options(
+            ValueError, overlap_threshold=self.overlap_threshold, token_budget=self.token_budget,
+            on_overflow=self.on_overflow, parallelism=self.parallelism,
+        )
 
 
 def _scores(docs: list[str], query: str) -> list[float]:

@@ -14,17 +14,7 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import (
-    FAILURE_ACTIONS,
-    MODES,
-    NTP_NUMERATORS,
-    QUERY_FORMATS,
-    QfsError,
-    check_composition,
-    check_text,
-    is_string_list,
-    read_json,
-)
+from .corpus import QfsError, check_options, check_text, is_string_list, read_json
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
 
@@ -89,29 +79,25 @@ class RunConfig:
     paths: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
+        check_options(ConfigError, mode=self.mode, parallelism=self.parallelism)
         if self.backend.kind == "mock" and self.backend.script and self.parallelism > 1:
             # concurrent calls would take each other's scripted completions
             raise ConfigError(
                 f"backend.script needs parallelism 1, got {self.parallelism}: "
                 "a scripted mock hands out its completions in call order"
             )
-        if self.retries < 0:
-            raise ConfigError("retries must be >= 0")
-        if not 0 <= self.failure_ceiling <= 1:
-            raise ConfigError("failure_ceiling must be a rate in [0, 1]")
-        if self.failure_action not in FAILURE_ACTIONS:
-            raise ConfigError("failure_action must be 'drop' or 'repair'")
-        if self.max_document_tokens < 1:
-            raise ConfigError("max_document_tokens must be >= 1")
-        if self.query_format not in QUERY_FORMATS:
-            raise ConfigError(f"query_format must be one of {QUERY_FORMATS}")
-        if self.ntp_numerator not in NTP_NUMERATORS:
-            raise ConfigError("ntp_numerator must be 'occurrences' or 'types'")
-        check_composition(self.overlap_threshold, self.token_budget, self.on_overflow, ConfigError)
+        check_options(
+            ConfigError,
+            retries=self.retries,
+            failure_ceiling=self.failure_ceiling,
+            failure_action=self.failure_action,
+            max_document_tokens=self.max_document_tokens,
+            query_format=self.query_format,
+            ntp_numerator=self.ntp_numerator,
+            overlap_threshold=self.overlap_threshold,
+            token_budget=self.token_budget,
+            on_overflow=self.on_overflow,
+        )
 
     def prompt_spec(self, domain: str) -> PromptSpec:
         labels = PromptLabels(**self.labels) if self.labels else None

@@ -55,16 +55,32 @@ class InvariantError(QfsError, ValueError):
     """A record violates a structural invariant and was rejected."""
 
 
-def check_composition(
-    overlap_threshold: float, token_budget: int, on_overflow: str, error: type[Exception]
-) -> None:
-    """Raise ``error`` naming the first composition setting out of range."""
-    if not 0 <= overlap_threshold <= 100:
-        raise error("overlap_threshold must be in [0, 100]")
-    if token_budget < 1:
-        raise error("token_budget must be >= 1")
-    if on_overflow not in OVERFLOW_ACTIONS:
-        raise error("on_overflow must be 'truncate' or 'drop'")
+# The one statement of each run option's rule: name -> (predicate, rule).
+# The config and every stage entry point that takes the option check it
+# with check_options.
+_EITHER = "must be {!r} or {!r}".format
+OPTION_RULES = {
+    "mode": (MODES.__contains__, f"must be one of {MODES}"),
+    "parallelism": (lambda value: value >= 1, "must be >= 1"),
+    "retries": (lambda value: value >= 0, "must be >= 0"),
+    "failure_ceiling": (lambda value: 0 <= value <= 1, "must be a rate in [0, 1]"),
+    "failure_action": (FAILURE_ACTIONS.__contains__, _EITHER(*FAILURE_ACTIONS)),
+    "max_document_tokens": (lambda value: value >= 1, "must be >= 1"),
+    "query_format": (QUERY_FORMATS.__contains__, f"must be one of {QUERY_FORMATS}"),
+    "ntp_numerator": (NTP_NUMERATORS.__contains__, _EITHER(*NTP_NUMERATORS)),
+    "overlap_threshold": (lambda value: 0 <= value <= 100, "must be in [0, 100]"),
+    "token_budget": (lambda value: value >= 1, "must be >= 1"),
+    "on_overflow": (OVERFLOW_ACTIONS.__contains__, _EITHER(*OVERFLOW_ACTIONS)),
+}
+
+
+def check_options(error: type[Exception], **values) -> None:
+    """Raise ``error("<name> <rule>, got <value>")`` for the first of
+    ``values``, in keyword order, that breaks its rule in ``OPTION_RULES``."""
+    for name, value in values.items():
+        allowed, rule = OPTION_RULES[name]
+        if not allowed(value):
+            raise error(f"{name} {rule}, got {value!r}")
 
 
 def _has_token(text: str) -> bool:

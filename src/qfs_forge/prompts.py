@@ -12,13 +12,13 @@ and ``qfs_document``.
 
 from __future__ import annotations
 
-import json
+import os
 import re
 from dataclasses import dataclass, field, replace
-from importlib import resources
 
 from .corpus import (
-    DOMAINS, MODES, DocumentSummaryPair, QfsError, check_text, is_string_list, read_json,
+    DOMAINS, MODES, DocumentSummaryPair, QfsError, check_options, check_text, is_string_list,
+    read_json,
 )
 
 WH_INSTRUCTION = (
@@ -137,19 +137,11 @@ class PromptSpec:
         return self.example.domain
 
 
-def instruction_for_mode(mode: str) -> str:
-    if mode not in INSTRUCTIONS:
-        raise PromptError(f"unknown mode {mode!r}")
-    return INSTRUCTIONS[mode]
-
-
 def _load_builtin(domain: str) -> dict:
     if domain not in DOMAINS:
         raise PromptError(f"unknown domain {domain!r}")
-    text = resources.files("qfs_forge.data").joinpath(f"oneshot_{domain}.json").read_text(
-        encoding="utf-8"
-    )
-    return json.loads(text)
+    path = os.path.join(os.path.dirname(__file__), "data", f"oneshot_{domain}.json")
+    return read_json(path, f"built-in {domain} example", PromptError)
 
 
 def load_example(path: str, mode: str) -> OneShotExample:
@@ -171,8 +163,7 @@ def builtin_example(domain: str, mode: str) -> OneShotExample:
 
 
 def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
-    if mode not in MODES:
-        raise PromptError(f"unknown mode {mode!r}")
+    check_options(PromptError, mode=mode)
     if not isinstance(raw, dict):
         raise PromptError(f"{source} must hold a JSON object, got {type(raw).__name__}")
     for key in ("document", "summary_sentences", "queries", "domain"):
@@ -204,8 +195,9 @@ def default_spec(
     labels: PromptLabels | None = None,
     example: OneShotExample | None = None,
 ) -> PromptSpec:
+    check_options(PromptError, mode=mode)
     return PromptSpec(
-        instruction=instruction or instruction_for_mode(mode),
+        instruction=instruction or INSTRUCTIONS[mode],
         example=example or builtin_example(domain, mode),
         labels=labels or PromptLabels(),
     )

@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from ._kernels import pairwise_mean
-from .corpus import NTP_NUMERATORS, AnnotatedTriplet, QfsError, joined_query_text
+from .corpus import AnnotatedTriplet, QfsError, check_options, joined_query_text
 from .tokenizer import tokenize
 
 
@@ -29,6 +29,9 @@ def ntp(a: str, b: str, numerator: str = "occurrences") -> float:
     numerator="types" to count distinct token types instead.
     """
     tokens_a = tokenize(a)
+    if not tokens_a:
+        raise StatsError("ntp: first string has no tokens")
+    check_options(StatsError, ntp_numerator=numerator)
     counts_a = Counter(tokens_a)
     return _ntp(counts_a, len(tokens_a), len(counts_a), counts_a.keys() & tokenize(b), numerator)
 
@@ -37,11 +40,8 @@ def _ntp(counts_a: Counter, total: int, n_types: int, shared: set[str], numerato
     """NTP of a text of ``total`` tokens and ``n_types`` types that shares the
     types ``shared`` with the other text. ``counts_a`` need only hold the
     counts of the shared types, and ``n_types`` is read only by the types
-    numerator."""
-    if not total:
-        raise StatsError("ntp: first string has no tokens")
-    if numerator not in NTP_NUMERATORS:
-        raise StatsError(f"unknown ntp numerator mode {numerator!r}")
+    numerator. Its callers check ``numerator``; ``total`` is not 0, as ``ntp``
+    checks and as every text of a triplet holds a token."""
     if numerator == "types":
         return 100.0 * (n_types - len(shared)) / n_types
     return 100.0 * (total - sum(map(counts_a.__getitem__, shared))) / total
@@ -129,6 +129,7 @@ def corpus_stats(
     """
     if not triplets:
         raise StatsError("corpus_stats: empty triplet list")
+    check_options(StatsError, ntp_numerator=ntp_numerator)
     count_doc_types = ntp_numerator == "types"
     rows = []
     for triplet in triplets:

@@ -10,9 +10,7 @@ ablation comparisons.
 from __future__ import annotations
 
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
-# the query formats live in corpus, where config reads them without importing this stage
-from .corpus import FORMAT_TEMPLATE_STYLE, QUERY_FORMATS, DocumentSummaryPair, QfsError  # noqa: F401
-from .corpus import DOCUMENT, SUMMARY
+from .corpus import DOCUMENT, SUMMARY, DocumentSummaryPair, QfsError
 from .prompts import ParseMismatchError, PromptSpec, build_annotation_prompt, parse_completion
 
 _DUC_VERB_MAP = {

@@ -1,3 +1,5 @@
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -184,6 +186,14 @@ class TestAnnotatePair:
         assert outcome.status == STATUS_PARSE_MISMATCH
         assert outcome.attempts == 3
 
+    def test_by_default_it_retries_twice_cuts_at_3000_tokens_and_drops(self):
+        # one question for three sentences mismatches on every attempt
+        pair = replace(self.make_pair(3), document=" ".join(f"w{i}" for i in range(3001)))
+        backend = OneQuestionBackend()
+        outcome = annotate_pair(pair, default_spec("news", "wh"), backend)
+        assert (outcome.status, outcome.attempts) == (STATUS_PARSE_MISMATCH, 3)
+        assert "w2999" in backend.prompts[0] and "w3000" not in backend.prompts[0]
+
     def test_backend_error_status(self):
         pair = self.make_pair()
         outcome = annotate_pair(pair, default_spec("news", "wh"), FailingBackend(), retries=1)
@@ -291,6 +301,18 @@ class TestAnnotateCorpus:
         outcomes = annotate_corpus(pairs, spec, backend, parallelism=1, retries=2)
         assert describe_outcomes(outcomes) == "3 pairs: 0 ok, 3 parse_mismatch, 0 backend_error"
         assert describe_outcomes([]) == "0 pairs: 0 ok, 0 parse_mismatch, 0 backend_error"
+
+    def test_by_default_only_the_caller_calls_the_backend(self):
+        threads = set()
+
+        class Recording(OneQuestionBackend):
+            def complete(self, prompt, params):
+                threads.add(threading.current_thread())
+                time.sleep(0.005)  # long enough for a helper thread to take a pair
+                return super().complete(prompt, params)
+
+        annotate_corpus(self.make_pairs(4), default_spec("news", "wh"), Recording())
+        assert threads == {threading.current_thread()}
 
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, asdict, dataclass, fields
 from pathlib import Path
 
 import pytest
@@ -13,14 +13,19 @@ from hypothesis import strategies as st
 
 import qfs_forge.compose as compose_module
 import qfs_forge.config as config_module
-from qfs_forge.backends import CompletionParams, MockBackend
+import qfs_forge.prompts as prompts_module
+from qfs_forge.annotate import annotate_corpus, annotate_pair
+from qfs_forge.backends import CompletionParams, MockBackend, map_ordered
 from qfs_forge.cli import _CONFIG_FLAGS, main
-from qfs_forge.compose import ComposeError, ComposeResult
+from qfs_forge.compose import ComposeError, ComposeResult, CompositionConfig
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
+from qfs_forge.corpus import DocumentSummaryPair
+from qfs_forge.prompts import default_spec, load_example
+from qfs_forge.stats import corpus_stats, ntp
 from qfs_forge.taxonomy import YES_NO_TYPES
 from qfs_forge.tokenizer import tokenize
 
-from conftest import read_jsonl, write_jsonl
+from conftest import make_triplet, read_jsonl, write_jsonl
 
 SAMPLE = Path(__file__).parent.parent / "sample_data"
 SAMPLE_PAIRS = str(SAMPLE / "pairs.jsonl")
@@ -698,6 +703,61 @@ class TestOutOfRangeConfig:
         assert not out.exists()
 
 
+_PAIR = DocumentSummaryPair(id="p1", document="Snow fell.", summary="Snow fell.", domain="news")
+_NEWS_EXAMPLE = str(Path(prompts_module.__file__).parent / "data" / "oneshot_news.json")
+
+
+def _annotate_pair(**option):
+    return annotate_pair(_PAIR, default_spec("news", "wh"), MockBackend(), **option)
+
+
+def _annotate_corpus(**option):
+    return annotate_corpus([], default_spec("news", "wh"), MockBackend(), **option)
+
+
+def _compose_config(**option):
+    return CompositionConfig(MockBackend(), **option)
+
+
+@pytest.mark.parametrize(
+    "key, bad, entry_point",
+    [
+        pytest.param("parallelism", 0, lambda value: map_ordered(str, [], value), id="map_ordered"),
+        pytest.param("parallelism", 0, lambda value: _compose_config(parallelism=value),
+                     id="CompositionConfig-parallelism"),
+        pytest.param("parallelism", 0, lambda value: _annotate_corpus(parallelism=value),
+                     id="annotate_corpus-parallelism"),
+        *(
+            pytest.param(key, bad, lambda value, key=key, entry=entry: entry(**{key: value}),
+                         id=f"{entry.__name__.lstrip('_')}-{key}")
+            for key, bad in (("retries", -1), ("max_document_tokens", 0),
+                             ("failure_action", "Repair"))
+            for entry in (_annotate_pair, _annotate_corpus)
+        ),
+        pytest.param("ntp_numerator", "chars", lambda value: ntp("a", "b", value), id="ntp"),
+        pytest.param("ntp_numerator", "chars", lambda value: corpus_stats([make_triplet()], value),
+                     id="corpus_stats"),
+        pytest.param("mode", "yes-no", lambda value: default_spec("news", value), id="default_spec"),
+        pytest.param("mode", "yes-no", lambda value: load_example(_NEWS_EXAMPLE, value),
+                     id="load_example"),
+        *(
+            pytest.param(key, bad, lambda value, key=key: _compose_config(**{key: value}),
+                         id=f"CompositionConfig-{key}")
+            for key, bad in (("overlap_threshold", 100.5), ("token_budget", 0),
+                             ("on_overflow", "Drop"))
+        ),
+    ],
+)
+def test_an_option_breaks_its_rule_in_one_text_in_config_and_library(key, bad, entry_point):
+    with pytest.raises(ConfigError) as from_config:
+        load_config(None, **{key: bad})
+    with pytest.raises(ValueError) as from_library:
+        entry_point(bad)
+    assert str(from_library.value) == str(from_config.value)
+    text = str(from_config.value)
+    assert text.startswith(f"{key} must be ") and text.endswith(f", got {bad!r}")
+
+
 class TestMalformedConfig:
     """A config value of the wrong JSON type, a params value out of range or an
     unparseable script file exits 2 with ``error:`` naming it, never a traceback."""
@@ -752,12 +812,18 @@ class TestMalformedConfig:
             ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
             ({"paths": {"audti": "a.jsonl"}}, "unknown paths keys: ['audti']"),
             ({"mode": "bogus"}, "mode must be one of ('wh', 'yesno'), got 'bogus'"),
-            ({"parallelism": 0}, "parallelism must be >= 1"),
-            ({"retries": -1}, "retries must be >= 0"),
-            ({"failure_ceiling": 1.5}, "failure_ceiling must be a rate in [0, 1]"),
-            ({"failure_action": "bogus"}, "failure_action must be 'drop' or 'repair'"),
-            ({"query_format": "bogus"}, "query_format must be one of"),
-            ({"ntp_numerator": "bogus"}, "ntp_numerator must be 'occurrences' or 'types'"),
+            ({"parallelism": 0}, "parallelism must be >= 1, got 0"),
+            ({"retries": -1}, "retries must be >= 0, got -1"),
+            ({"failure_ceiling": 1.5}, "failure_ceiling must be a rate in [0, 1], got 1.5"),
+            ({"failure_action": "bogus"}, "failure_action must be 'drop' or 'repair', got 'bogus'"),
+            ({"query_format": "bogus"},
+             "query_format must be one of ('natural', 'words', 'phrases', 'sentence', "
+             "'instruction'), got 'bogus'"),
+            ({"ntp_numerator": "bogus"}, "ntp_numerator must be 'occurrences' or 'types', got 'bogus'"),
+            ({"max_document_tokens": 0}, "max_document_tokens must be >= 1, got 0"),
+            ({"overlap_threshold": 100.5}, "overlap_threshold must be in [0, 100], got 100.5"),
+            ({"token_budget": 0}, "token_budget must be >= 1, got 0"),
+            ({"on_overflow": "bogus"}, "on_overflow must be 'truncate' or 'drop', got 'bogus'"),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, corpus, capsys, settings, message):
@@ -1022,6 +1088,25 @@ class TestMalformedConfig:
         config.write_text(json.dumps({"new_knob": "8"}))
         with pytest.raises(ConfigError, match="new_knob must be an integer, got '8'"):
             load_config(str(config))
+
+    def test_an_integer_as_large_as_the_largest_float_is_a_number(self):
+        # one past it is refused, as 10**400 is above
+        config = load_config(None, **{"backend.timeout": int(sys.float_info.max)})
+        assert config.backend.timeout == sys.float_info.max
+        with pytest.raises(ConfigError, match="backend.timeout must be a number"):
+            load_config(None, **{"backend.timeout": int(sys.float_info.max) + 1})
+
+    def test_the_defaults_are_the_documented_ones(self):
+        # the README's configuration example, with the exceptions its text names
+        assert asdict(load_config(None)) == {
+            "backend": {"kind": "mock", "endpoint": "", "script": "", "seed": 0, "timeout": 60.0,
+                        "params": None},
+            "mode": "wh", "parallelism": 1, "retries": 2, "failure_ceiling": 0.0,
+            "failure_action": "drop", "max_document_tokens": 3000, "query_format": "natural",
+            "ntp_numerator": "occurrences", "recall_only": False, "instruction": "",
+            "example_path": "", "labels": {}, "overlap_threshold": 50.0, "token_budget": 250,
+            "on_overflow": "truncate", "paths": {},
+        }
 
     def test_null_is_the_default(self, tmp_path):
         backend = dict.fromkeys(["kind", "endpoint", "script", "seed", "timeout", "params"])

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -7,11 +8,17 @@ from hypothesis import strategies as st
 
 from qfs_forge import corpus
 from qfs_forge.corpus import (
+    FAILURE_ACTIONS,
     MODES,
+    NTP_NUMERATORS,
+    OPTION_RULES,
+    OVERFLOW_ACTIONS,
+    QUERY_FORMATS,
     AnnotatedTriplet,
     CorpusError,
     DocumentSummaryPair,
     InvariantError,
+    check_options,
     load_corpus,
     load_triplets,
     normalize_query,
@@ -411,3 +418,50 @@ def test_normalize_query():
     assert normalize_query("  What is it  ") == "What is it?"
     assert normalize_query("Already there?") == "Already there?"
     assert normalize_query("") == ""
+
+
+# each option's values on the edge of its rule, then the nearest ones past that edge
+_BOUNDS = {
+    "mode": (MODES, ("", "WH", "yes/no")),
+    "parallelism": ((1,), (0,)),
+    "retries": ((0,), (-1,)),
+    "failure_ceiling": ((0.0, 1.0), (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0))),
+    "failure_action": (FAILURE_ACTIONS, ("Repair", "")),
+    "max_document_tokens": ((1,), (0,)),
+    "query_format": (QUERY_FORMATS, ("question", "")),
+    "ntp_numerator": (NTP_NUMERATORS, ("chars", "")),
+    "overlap_threshold": ((0.0, 100.0), (math.nextafter(0.0, -1.0), math.nextafter(100.0, 101.0))),
+    "token_budget": ((1,), (0,)),
+    "on_overflow": (OVERFLOW_ACTIONS, ("Drop", "")),
+}
+
+
+class Refused(Exception):
+    pass
+
+
+class TestOptionRules:
+    def test_every_rule_has_its_bounds_here(self):
+        assert list(_BOUNDS) == list(OPTION_RULES)
+
+    @pytest.mark.parametrize("name", list(_BOUNDS))
+    def test_the_bound_is_accepted_and_one_step_past_it_refused(self, name):
+        accepted, refused = _BOUNDS[name]
+        for value in accepted:
+            check_options(Refused, **{name: value})
+        for value in refused:
+            with pytest.raises(Refused) as raised:
+                check_options(Refused, **{name: value})
+            assert str(raised.value) == f"{name} {OPTION_RULES[name][1]}, got {value!r}"
+
+    def test_the_first_broken_rule_in_keyword_order_raises(self):
+        check_options(Refused)
+        check_options(Refused, retries=0, parallelism=1)
+        with pytest.raises(Refused, match=r"^retries must be >= 0, got -1$"):
+            check_options(Refused, retries=-1, parallelism=0)
+        with pytest.raises(Refused, match=r"^parallelism must be >= 1, got 0$"):
+            check_options(Refused, parallelism=0, retries=-1)
+
+    def test_an_option_without_a_rule_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            check_options(Refused, parallelsim=1)

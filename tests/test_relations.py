@@ -121,7 +121,7 @@ _UNIFY_RECORDS = st.lists(st.tuples(_TEXTS, _QUERIES), min_size=1, max_size=4).m
 # each command's extra flags and the files it writes
 _COMMANDS = {
     "annotate": ([], ("out.jsonl", "out.jsonl.failures.jsonl")),
-    "unify": (["--query-format", "words"], ("out.jsonl",)),
+    "unify": (["--query-format", "words", "--strategy", "backend"], ("out.jsonl",)),
     "compose": ([], ("out.jsonl",)),
 }
 
@@ -137,18 +137,23 @@ def _run(directory, command, records, *flags):
     return [(directory / name).read_text(encoding="utf-8").splitlines() for name in outputs]
 
 
-@settings(max_examples=20, deadline=None)
-@given(command=st.sampled_from(["annotate", "compose"]), data=st.data())
-def test_a_records_output_does_not_depend_on_the_other_records(tmp_path_factory, command, data):
-    key = "id" if command == "annotate" else "cluster_id"
-    records = _PAIRS if command == "annotate" else _CLUSTER_RECORDS
-    a = data.draw(records)
-    b = [{**record, key: "other-" + record[key]} for record in data.draw(records)]
+_RECORDS = {"annotate": _PAIRS, "unify": _UNIFY_RECORDS, "compose": _CLUSTER_RECORDS}
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(list(_COMMANDS)), parallelism=st.sampled_from(["1", "2"]),
+       data=st.data())
+def test_a_records_output_does_not_depend_on_the_other_records(
+    tmp_path_factory, command, parallelism, data
+):
+    key = "cluster_id" if command == "compose" else "id"
+    a = data.draw(_RECORDS[command])
+    b = [{**record, key: "other-" + record[key]} for record in data.draw(_RECORDS[command])]
     ids = {record[key] for record in a}
-    alone = _run(tmp_path_factory.mktemp(command), command, a)
+    alone = _run(tmp_path_factory.mktemp(command), command, a, "--parallelism", parallelism)
     # out(A + B) and out(B + A), restricted to A, are out(A), line for line
     for both in (a + b, b + a):
-        outputs = _run(tmp_path_factory.mktemp(command), command, both)
+        outputs = _run(tmp_path_factory.mktemp(command), command, both, "--parallelism", parallelism)
         assert [[line for line in lines if json.loads(line)[key] in ids] for lines in outputs] == alone
 
 

@@ -183,7 +183,7 @@ def _oracle_ntp(a, b, numerator="occurrences"):
     if numerator == "types":
         types_a = set(tokens_a)
         return 100.0 * len(types_a - types_b) / len(types_a)
-    raise StatsError(f"unknown ntp numerator mode {numerator!r}")
+    raise StatsError(f"ntp_numerator must be 'occurrences' or 'types', got {numerator!r}")
 
 
 def _oracle_corpus_stats(triplets, ntp_numerator="occurrences"):

@@ -15,8 +15,10 @@ a summary. The runtime needs only the standard library: neither ``requests``
 nor ``numpy`` is imported, and a run on the mock backend loads none of the
 HTTP, TLS and email modules that only the live backend needs.
 Each run option is written once: the config reader takes every key, type
-and default from the dataclass field, a command-line flag that names a key
-reaches a subcommand only through the config, and the mock backend reads
+and default from the dataclass field, ``corpus.OPTION_RULES`` states the
+rule on its value for the config and every stage entry point, a
+command-line flag that names a key reaches a subcommand only through the
+config, and the mock backend reads
 the prompt labels from the prompt and the summarization input by the
 template pieces in ``prompts.py`` rather than keeping its own copy. The
 stats report's columns are the ``CorpusStats`` fields, so ``stats.py``
@@ -192,6 +194,14 @@ def test_stats_names_no_report_column_in_a_string():
     # the CorpusStats fields are the one list of the report's columns
     literals = string_literals(ast.parse(SOURCES["stats.py"]))
     assert [value for value in literals if re.search(r"\b(len|ntp)_", value)] == []
+
+
+def test_option_rules_stated_only_in_corpus():
+    # corpus.OPTION_RULES states each rule without the option's name, which check_options adds
+    from qfs_forge.corpus import OPTION_RULES
+
+    assert modules_matching(rf"\b({'|'.join(OPTION_RULES)}) must be") == []
+    assert modules_matching(r"\b(check_composition|instruction_for_mode)\b") == []
 
 
 def test_annotate_corpus_names_none_of_annotate_pairs_options():
@@ -432,7 +442,7 @@ def test_mock_setup_loads_only_its_modules():
         "backend = qfs_forge.MockBackend(seed=1)\n"
         "specs = {d: qfs_forge.default_spec(d, 'wh') for d in ('news', 'dialogue')}\n"
     )
-    assert package_modules(modules) <= {"backends", "corpus", "prompts", "data"}
+    assert package_modules(modules) <= {"backends", "corpus", "prompts"}
     assert [name for name in ("concurrent.futures", "queue", "logging", "fractions", "decimal")
             if name in modules] == []
 

@@ -1,11 +1,10 @@
 import pytest
 
 from qfs_forge.backends import MockBackend
+from qfs_forge.corpus import FORMAT_TEMPLATE_STYLE, QUERY_FORMATS
 from qfs_forge.prompts import default_spec
 from qfs_forge.taxonomy import QueryType, classify_query
 from qfs_forge.unify import (
-    FORMAT_TEMPLATE_STYLE,
-    QUERY_FORMATS,
     PromptedGenerator,
     UnifyError,
     template_fallback,

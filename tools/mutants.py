@@ -10,9 +10,9 @@ Each mutant changes one operator or literal of one package module:
 Annotations are not mutated, and docstrings hold no operator or int. Every
 mutant runs alone, one after another, against the module's own test files
 (``tests/test_<module>.py``, or the files ``TEST_FILES`` names for it) and
-``tests/test_acceptance.py`` in a fresh copy of ``src`` and ``tests``
-under the system temporary directory. A mutant the tests pass is a
-survivor. The probe exits 1 if a survivor is not listed in
+``tests/test_acceptance.py`` in a fresh copy of ``src``, ``tests`` and
+``sample_data`` under the system temporary directory. A mutant the tests
+pass is a survivor. The probe exits 1 if a survivor is not listed in
 ``tools/equivalent_mutants.json`` with a reason, or if a listed one no
 longer survives, and 0 otherwise.
 
@@ -42,6 +42,8 @@ PACKAGE = Path("src") / "qfs_forge"
 # the modules whose tests are not, or not all, in tests/test_<module>.py
 TEST_FILES = {
     "_kernels": ("tests/test_kernels.py",),
+    # truncate_document is tested beside nth_token_chunk, the tokenizer step it calls
+    "annotate": ("tests/test_annotate.py", "tests/test_tokenizer.py"),
     "config": ("tests/test_cli.py",),
     "live": ("tests/test_backends.py",),
     # parse_completion and repair_queries are tested beside annotate_pair, their caller
@@ -133,7 +135,7 @@ def probe(module: str) -> list[dict]:
     with tempfile.TemporaryDirectory(prefix=f"mutants-{module}-") as scratch:
         copy = Path(scratch)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "sample_data"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         target = copy / PACKAGE / f"{module}.py"
         # the re-rendered but unmutated module must pass, or every mutant "dies"

@@ -72,8 +72,7 @@ def truncate_document(document: str, max_tokens: int) -> str:
     whitespace-separated chunks take at least 2n - 1 characters, so it
     cannot hold more than max_tokens tokens.
     """
-    if max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
+    check_options(ValueError, max_tokens=max_tokens)
     if len(document) < 2 * max_tokens:
         return document
     chunks = document.split()

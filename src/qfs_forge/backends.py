@@ -31,12 +31,9 @@ class CompletionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "stop_sequences", tuple(self.stop_sequences))
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        check_options(
+            ValueError, temperature=self.temperature, top_p=self.top_p, max_tokens=self.max_tokens
+        )
 
 
 # Greedy decoding for query generation: parse reliability beats diversity.

@@ -19,6 +19,7 @@ from .backends import map_ordered
 from .config import _PATH_KEYS, ConfigError, RunConfig, load_config
 from .corpus import (
     DOCUMENT,
+    DOMAINS,
     FORMAT_TEMPLATE_STYLE,
     QUERY_FORMATS,
     STRING,
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     unify.add_argument(
         "--domain",
-        choices=("news", "dialogue"),
-        default="news",
+        choices=DOMAINS,
+        default=DOMAINS[0],
         help="one-shot example domain for the prompted generator",
     )
     unify.set_defaults(func=cmd_unify, reads=("input",), writes=("output",))

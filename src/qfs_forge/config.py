@@ -37,8 +37,7 @@ class BackendConfig:
 
     def __post_init__(self):
         # LiveBackend checks its own endpoint, timeout and key
-        if self.kind not in ("mock", "live"):
-            raise ConfigError(f"backend.kind must be mock or live, got {self.kind!r}")
+        check_options(lambda text: ConfigError(f"backend.{text}"), kind=self.kind)
 
     def build(self) -> CompletionBackend:
         if self.kind == "live":

@@ -9,6 +9,7 @@ the one contract every later stage relies on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -16,6 +17,7 @@ from typing import Callable, NamedTuple
 
 DOMAINS = ("news", "dialogue")
 MODES = ("wh", "yesno")
+BACKEND_KINDS = ("mock", "live")
 # what annotate does with a pair still mismatched after its retries
 FAILURE_ACTIONS = ("drop", "repair")
 # what compose does with a summary that overflows the token budget
@@ -31,6 +33,7 @@ FORMAT_TEMPLATE_STYLE = {
     "instruction": "duc",
 }
 QUERY_FORMATS = ("natural", *FORMAT_TEMPLATE_STYLE)
+_TEMPLATE_STYLES = tuple(dict.fromkeys(FORMAT_TEMPLATE_STYLE.values()))
 
 # "1. " or "1) " at the start of a line/piece; requires trailing whitespace
 # so decimals like "3.5" are untouched.
@@ -55,32 +58,49 @@ class InvariantError(QfsError, ValueError):
     """A record violates a structural invariant and was rejected."""
 
 
-# The one statement of each run option's rule: name -> (predicate, rule).
-# The config and every stage entry point that takes the option check it
-# with check_options.
+# The one statement of each run option's rule: name -> (predicate, rule), which
+# the config, the stage entry points and the records check with check_options.
+# An integer is an int, never a bool; a float rule says what holds, so NaN breaks it.
 _EITHER = "must be {!r} or {!r}".format
+
+
+def _integer_from(low: int):
+    return lambda value: type(value) is int and value >= low
+
+
 OPTION_RULES = {
+    "domain": (DOMAINS.__contains__, f"must be one of {DOMAINS}"),
     "mode": (MODES.__contains__, f"must be one of {MODES}"),
-    "parallelism": (lambda value: value >= 1, "must be >= 1"),
-    "retries": (lambda value: value >= 0, "must be >= 0"),
+    "parallelism": (_integer_from(1), "must be an integer >= 1"),
+    "retries": (_integer_from(0), "must be an integer >= 0"),
     "failure_ceiling": (lambda value: 0 <= value <= 1, "must be a rate in [0, 1]"),
     "failure_action": (FAILURE_ACTIONS.__contains__, _EITHER(*FAILURE_ACTIONS)),
-    "max_document_tokens": (lambda value: value >= 1, "must be >= 1"),
+    "max_document_tokens": (_integer_from(1), "must be an integer >= 1"),
     "query_format": (QUERY_FORMATS.__contains__, f"must be one of {QUERY_FORMATS}"),
+    "style": (_TEMPLATE_STYLES.__contains__, f"must be one of {_TEMPLATE_STYLES}"),
     "ntp_numerator": (NTP_NUMERATORS.__contains__, _EITHER(*NTP_NUMERATORS)),
     "overlap_threshold": (lambda value: 0 <= value <= 100, "must be in [0, 100]"),
-    "token_budget": (lambda value: value >= 1, "must be >= 1"),
+    "token_budget": (_integer_from(1), "must be an integer >= 1"),
     "on_overflow": (OVERFLOW_ACTIONS.__contains__, _EITHER(*OVERFLOW_ACTIONS)),
+    "kind": (BACKEND_KINDS.__contains__, _EITHER(*BACKEND_KINDS)),
+    "max_tokens": (_integer_from(1), "must be an integer >= 1"),
+    "temperature": (lambda value: 0 <= value < math.inf, "must be finite and >= 0"),
+    "top_p": (lambda value: 0 < value <= 1, "must be in (0, 1]"),
 }
 
 
-def check_options(error: type[Exception], **values) -> None:
+def check_options(error: Callable[[str], Exception], **values) -> None:
     """Raise ``error("<name> <rule>, got <value>")`` for the first of
     ``values``, in keyword order, that breaks its rule in ``OPTION_RULES``."""
     for name, value in values.items():
         allowed, rule = OPTION_RULES[name]
         if not allowed(value):
             raise error(f"{name} {rule}, got {value!r}")
+
+
+def _record_error(kind: str, record_id: str) -> Callable[[str], InvariantError]:
+    """The error of the ``kind`` record ``record_id``, its text after the record's name."""
+    return lambda text: InvariantError(f"{kind} {record_id!r}: {text}")
 
 
 def _has_token(text: str) -> bool:
@@ -91,16 +111,16 @@ def _has_token(text: str) -> bool:
     return _has_token(text)
 
 
-def _summary_sentences(kind: str, record_id: str, document: str, summary: str) -> tuple[str, ...]:
+def _summary_sentences(error: Callable, document: str, summary: str) -> tuple[str, ...]:
     """The summary's sentences, once the document and summary hold what
     every stage divides by: a token each, and a sentence in the summary."""
     if not _has_token(document):
-        raise InvariantError(f"{kind} {record_id!r}: document holds no token")
+        raise error("document holds no token")
     sentences = tuple(segment_sentences(summary))
     if not sentences:
-        raise InvariantError(f"{kind} {record_id!r}: summary holds no sentence")
+        raise error("summary holds no sentence")
     if not _has_token(summary):
-        raise InvariantError(f"{kind} {record_id!r}: summary holds no token")
+        raise error("summary holds no token")
     return sentences
 
 
@@ -123,12 +143,10 @@ class DocumentSummaryPair:
     def __post_init__(self):
         if not self.id:
             raise InvariantError("pair id must be non-empty")
-        sentences = _summary_sentences("pair", self.id, self.document, self.summary)
+        error = _record_error("pair", self.id)
+        sentences = _summary_sentences(error, self.document, self.summary)
         object.__setattr__(self, "summary_sentences", sentences)
-        if self.domain not in DOMAINS:
-            raise InvariantError(
-                f"pair {self.id!r}: domain must be one of {DOMAINS}, got {self.domain!r}"
-            )
+        check_options(error, domain=self.domain)
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,8 @@ class AnnotatedTriplet:
     def __post_init__(self):
         object.__setattr__(self, "queries", tuple(self.queries))
         object.__setattr__(self, "query_types", tuple(self.query_types))
-        self._check_queries(
-            len(_summary_sentences("triplet", self.id, self.document, self.summary))
-        )
+        error = _record_error("triplet", self.id)
+        self._check_queries(len(_summary_sentences(error, self.document, self.summary)))
 
     @classmethod
     def from_pair(
@@ -176,24 +193,17 @@ class AnnotatedTriplet:
         """The rules of a triplet beyond its pair's: mode, one query per
         summary sentence, each ending with ``?`` and holding a token, and
         a type per query if any."""
-        if self.mode not in MODES:
-            raise InvariantError(f"triplet {self.id!r}: bad mode {self.mode!r}")
+        error = _record_error("triplet", self.id)
+        check_options(error, mode=self.mode)
         if len(self.queries) != n_sentences:
-            raise InvariantError(
-                f"triplet {self.id!r}: {len(self.queries)} queries for "
-                f"{n_sentences} summary sentences"
-            )
+            raise error(f"{len(self.queries)} queries for {n_sentences} summary sentences")
         for q in self.queries:
             if not q.strip().endswith("?"):
-                raise InvariantError(
-                    f"triplet {self.id!r}: query does not end with '?': {q!r}"
-                )
+                raise error(f"query does not end with '?': {q!r}")
             if not _has_token(q):
-                raise InvariantError(f"triplet {self.id!r}: query holds no token: {q!r}")
+                raise error(f"query holds no token: {q!r}")
         if self.query_types and len(self.query_types) != len(self.queries):
-            raise InvariantError(
-                f"triplet {self.id!r}: query_types length != queries length"
-            )
+            raise error("query_types length != queries length")
 
 
 def segment_sentences(text: str) -> list[str]:

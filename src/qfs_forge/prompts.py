@@ -17,8 +17,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 from .corpus import (
-    DOMAINS, MODES, DocumentSummaryPair, QfsError, check_options, check_text, is_string_list,
-    read_json,
+    DocumentSummaryPair, QfsError, check_options, check_text, is_string_list, read_json,
 )
 
 WH_INSTRUCTION = (
@@ -83,10 +82,7 @@ class OneShotExample:
     def __post_init__(self):
         object.__setattr__(self, "summary_sentences", tuple(self.summary_sentences))
         object.__setattr__(self, "query_sentences", tuple(self.query_sentences))
-        if self.domain not in DOMAINS:
-            raise PromptError(f"unknown example domain {self.domain!r}")
-        if self.mode not in MODES:
-            raise PromptError(f"unknown example mode {self.mode!r}")
+        check_options(PromptError, domain=self.domain, mode=self.mode)
         if not self.summary_sentences:
             raise PromptError("one-shot example needs at least one summary sentence")
         if len(self.summary_sentences) != len(self.query_sentences):
@@ -138,8 +134,7 @@ class PromptSpec:
 
 
 def _load_builtin(domain: str) -> dict:
-    if domain not in DOMAINS:
-        raise PromptError(f"unknown domain {domain!r}")
+    check_options(PromptError, domain=domain)
     path = os.path.join(os.path.dirname(__file__), "data", f"oneshot_{domain}.json")
     return read_json(path, f"built-in {domain} example", PromptError)
 
@@ -173,7 +168,7 @@ def _example_from_raw(raw, mode: str, source: str) -> OneShotExample:
     if not isinstance(queries, dict) or mode not in queries:
         raise PromptError(f"{source}: queries must be an object with a {mode!r} list")
     if not isinstance(raw["document"], str) or not isinstance(raw["domain"], str):
-        raise PromptError(f"{source}: document and domain must be strings")
+        raise PromptError(f"{source}: document and domain must both be strings")
     if not is_string_list(raw["summary_sentences"]) or not is_string_list(queries[mode]):
         raise PromptError(f"{source}: summary_sentences and queries.{mode} must be lists of strings")
     try:

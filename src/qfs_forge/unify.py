@@ -10,7 +10,7 @@ ablation comparisons.
 from __future__ import annotations
 
 from .backends import QUERY_GEN_PARAMS, CompletionBackend, CompletionParams, map_ordered
-from .corpus import DOCUMENT, SUMMARY, DocumentSummaryPair, QfsError
+from .corpus import DOCUMENT, SUMMARY, DocumentSummaryPair, QfsError, check_options
 from .prompts import ParseMismatchError, PromptSpec, build_annotation_prompt, parse_completion
 
 _DUC_VERB_MAP = {
@@ -79,23 +79,18 @@ def unify_query(document: str, raw_query: str, gen: PromptedGenerator) -> str:
 
 def template_fallback(raw_query: str, style: str) -> str:
     """Deterministic template conversion used for the unification ablation."""
+    check_options(UnifyError, style=style)
     raw_query = raw_query.strip()
     if not raw_query:
         raise UnifyError("raw query must be non-empty")
     if style == "newts":
         return f"What does the article say about {raw_query}?"
-    if style == "duc":
-        text = raw_query
-        if text.endswith("."):
-            text = text[:-1] + "?"
-        elif not text.endswith("?"):
-            text += "?"
-        first, _, rest = text.partition(" ")
-        replacement = _DUC_VERB_MAP.get(first.lower())
-        if replacement and rest:
-            return f"{replacement} {rest}"
-        return text
-    raise UnifyError(f"unknown template style {style!r}")
+    text = raw_query if raw_query.endswith("?") else raw_query.removesuffix(".") + "?"
+    first, _, rest = text.partition(" ")
+    replacement = _DUC_VERB_MAP.get(first.lower())
+    if replacement and rest:
+        return f"{replacement} {rest}"
+    return text
 
 
 def unify_batch(

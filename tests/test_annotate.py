@@ -234,7 +234,7 @@ class TestAnnotatePair:
 
     def test_negative_retries_is_refused(self):
         backend = MockBackend(seed=1)
-        with pytest.raises(ValueError, match="retries must be >= 0"):
+        with pytest.raises(ValueError, match="retries must be an integer >= 0"):
             annotate_corpus([self.make_pair()], default_spec("news", "wh"), backend, retries=-1)
         assert backend.calls == 0
 
@@ -246,6 +246,18 @@ class TestAnnotatePair:
                 self.make_pair(), default_spec("news", "wh"), backend, retries=0,
                 failure_action=failure_action,
             )
+        assert backend.calls == 0
+
+    @pytest.mark.parametrize(
+        "option", [{"retries": 1.5}, {"retries": True}, {"max_document_tokens": 2.5}]
+    )
+    def test_a_non_integer_option_is_refused_before_any_call(self, option):
+        backend = MockBackend(seed=1)
+        name, value = next(iter(option.items()))
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= \d, got {value!r}$"):
+            annotate_pair(self.make_pair(), default_spec("news", "wh"), backend, **option)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            annotate_corpus([self.make_pair()], default_spec("news", "wh"), backend, **option)
         assert backend.calls == 0
 
     def test_outcome_invariant_enforced(self):
@@ -285,14 +297,20 @@ class TestAnnotateCorpus:
     @pytest.mark.parametrize(
         "option, message",
         [
-            ({"retries": -1}, "retries must be >= 0"),
-            ({"max_document_tokens": 0}, "max_document_tokens must be >= 1"),
+            ({"retries": -1}, "retries must be an integer >= 0"),
+            ({"max_document_tokens": 0}, "max_document_tokens must be an integer >= 1"),
             ({"failure_action": "Repair"}, "failure_action must be 'drop' or 'repair'"),
         ],
     )
     def test_empty_corpus_checks_option_values(self, option, message):
         with pytest.raises(ValueError, match=message):
             annotate_corpus([], default_spec("news", "wh"), MockBackend(), **option)
+
+    def test_a_non_integer_parallelism_is_refused_before_any_call(self):
+        backend = MockBackend(seed=1)
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1, got 2.5$"):
+            annotate_corpus(self.make_pairs(3), default_spec("news", "wh"), backend, parallelism=2.5)
+        assert backend.calls == 0
 
     def test_summarize_outcomes_counts(self):
         pairs = self.make_pairs(3)
@@ -376,6 +394,11 @@ def test_blank_input_is_a_package_error(render):
 class TestTruncateDocument:
     def test_short_document_untouched(self):
         assert truncate_document("a b c", 10) == "a b c"
+
+    @pytest.mark.parametrize("max_tokens", [2.5, True, 0])
+    def test_a_bound_that_is_no_integer_from_one_is_refused(self, max_tokens):
+        with pytest.raises(ValueError, match=f"^max_tokens must be an integer >= 1, got {max_tokens!r}$"):
+            truncate_document("a b c d", max_tokens)
 
     def test_cuts_on_whole_token_boundary(self):
         text = "one two three four five"

@@ -51,9 +51,10 @@ PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions
 
 class TestCompletionParams:
     def test_defaults_valid(self):
-        assert QUERY_GEN_PARAMS.temperature == 0.0
-        assert QUERY_GEN_PARAMS.top_p == 1.0
-        assert QUERY_GEN_PARAMS.max_tokens == 256
+        # the presets and field defaults README gives
+        assert QUERY_GEN_PARAMS == CompletionParams(256, 0.0, 1.0, ("\n\n",))
+        assert SUMMARIZATION_PARAMS == CompletionParams(512, 1.0, 0.9, ())
+        assert CompletionParams() == CompletionParams(256, 0.0, 1.0, ())
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -63,8 +64,29 @@ class TestCompletionParams:
         with pytest.raises(ValueError):
             CompletionParams(top_p=1.5)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_rejects_a_temperature_no_json_parser_reads(self, temperature):
+        # json.dumps would post it as NaN or Infinity
+        message = f"^temperature must be finite and >= 0, got {temperature!r}$"
+        with pytest.raises(ValueError, match=message):
+            CompletionParams(temperature=temperature)
+
+    def test_negative_zero_temperature_is_greedy(self):
+        assert CompletionParams(temperature=-0.0).temperature == 0.0
+
+    def test_checks_temperature_then_top_p_then_max_tokens(self):
+        with pytest.raises(ValueError, match="^temperature "):
+            CompletionParams(temperature=-1.0, top_p=0.0, max_tokens=0)
+        with pytest.raises(ValueError, match="^top_p "):
+            CompletionParams(top_p=0.0, max_tokens=0)
+        with pytest.raises(ValueError, match=r"^max_tokens must be an integer >= 1, got 2\.5$"):
+            CompletionParams(max_tokens=2.5)
+
 
 class TestMockBackend:
+    def test_seed_defaults_to_zero(self):
+        assert MockBackend().name == "mock(seed=0)"
+
     def test_script_consumed_in_call_order(self):
         backend = MockBackend(script=["first", "second"])
         assert backend.complete("p", QUERY_GEN_PARAMS) == "first"
@@ -276,8 +298,15 @@ class TestMapOrdered:
 
     @pytest.mark.parametrize("n_items", [0, 1, 2])
     def test_rejects_parallelism_below_one(self, n_items):
-        with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        with pytest.raises(ValueError, match="parallelism must be an integer >= 1"):
             map_ordered(lambda x: x, list(range(n_items)), 0)
+
+    @pytest.mark.parametrize("parallelism", [2.5, True])
+    def test_rejects_a_parallelism_that_is_no_integer_before_any_call(self, parallelism):
+        calls = []
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1, got "):
+            map_ordered(calls.append, [1, 2, 3], parallelism)
+        assert calls == []
 
     def test_empty_and_single_item_run_inline(self):
         caller = threading.get_ident()

@@ -16,10 +16,10 @@ import qfs_forge.config as config_module
 import qfs_forge.prompts as prompts_module
 from qfs_forge.annotate import annotate_corpus, annotate_pair
 from qfs_forge.backends import CompletionParams, MockBackend, map_ordered
-from qfs_forge.cli import _CONFIG_FLAGS, main
+from qfs_forge.cli import _CONFIG_FLAGS, build_parser, main
 from qfs_forge.compose import ComposeError, ComposeResult, CompositionConfig
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
-from qfs_forge.corpus import DocumentSummaryPair
+from qfs_forge.corpus import DOMAINS, DocumentSummaryPair
 from qfs_forge.prompts import default_spec, load_example
 from qfs_forge.stats import corpus_stats, ntp
 from qfs_forge.taxonomy import YES_NO_TYPES
@@ -626,7 +626,7 @@ class TestMalformedRecords:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"mode": "bogus"}, "bad mode 'bogus'"),
+            ({"mode": "bogus"}, "mode must be one of ('wh', 'yesno'), got 'bogus'"),
             ({"summary": "Snow fell. Roads closed."}, "1 queries for 2 summary sentences"),
             ({"query_types": ["what", "what"]}, "query_types length != queries length"),
             ({"summary": "2.", "queries": [], "query_types": []}, "summary holds no sentence"),
@@ -785,7 +785,7 @@ class TestMalformedConfig:
             ({"backend": {"seed": 1.0}}, "backend.seed must be an integer, got 1.0"),
             ({"backend": 5}, "backend must be a JSON object, got 5"),
             ({"paths": "out.jsonl"}, "paths must be a JSON object, got 'out.jsonl'"),
-            ({"backend": {"params": {"temperature": -1}}}, "backend.params: temperature must be >= 0"),
+            ({"backend": {"params": {"temperature": -1}}}, "backend.params: temperature must be finite and >= 0, got -1.0"),
             ({"backend": {"params": {"top_p": "high"}}}, "backend.params.top_p must be a number"),
             ({"backend": {"params": {"stop": "\n"}}}, "backend.params.stop must be a list of strings"),
             ({"recall_only": "no"}, "recall_only must be a boolean, got 'no'"),
@@ -812,17 +812,17 @@ class TestMalformedConfig:
             ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
             ({"paths": {"audti": "a.jsonl"}}, "unknown paths keys: ['audti']"),
             ({"mode": "bogus"}, "mode must be one of ('wh', 'yesno'), got 'bogus'"),
-            ({"parallelism": 0}, "parallelism must be >= 1, got 0"),
-            ({"retries": -1}, "retries must be >= 0, got -1"),
+            ({"parallelism": 0}, "parallelism must be an integer >= 1, got 0"),
+            ({"retries": -1}, "retries must be an integer >= 0, got -1"),
             ({"failure_ceiling": 1.5}, "failure_ceiling must be a rate in [0, 1], got 1.5"),
             ({"failure_action": "bogus"}, "failure_action must be 'drop' or 'repair', got 'bogus'"),
             ({"query_format": "bogus"},
              "query_format must be one of ('natural', 'words', 'phrases', 'sentence', "
              "'instruction'), got 'bogus'"),
             ({"ntp_numerator": "bogus"}, "ntp_numerator must be 'occurrences' or 'types', got 'bogus'"),
-            ({"max_document_tokens": 0}, "max_document_tokens must be >= 1, got 0"),
+            ({"max_document_tokens": 0}, "max_document_tokens must be an integer >= 1, got 0"),
             ({"overlap_threshold": 100.5}, "overlap_threshold must be in [0, 100], got 100.5"),
-            ({"token_budget": 0}, "token_budget must be >= 1, got 0"),
+            ({"token_budget": 0}, "token_budget must be an integer >= 1, got 0"),
             ({"on_overflow": "bogus"}, "on_overflow must be 'truncate' or 'drop', got 'bogus'"),
         ],
     )
@@ -948,7 +948,7 @@ class TestMalformedConfig:
             (b'{"document": "d", "summary_sentences": ["s"], "queries": [], "domain": "news"}',
              "queries must be an object with a 'wh' list"),
             (b'{"document": 1, "summary_sentences": ["s"], "queries": {"wh": ["q"]}, "domain": "news"}',
-             "document and domain must be strings"),
+             "document and domain must both be strings"),
             (b'{"document": "d", "summary_sentences": 5, "queries": {"wh": ["q"]}, "domain": "news"}',
              "summary_sentences and queries.wh must be lists of strings"),
             (b'{"document": "d", "summary_sentences": ["s"], "queries": {"wh": ["q \\udfff"]}, "domain": "news"}',
@@ -1126,8 +1126,8 @@ class TestMalformedConfig:
         "flag, value, bad, message",
         [
             ("seed", 5, "5", "backend.seed must be an integer, got '5'"),
-            ("parallelism", 3, 0, "parallelism must be >= 1"),
-            ("token_budget", 40, 0, "token_budget must be >= 1"),
+            ("parallelism", 3, 0, "parallelism must be an integer >= 1"),
+            ("token_budget", 40, 0, "token_budget must be an integer >= 1"),
             ("query_format", "words", "bogus", "query_format must be one of"),
             ("recall_only", True, "no", "recall_only must be a boolean, got 'no'"),
             ("input", "pairs.jsonl", 5, "paths.input must be a string, got 5"),
@@ -1158,6 +1158,11 @@ class TestMalformedConfig:
 
 
 class TestCliPlumbing:
+    def test_unify_domain_choices_are_the_domains(self):
+        unify = build_parser()._subparsers._group_actions[0].choices["unify"]
+        (domain,) = [action for action in unify._actions if action.dest == "domain"]
+        assert (domain.choices, domain.default) == (DOMAINS, DOMAINS[0])
+
     def test_missing_input_path_is_error(self, mock_config, capsys):
         assert run(["--config", mock_config, "stats"]) == 2
         assert "no 'input' path" in capsys.readouterr().err
@@ -1383,7 +1388,7 @@ class TestCliPlumbing:
         config.write_text(json.dumps({"backend": {"kind": "bogus"}}))
         out = tmp_path / "s.jsonl"
         assert run(["--config", str(config), "stats", "--input", triplets, "--output", str(out)]) == 2
-        assert "error: backend.kind must be mock or live" in capsys.readouterr().err
+        assert "error: backend.kind must be 'mock' or 'live', got 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["annotate", "stats", "evaluate"])

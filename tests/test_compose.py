@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfs_forge.backends import BackendError, SUMMARIZATION_PARAMS
+from qfs_forge.backends import BackendError, MockBackend, SUMMARIZATION_PARAMS
 from qfs_forge.compose import (
     ComposeError,
     CompositionConfig,
@@ -322,6 +322,16 @@ class TestConfigValidation:
     def test_budget_positive(self):
         with pytest.raises(ValueError):
             CompositionConfig(backend=MapBackend({}), token_budget=0)
+
+    @pytest.mark.parametrize(
+        "option", [{"token_budget": 12.5}, {"token_budget": True}, {"parallelism": 2.5}]
+    )
+    def test_a_non_integer_option_is_refused_before_any_call(self, option):
+        backend = MockBackend()
+        name, value = next(iter(option.items()))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
+            CompositionConfig(backend=backend, **option)
+        assert backend.calls == 0
 
     def test_defaults(self):
         cfg = CompositionConfig(backend=MapBackend({}))

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from qfs_forge import corpus
 from qfs_forge.corpus import (
+    DOMAINS,
     FAILURE_ACTIONS,
     MODES,
     NTP_NUMERATORS,
@@ -421,18 +423,26 @@ def test_normalize_query():
 
 
 # each option's values on the edge of its rule, then the nearest ones past that edge
+_NAN = math.nan
+_BEFORE_ZERO = math.nextafter(0.0, -1.0)
 _BOUNDS = {
+    "domain": (DOMAINS, ("", "News", "email")),
     "mode": (MODES, ("", "WH", "yes/no")),
-    "parallelism": ((1,), (0,)),
-    "retries": ((0,), (-1,)),
-    "failure_ceiling": ((0.0, 1.0), (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0))),
+    "parallelism": ((1,), (0, 2.5, True)),
+    "retries": ((0,), (-1, 2.5, False)),
+    "failure_ceiling": ((0.0, 1.0), (_BEFORE_ZERO, math.nextafter(1.0, 2.0), _NAN)),
     "failure_action": (FAILURE_ACTIONS, ("Repair", "")),
-    "max_document_tokens": ((1,), (0,)),
+    "max_document_tokens": ((1,), (0, 2.5, True)),
     "query_format": (QUERY_FORMATS, ("question", "")),
+    "style": (("newts", "duc"), ("words", "DUC", "")),
     "ntp_numerator": (NTP_NUMERATORS, ("chars", "")),
-    "overlap_threshold": ((0.0, 100.0), (math.nextafter(0.0, -1.0), math.nextafter(100.0, 101.0))),
-    "token_budget": ((1,), (0,)),
+    "overlap_threshold": ((0.0, 100.0), (_BEFORE_ZERO, math.nextafter(100.0, 101.0), _NAN)),
+    "token_budget": ((1,), (0, 2.5, True)),
     "on_overflow": (OVERFLOW_ACTIONS, ("Drop", "")),
+    "kind": (("mock", "live"), ("Mock", "http", "")),
+    "max_tokens": ((1,), (0, 2.5, True)),
+    "temperature": ((0.0, -0.0, sys.float_info.max), (_BEFORE_ZERO, math.inf, _NAN)),
+    "top_p": ((math.nextafter(0.0, 1.0), 1.0), (0.0, math.nextafter(1.0, 2.0), _NAN)),
 }
 
 
@@ -457,9 +467,9 @@ class TestOptionRules:
     def test_the_first_broken_rule_in_keyword_order_raises(self):
         check_options(Refused)
         check_options(Refused, retries=0, parallelism=1)
-        with pytest.raises(Refused, match=r"^retries must be >= 0, got -1$"):
+        with pytest.raises(Refused, match=r"^retries must be an integer >= 0, got -1$"):
             check_options(Refused, retries=-1, parallelism=0)
-        with pytest.raises(Refused, match=r"^parallelism must be >= 1, got 0$"):
+        with pytest.raises(Refused, match=r"^parallelism must be an integer >= 1, got 0$"):
             check_options(Refused, parallelism=0, retries=-1)
 
     def test_an_option_without_a_rule_is_a_key_error(self):

@@ -204,6 +204,13 @@ def test_option_rules_stated_only_in_corpus():
     assert modules_matching(r"\b(check_composition|instruction_for_mode)\b") == []
 
 
+def test_domains_modes_and_backend_kinds_checked_only_in_corpus():
+    # the domain, mode and kind rules are OPTION_RULES entries, which check_options applies
+    membership = r"\bin\s+(DOMAINS|MODES)\b|\b(DOMAINS|MODES)\.__contains__"
+    assert modules_matching(membership) == ["corpus.py"]
+    assert modules_matching(r"[\"']mock[\"'],\s*[\"']live[\"']") == ["corpus.py"]
+
+
 def test_annotate_corpus_names_none_of_annotate_pairs_options():
     # annotate_pair is the one home of retries, params, max_document_tokens and failure_action
     from qfs_forge.annotate import annotate_corpus

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import pytest
 
 from qfs_forge.backends import MockBackend
@@ -147,8 +150,13 @@ class TestTemplateFallback:
             template_fallback("", "duc")
 
     def test_unknown_style_errors(self):
-        with pytest.raises(UnifyError):
+        with pytest.raises(UnifyError, match=r"^style must be one of \('newts', 'duc'\), got 'nyt'$"):
             template_fallback("x", "nyt")
+
+    def test_duc_keeps_a_question_mark_and_ends_a_bare_query_with_one(self):
+        assert template_fallback("Why did it rain?", "duc") == "Why did it rain?"
+        assert template_fallback("Rain in Spain", "duc") == "Rain in Spain?"
+        assert template_fallback("Wait..", "duc") == "Wait.?"
 
 
 class TestUnifyBatch:
@@ -159,6 +167,34 @@ class TestUnifyBatch:
         parallel = unify_batch(docs, raws, mock_generator(), parallelism=4)
         assert serial == parallel
         assert all(query.endswith(f" topic {i}?") for i, query in enumerate(serial))
+
+    def test_a_non_integer_parallelism_is_refused_before_any_call(self):
+        backend = MockBackend(seed=1)
+        gen = PromptedGenerator(backend, default_spec("news", "wh"))
+        with pytest.raises(ValueError, match="^parallelism must be an integer >= 1, got 2.5$"):
+            unify_batch(["a b c", "d e f"], ["topic one.", "topic two."], gen, parallelism=2.5)
+        assert backend.calls == 0
+
+    def test_pairs_each_document_with_its_query(self):
+        class Echo(ListGenerator):
+            def generate_query(self, document, pseudo_summary):
+                return f"1. Does {document} answer {pseudo_summary}"
+
+        assert unify_batch(["doc a", "doc b"], ["q a.", "q b."], Echo("")) == [
+            "Does doc a answer q a.", "Does doc b answer q b."
+        ]
+
+    def test_calls_the_generator_from_the_caller_alone_by_default(self):
+        threads = set()
+
+        class Recording(ListGenerator):
+            def generate_query(self, document, pseudo_summary):
+                threads.add(threading.current_thread())
+                time.sleep(0.005)  # long enough for a helper thread to take a query
+                return self.text
+
+        unify_batch(["a b", "c d", "e f", "g h"], ["w.", "x.", "y.", "z."], Recording("1. Why?"))
+        assert threads == {threading.current_thread()}
 
     def test_misaligned_inputs_error(self):
         with pytest.raises(UnifyError):

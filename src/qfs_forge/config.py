@@ -36,8 +36,10 @@ class BackendConfig:
     params: CompletionParams | None = None
 
     def __post_init__(self):
-        # LiveBackend checks its own endpoint, timeout and key
-        check_options(lambda text: ConfigError(f"backend.{text}"), kind=self.kind)
+        # LiveBackend checks its own endpoint and key, and the timeout again
+        check_options(
+            lambda text: ConfigError(f"backend.{text}"), kind=self.kind, timeout=self.timeout
+        )
 
     def build(self) -> CompletionBackend:
         if self.kind == "live":

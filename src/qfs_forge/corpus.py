@@ -60,7 +60,8 @@ class InvariantError(QfsError, ValueError):
 
 # The one statement of each run option's rule: name -> (predicate, rule), which
 # the config, the stage entry points and the records check with check_options.
-# An integer is an int, never a bool; a float rule says what holds, so NaN breaks it.
+# An integer is an int, never a bool; a number is an int or a float, never a
+# bool, and a number rule says what holds, so NaN breaks it.
 _EITHER = "must be {!r} or {!r}".format
 
 
@@ -68,24 +69,29 @@ def _integer_from(low: int):
     return lambda value: type(value) is int and value >= low
 
 
+def _number_where(holds: Callable[[float], bool]):
+    return lambda value: type(value) in (int, float) and holds(value)
+
+
 OPTION_RULES = {
     "domain": (DOMAINS.__contains__, f"must be one of {DOMAINS}"),
     "mode": (MODES.__contains__, f"must be one of {MODES}"),
     "parallelism": (_integer_from(1), "must be an integer >= 1"),
     "retries": (_integer_from(0), "must be an integer >= 0"),
-    "failure_ceiling": (lambda value: 0 <= value <= 1, "must be a rate in [0, 1]"),
+    "failure_ceiling": (_number_where(lambda value: 0 <= value <= 1), "must be a rate in [0, 1]"),
     "failure_action": (FAILURE_ACTIONS.__contains__, _EITHER(*FAILURE_ACTIONS)),
     "max_document_tokens": (_integer_from(1), "must be an integer >= 1"),
     "query_format": (QUERY_FORMATS.__contains__, f"must be one of {QUERY_FORMATS}"),
     "style": (_TEMPLATE_STYLES.__contains__, f"must be one of {_TEMPLATE_STYLES}"),
     "ntp_numerator": (NTP_NUMERATORS.__contains__, _EITHER(*NTP_NUMERATORS)),
-    "overlap_threshold": (lambda value: 0 <= value <= 100, "must be in [0, 100]"),
+    "overlap_threshold": (_number_where(lambda value: 0 <= value <= 100), "must be in [0, 100]"),
     "token_budget": (_integer_from(1), "must be an integer >= 1"),
     "on_overflow": (OVERFLOW_ACTIONS.__contains__, _EITHER(*OVERFLOW_ACTIONS)),
     "kind": (BACKEND_KINDS.__contains__, _EITHER(*BACKEND_KINDS)),
     "max_tokens": (_integer_from(1), "must be an integer >= 1"),
-    "temperature": (lambda value: 0 <= value < math.inf, "must be finite and >= 0"),
-    "top_p": (lambda value: 0 < value <= 1, "must be in (0, 1]"),
+    "temperature": (_number_where(lambda value: 0 <= value < math.inf), "must be finite and >= 0"),
+    "top_p": (_number_where(lambda value: 0 < value <= 1), "must be in (0, 1]"),
+    "timeout": (_number_where(lambda value: 0 < value < math.inf), "must be finite and > 0"),
 }
 
 

@@ -19,7 +19,7 @@ import urllib.parse
 import urllib.request
 
 from .backends import BackendError, CompletionParams
-from .corpus import check_text
+from .corpus import check_options, check_text
 
 API_KEY_ENV = "QFS_FORGE_API_KEY"
 
@@ -52,8 +52,7 @@ class LiveBackend:
                 "live backend endpoint must be an http or https URL with a host, in printable"
                 f" ASCII without spaces or user info, got {endpoint!r}"
             )
-        if not (isinstance(timeout, (int, float)) and 0 < timeout < float("inf")):
-            raise BackendError(f"live backend timeout must be finite and > 0, got {timeout!r}")
+        check_options(lambda text: BackendError(f"live backend {text}"), timeout=timeout)
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise BackendError(

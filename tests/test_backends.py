@@ -51,7 +51,8 @@ PROMPT_TAIL = "Summary:\n1. The mayor spoke.\n2. The town listened.\n\nQuestions
 
 class TestCompletionParams:
     def test_defaults_valid(self):
-        # the presets and field defaults README gives
+        # a pin of the presets and field defaults; README's configuration table
+        # renders the field defaults and names the presets
         assert QUERY_GEN_PARAMS == CompletionParams(256, 0.0, 1.0, ("\n\n",))
         assert SUMMARIZATION_PARAMS == CompletionParams(512, 1.0, 0.9, ())
         assert CompletionParams() == CompletionParams(256, 0.0, 1.0, ())
@@ -73,6 +74,13 @@ class TestCompletionParams:
 
     def test_negative_zero_temperature_is_greedy(self):
         assert CompletionParams(temperature=-0.0).temperature == 0.0
+
+    @pytest.mark.parametrize("name, rule", [("temperature", "finite and >= 0"), ("top_p", "in (0, 1]")])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_a_value_that_is_no_number_is_refused(self, name, rule, value):
+        with pytest.raises(ValueError) as raised:
+            CompletionParams(**{name: value})
+        assert str(raised.value) == f"{name} must be {rule}, got {value!r}"
 
     def test_checks_temperature_then_top_p_then_max_tokens(self):
         with pytest.raises(ValueError, match="^temperature "):
@@ -931,10 +939,64 @@ class TestLiveBackend:
         with pytest.raises(BackendError, match="http or https URL with a host"):
             LiveBackend(endpoint)
 
-    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), "60"])
+    @pytest.mark.parametrize("timeout", [0, -1.0, float("nan"), float("inf"), "60", True])
     def test_rejects_timeout_not_finite_and_positive(self, api_key, timeout):
-        with pytest.raises(BackendError, match="timeout must be finite and > 0"):
+        message = f"live backend timeout must be finite and > 0, got {timeout!r}"
+        with pytest.raises(BackendError) as raised:
             LiveBackend("http://127.0.0.1:1/complete", timeout=timeout)
+        assert str(raised.value) == message
+
+    def test_a_timeout_below_one_second_is_kept(self, stub_server, api_key):
+        backend = LiveBackend(self.endpoint(stub_server), timeout=0.5)
+        with contextlib.closing(backend):
+            assert backend.complete("p", QUERY_GEN_PARAMS) == "1. What happened?"
+            assert backend._idle[0].timeout == 0.5
+
+    def test_accepts_an_endpoint_holding_the_first_and_last_printable_characters(self, api_key):
+        backend = LiveBackend("http://127.0.0.1:1/~user/a!b")
+        assert backend._target == "/~user/a!b"
+
+    @pytest.mark.parametrize(
+        "proxy, route",
+        [
+            ("http://proxy.example", "proxy.example:80"),
+            ("proxy.example:3128", "proxy.example:3128"),
+            ("http://[::1]:3128", "[::1]:3128"),
+            ("http://[::1]", "[::1]:80"),
+        ],
+    )
+    def test_proxy_route_defaults_to_port_80_and_brackets_an_ipv6_host(self, proxy, route):
+        assert live._proxy_route(proxy) == (route, {})
+
+    def test_a_reply_that_is_no_object_is_quoted_to_200_bytes(self):
+        body = json.dumps(["x" * 300]).encode()
+        with pytest.raises(BackendError) as raised:
+            live._completion_text(body)
+        assert str(raised.value) == (
+            "malformed completion response: expected a JSON object with 'text', got "
+            + repr(body[:200])
+        )
+
+    def test_an_idle_connection_is_polled_without_waiting(self, monkeypatch):
+        waits = []
+
+        class RecordingSelector:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+            def register(self, sock, events):
+                pass
+
+            def select(self, timeout=None):
+                waits.append(timeout)
+                return []
+
+        monkeypatch.setattr(live.selectors, "DefaultSelector", RecordingSelector)
+        assert live._readable(object()) is False
+        assert waits == [0]
 
     def test_rejects_key_that_cannot_be_a_header(self):
         with pytest.raises(BackendError, match=f"{API_KEY_ENV} value must be printable ASCII"):

@@ -15,7 +15,9 @@ import qfs_forge.compose as compose_module
 import qfs_forge.config as config_module
 import qfs_forge.prompts as prompts_module
 from qfs_forge.annotate import annotate_corpus, annotate_pair
-from qfs_forge.backends import CompletionParams, MockBackend, map_ordered
+from qfs_forge.backends import (
+    QUERY_GEN_PARAMS, SUMMARIZATION_PARAMS, CompletionParams, MockBackend, map_ordered,
+)
 from qfs_forge.cli import _CONFIG_FLAGS, build_parser, main
 from qfs_forge.compose import ComposeError, ComposeResult, CompositionConfig
 from qfs_forge.config import BackendConfig, ConfigError, RunConfig, load_config
@@ -806,7 +808,8 @@ class TestMalformedConfig:
             ({"overlap_threshold": float("inf")}, "overlap_threshold must be a number, got inf"),
             ({"failure_ceiling": 10**400}, "failure_ceiling must be a number, got 1000"),
             ({"backend": {"kind": "live", "endpoint": "127.0.0.1:1/complete"}}, "http or https URL with a host"),
-            ({"backend": {"kind": "live", "endpoint": "http://127.0.0.1:1/x", "timeout": 0}}, "timeout must be finite and > 0, got 0.0"),
+            ({"backend": {"kind": "live", "endpoint": "http://127.0.0.1:1/x", "timeout": 0}}, "backend.timeout must be finite and > 0, got 0.0"),
+            ({"backend": {"timeout": -1}}, "backend.timeout must be finite and > 0, got -1.0"),
             ({"backend": {"sede": 5}}, "unknown backend keys: ['sede']"),
             ({"backend": {"params": {"max_token": 10}}}, "unknown backend.params keys: ['max_token']"),
             ({"backend": {"params": {"stop_sequences": ["x"]}}}, "unknown backend.params keys: ['stop_sequences']"),
@@ -946,6 +949,8 @@ class TestMalformedConfig:
             (b"[1]", "must hold a JSON object, got list"),
             (b'{"document": "d", "summary_sentences": ["s"], "domain": "news"}', "missing key 'queries'"),
             (b'{"document": "d", "summary_sentences": ["s"], "queries": [], "domain": "news"}',
+             "queries must be an object with a 'wh' list"),
+            (b'{"document": "d", "summary_sentences": ["s"], "queries": {"yesno": ["q"]}, "domain": "news"}',
              "queries must be an object with a 'wh' list"),
             (b'{"document": 1, "summary_sentences": ["s"], "queries": {"wh": ["q"]}, "domain": "news"}',
              "document and domain must both be strings"),
@@ -1096,8 +1101,15 @@ class TestMalformedConfig:
         with pytest.raises(ConfigError, match="backend.timeout must be a number"):
             load_config(None, **{"backend.timeout": int(sys.float_info.max) + 1})
 
+    @pytest.mark.parametrize("value", [False, "0"])
+    def test_a_number_option_built_in_python_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match=rf"^failure_ceiling must be a rate in \[0, 1\], got {value!r}$"):
+            RunConfig(failure_ceiling=value)
+        with pytest.raises(ConfigError, match=rf"^backend.timeout must be finite and > 0, got {value!r}$"):
+            BackendConfig(timeout=value)
+
     def test_the_defaults_are_the_documented_ones(self):
-        # the README's configuration example, with the exceptions its text names
+        # a pin of the code's defaults; README's configuration table is rendered from the same fields
         assert asdict(load_config(None)) == {
             "backend": {"kind": "mock", "endpoint": "", "script": "", "seed": 0, "timeout": 60.0,
                         "params": None},
@@ -1456,3 +1468,57 @@ class TestCliPlumbing:
         # a bad flag is refused as the config loads, before any backend is built
         assert run(["--config", mock_config, *compose, "--token-budget", "0"]) == 2
         assert closed == built and len(built) == 4
+
+
+class RecordingBackend:
+    """The configured mock, keeping the prompt and params of every call."""
+
+    def __init__(self, config: BackendConfig):
+        self.inner = MockBackend(seed=config.seed)
+        self.name = self.inner.name
+        self.calls = []
+
+    def complete(self, prompt, params):
+        self.calls.append((prompt, params))
+        return self.inner.complete(prompt, params)
+
+    def close(self):
+        pass
+
+
+class TestConfigReachesTheBackend:
+    INSTRUCTION = "Ask one question per summary sentence."
+    PARAMS = {"max_tokens": 64, "temperature": 0.5, "top_p": 0.8, "stop": ["\n\n\n"]}
+
+    @pytest.fixture
+    def backends(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            BackendConfig, "build", lambda config: built.append(RecordingBackend(config)) or built[-1]
+        )
+        return built
+
+    @pytest.mark.parametrize("params", [None, PARAMS], ids=["presets", "backend.params"])
+    def test_every_call_gets_the_configured_params_and_instruction(
+        self, tmp_path, backends, params
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"instruction": self.INSTRUCTION, "backend": {"params": params}, "parallelism": 2}
+        ))
+        out = str(tmp_path / "out.jsonl")
+        commands = [
+            ["annotate", "--input", SAMPLE_PAIRS],
+            ["unify", "--input", str(SAMPLE / "unify_queries.jsonl"), "--query-format", "words"],
+            ["compose", "--input", str(SAMPLE / "clusters.jsonl")],
+        ]
+        for command in commands:
+            assert run(["--config", str(config), *command, "--output", out]) == 0
+        annotate, unify, compose = (backend.calls for backend in backends)
+        assert annotate and unify and compose
+        configured = params and CompletionParams(
+            **{k: v for k, v in params.items() if k != "stop"}, stop_sequences=tuple(params["stop"])
+        )
+        assert {call[1] for call in annotate + unify} == {configured or QUERY_GEN_PARAMS}
+        assert {call[1] for call in compose} == {configured or SUMMARIZATION_PARAMS}
+        assert all(prompt.startswith(self.INSTRUCTION + "\n\n") for prompt, _ in annotate + unify)

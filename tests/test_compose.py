@@ -333,6 +333,11 @@ class TestConfigValidation:
             CompositionConfig(backend=backend, **option)
         assert backend.calls == 0
 
+    @pytest.mark.parametrize("threshold", [True, "50"])
+    def test_a_threshold_that_is_no_number_is_refused(self, threshold):
+        with pytest.raises(ValueError, match=rf"^overlap_threshold must be in \[0, 100\], got {threshold!r}$"):
+            CompositionConfig(backend=MockBackend(), overlap_threshold=threshold)
+
     def test_defaults(self):
         cfg = CompositionConfig(backend=MapBackend({}))
         assert (cfg.overlap_threshold, cfg.token_budget, cfg.on_overflow, cfg.parallelism) == (

@@ -430,19 +430,25 @@ _BOUNDS = {
     "mode": (MODES, ("", "WH", "yes/no")),
     "parallelism": ((1,), (0, 2.5, True)),
     "retries": ((0,), (-1, 2.5, False)),
-    "failure_ceiling": ((0.0, 1.0), (_BEFORE_ZERO, math.nextafter(1.0, 2.0), _NAN)),
+    "failure_ceiling": ((0.0, 1.0, 0, 1), (_BEFORE_ZERO, math.nextafter(1.0, 2.0), _NAN, True, "50")),
     "failure_action": (FAILURE_ACTIONS, ("Repair", "")),
     "max_document_tokens": ((1,), (0, 2.5, True)),
     "query_format": (QUERY_FORMATS, ("question", "")),
     "style": (("newts", "duc"), ("words", "DUC", "")),
     "ntp_numerator": (NTP_NUMERATORS, ("chars", "")),
-    "overlap_threshold": ((0.0, 100.0), (_BEFORE_ZERO, math.nextafter(100.0, 101.0), _NAN)),
+    "overlap_threshold": (
+        (0.0, 100.0, 50), (_BEFORE_ZERO, math.nextafter(100.0, 101.0), _NAN, True, "50")
+    ),
     "token_budget": ((1,), (0, 2.5, True)),
     "on_overflow": (OVERFLOW_ACTIONS, ("Drop", "")),
     "kind": (("mock", "live"), ("Mock", "http", "")),
     "max_tokens": ((1,), (0, 2.5, True)),
-    "temperature": ((0.0, -0.0, sys.float_info.max), (_BEFORE_ZERO, math.inf, _NAN)),
-    "top_p": ((math.nextafter(0.0, 1.0), 1.0), (0.0, math.nextafter(1.0, 2.0), _NAN)),
+    "temperature": ((0.0, -0.0, sys.float_info.max, 1), (_BEFORE_ZERO, math.inf, _NAN, True, "50")),
+    "top_p": ((math.nextafter(0.0, 1.0), 1.0, 1), (0.0, math.nextafter(1.0, 2.0), _NAN, True, "50")),
+    "timeout": (
+        (math.nextafter(0.0, 1.0), 0.5, sys.float_info.max, 60),
+        (0.0, -1, math.inf, _NAN, True, "50"),
+    ),
 }
 
 

@@ -35,7 +35,10 @@ catches that one base class, and the annotate status names live in
 ``annotate.py`` alone.
 Every public name resolves from its home module on first use, so the mock
 set-up and each subcommand load only the modules they use; the README's
-library examples run against the lazy names.
+library examples run against the lazy names. README states each config
+key's type, default, flag and rule once, in a table rendered here from the
+code, and quotes only error texts that its error block shows the CLI
+printing.
 """
 
 import ast
@@ -45,6 +48,7 @@ import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -511,10 +515,9 @@ def test_every_public_name_is_its_home_modules_own():
             assert getattr(value, "__module__", home.__name__) == home.__name__, name
 
 
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 README_LIBRARY_BLOCKS = re.findall(
-    r"```python\n(.*?)```",
-    (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1].split("\n## ", 1)[0],
-    re.S,
+    r"```python\n(.*?)```", README.split("## Library use", 1)[1].split("\n## ", 1)[0], re.S
 )
 
 
@@ -531,3 +534,104 @@ def test_readme_error_example_reports_a_missing_file(tmp_path):
 )
 def test_readme_library_example_runs(block):
     run_python(block, cwd=ROOT / "sample_data")  # where the examples' "pairs.jsonl" exists
+
+
+# README's configuration table, one row per config key, and its quoted errors, each after a marker
+README_TABLE = README.split("<!-- config-table:start -->", 1)[1].split("<!-- config-table:end -->")[0]
+README_ERROR_BLOCK = README.split("<!-- config-errors -->\n```text\n", 1)[1].split("```", 1)[0]
+TABLE_HEADER = ["key", "flag", "JSON type", "default", "rule", "what it sets"]
+JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", tuple: "list of strings"}
+
+
+def config_keys() -> list[tuple[str, str, str]]:
+    """Each config key with its JSON type and default, in the order of
+    ``RunConfig``'s fields; a ``paths`` key has no default."""
+    from qfs_forge.backends import CompletionParams
+    from qfs_forge.config import _PATH_KEYS, BackendConfig, RunConfig
+    from qfs_forge.prompts import PromptLabels
+
+    sections = {"backend": BackendConfig, "backend.params": CompletionParams, "labels": PromptLabels}
+
+    def keys(cls, prefix):
+        for field in dataclasses.fields(cls):
+            key = prefix + ("stop" if field.name == "stop_sequences" else field.name)
+            if key in sections:
+                yield from keys(sections[key], key + ".")
+            elif key == "paths":
+                yield from ((f"paths.{name}", "string", "—") for name in _PATH_KEYS)
+            else:
+                yield key, JSON_TYPES[type(field.default)], f"`{json.dumps(field.default)}`"
+
+    return list(keys(RunConfig, ""))
+
+
+def config_flags() -> dict[str, str]:
+    """The option strings of each config key's flag, by config key."""
+    from qfs_forge import cli
+
+    parser = cli.build_parser()
+    options: dict[str, dict] = {}
+    for command in [parser, *parser._subparsers._group_actions[0].choices.values()]:
+        for action in command._actions:
+            if action.dest in cli._CONFIG_FLAGS:
+                key = cli._CONFIG_FLAGS[action.dest]
+                options.setdefault(key, {}).update(dict.fromkeys(action.option_strings))
+    return {key: ", ".join(f"`{option}`" for option in names) for key, names in options.items()}
+
+
+def render_config_table(what_it_sets: dict[str, str]) -> list[list[str]]:
+    """The table's rows, header first, from the code; the last column is ``what_it_sets``."""
+    from qfs_forge.corpus import OPTION_RULES
+
+    flags = config_flags()
+    rows = [TABLE_HEADER, ["---"] * len(TABLE_HEADER)]
+    for key, json_type, default in config_keys():
+        rule = OPTION_RULES.get(key.rpartition(".")[2], (None, "—"))[1]
+        rows.append(
+            [f"`{key}`", flags.get(key, "—"), json_type, default, rule, what_it_sets.get(f"`{key}`", "")]
+        )
+    return rows
+
+
+def test_readme_config_table_is_the_code_rendered():
+    # every column but "what it sets" comes from the dataclasses, the parser and OPTION_RULES
+    documented = [
+        [cell.strip() for cell in line[1:-1].split(" | ")]
+        for line in README_TABLE.splitlines() if line.startswith("|")
+    ]
+    rendered = render_config_table({row[0]: row[-1] for row in documented if len(row) > 1})
+    if [row[:-1] for row in documented] != [row[:-1] for row in rendered]:
+        print("README's configuration table is stale; paste in:\n")
+        print("\n".join("| " + " | ".join(row) + " |" for row in rendered))
+    assert [row[:-1] for row in documented] == [row[:-1] for row in rendered]
+    assert all(row[-1] for row in documented[2:])
+
+
+def test_readme_error_block_is_what_the_commands_print(tmp_path, monkeypatch, capsys):
+    # "$ echo '<text>' > <file>" writes a file, "$ qfs-forge <args>" runs the CLI,
+    # and the lines up to the next "$" are exactly what it writes to stderr
+    from qfs_forge import cli
+
+    monkeypatch.chdir(tmp_path)
+    commands = re.findall(r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", README_ERROR_BLOCK, re.M)
+    assert len(commands) >= 10
+    for command, printed in commands:
+        argv = shlex.split(command)
+        if argv[0] == "echo":
+            assert argv[2:3] == [">"] and len(argv) == 4, command
+            Path(argv[3]).write_text(argv[1] + "\n", encoding="utf-8")
+            assert printed == "", command
+            continue
+        assert argv[0] == "qfs-forge", command
+        capsys.readouterr()
+        assert (command, cli.main(argv[1:]), capsys.readouterr().err) == (command, 2, printed)
+
+
+def test_readme_states_each_value_rule_only_in_its_table():
+    # outside the reference table and the error block, no text restates a rule
+    from qfs_forge.corpus import OPTION_RULES
+
+    prose = README.replace(README_TABLE, "").replace(README_ERROR_BLOCK, "")
+    assert re.findall(rf"\b({'|'.join(OPTION_RULES)}) must be", prose) == []
+    phrases = ["[0, 100]", "(0, 1]", ">= 1", "below 1", "other than"]
+    assert [phrase for phrase in phrases if phrase in prose] == []

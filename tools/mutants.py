@@ -45,6 +45,8 @@ TEST_FILES = {
     # truncate_document is tested beside nth_token_chunk, the tokenizer step it calls
     "annotate": ("tests/test_annotate.py", "tests/test_tokenizer.py"),
     "config": ("tests/test_cli.py",),
+    # the record field checks are tested on files read through the CLI, too
+    "corpus": ("tests/test_corpus.py", "tests/test_cli.py"),
     "live": ("tests/test_backends.py",),
     # parse_completion and repair_queries are tested beside annotate_pair, their caller
     "prompts": ("tests/test_prompts.py", "tests/test_annotate.py"),

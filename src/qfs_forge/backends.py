@@ -8,7 +8,6 @@ are interchangeable.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 from dataclasses import dataclass
@@ -153,6 +152,14 @@ _WH_QUESTIONS = (
 _YESNO_QUESTIONS = ("Yes: Is the text about {}?", "No: Did the text leave out {}?")
 
 
+def _sha256(data: bytes):
+    # hashlib.sha256, bound on first use: hashlib loads OpenSSL, which set-up never needs
+    global _sha256
+    from hashlib import sha256 as _sha256
+
+    return _sha256(data)
+
+
 def _pick(state, options: int, suffix: str = "") -> int:
     """An index below ``options`` from the first 8 bytes of the sha256 ``state`` fed ``suffix``.
 
@@ -207,7 +214,7 @@ class MockBackend:
 
     def _state(self, prompt: str):
         # the digest of f"{seed}:{prompt}", without building that copy of the prompt
-        state = hashlib.sha256(f"{self.seed}:".encode("utf-8"))
+        state = _sha256(f"{self.seed}:".encode("utf-8"))
         state.update(prompt.encode("utf-8"))
         return state
 

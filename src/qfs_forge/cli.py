@@ -50,6 +50,7 @@ def cmd_annotate(config: RunConfig, args: argparse.Namespace, paths: dict[str, s
     from .annotate import annotate_pair, describe_outcomes
 
     pairs = load_corpus(paths["input"])
+    # each domain's spec checks the example file's domain, before any backend call
     specs = {domain: config.prompt_spec(domain) for domain in {pair.domain for pair in pairs}}
     with closing(config.backend.build()) as backend:
         outcomes = map_ordered(
@@ -129,10 +130,9 @@ def cmd_unify(config: RunConfig, args: argparse.Namespace, paths: dict[str, str]
         style = FORMAT_TEMPLATE_STYLE[config.query_format]
         unified = [template_fallback(record["query"], style) for record in records]
     else:
+        spec = config.prompt_spec(args.domain)  # checks the example file's domain first
         with closing(config.backend.build()) as backend:
-            generator = PromptedGenerator(
-                backend, config.prompt_spec(args.domain), params=config.completion_params()
-            )
+            generator = PromptedGenerator(backend, spec, params=config.completion_params())
             unified = unify_batch(
                 [record["document"] for record in records],
                 [record["query"] for record in records],
@@ -265,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     unify.add_argument(
         "--domain",
         choices=DOMAINS,
-        default=DOMAINS[0],
-        help="one-shot example domain for the prompted generator",
+        help="one-shot example domain for the prompted generator "
+        "(default: the example's own, news for the built-in one)",
     )
     unify.set_defaults(func=cmd_unify, reads=("input",), writes=("output",))
 

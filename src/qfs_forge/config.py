@@ -14,7 +14,7 @@ from .backends import (
     QUERY_GEN_PARAMS,
     SUMMARIZATION_PARAMS,
 )
-from .corpus import QfsError, check_options, check_text, is_string_list, read_json
+from .corpus import DOMAINS, QfsError, check_options, check_text, is_string_list, read_json
 from .prompts import PromptLabels, PromptSpec, default_spec, load_example
 
 
@@ -100,11 +100,19 @@ class RunConfig:
             on_overflow=self.on_overflow,
         )
 
-    def prompt_spec(self, domain: str) -> PromptSpec:
+    def prompt_spec(self, domain: str | None = None) -> PromptSpec:
+        """The annotation prompt spec for ``domain``; None is the example's own
+        domain, the file's or, for the built-in example, the first of ``DOMAINS``.
+        An ``example_path`` file that holds another domain is a ``ConfigError``."""
         labels = PromptLabels(**self.labels) if self.labels else None
-        example = None
-        if self.example_path:
-            example = load_example(self.example_path, self.mode)
+        example = load_example(self.example_path, self.mode) if self.example_path else None
+        if domain is None:
+            domain = example.domain if example else DOMAINS[0]
+        elif example and example.domain != domain:
+            raise ConfigError(
+                f"one-shot example file {self.example_path!r} holds a {example.domain!r} "
+                f"example, but the run prompts for {domain!r}"
+            )
         return default_spec(
             domain,
             self.mode,

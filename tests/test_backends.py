@@ -245,7 +245,7 @@ def _count_sha256(monkeypatch) -> list:
         log.append(bytes(data))
         return Recording(sha256(data, **kwargs))
 
-    monkeypatch.setattr(backends.hashlib, "sha256", counting)
+    monkeypatch.setattr(backends, "_sha256", counting)
     return log
 
 
@@ -279,6 +279,38 @@ class TestMockHashesOnce:
         log = _count_sha256(monkeypatch)
         MockBackend(seed=1).complete(prompt, SUMMARIZATION_PARAMS)
         _assert_prompt_hashed_once(log, 1, prompt)
+
+
+def test_first_hashed_completions_on_two_threads_match_a_serial_run():
+    # a fresh interpreter, so both threads reach the sha256 binder before it has bound hashlib
+    code = (
+        "import json, sys, threading\n"
+        "from qfs_forge import backends\n"
+        "from qfs_forge.backends import SUMMARIZATION_PARAMS, MockBackend, map_ordered\n"
+        "from qfs_forge.prompts import build_qfs_input\n"
+        "words = ' '.join(f'w{j}' for j in range(30))\n"
+        "prompts = [build_qfs_input(f'query {i}', words) for i in range(8)]\n"
+        "loaded = 'hashlib' in sys.modules\n"
+        "backend = MockBackend(seed=3)\n"
+        "together = threading.Barrier(2, timeout=10)\n"
+        "def complete(item):\n"
+        "    index, prompt = item\n"
+        "    if index < 2:  # each thread holds one of the first two until both do\n"
+        "        together.wait()\n"
+        "    return backend.complete(prompt, SUMMARIZATION_PARAMS)\n"
+        "parallel = map_ordered(complete, list(enumerate(prompts)), 2)\n"
+        "serial = [MockBackend(seed=3).complete(p, SUMMARIZATION_PARAMS) for p in prompts]\n"
+        "import hashlib\n"
+        "print(json.dumps([loaded, parallel == serial, len(set(serial)) > 1,\n"
+        "                  backends._sha256 is hashlib.sha256]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    # once bound, the name is hashlib's own sha256, so later completions run nothing extra
+    assert json.loads(result.stdout) == [False, True, True, True]
 
 
 class TestMapOrdered:

@@ -164,6 +164,22 @@ class TestAnnotateCommand:
             "pair 'a': parse_mismatch after 3 attempts"
         ]
 
+    @pytest.mark.parametrize("flags, logged", [
+        (["-v"], "INFO qfs_forge.annotate: pair 'a': parse_mismatch after 3 attempts\n"),
+        ([], ""),
+    ], ids=["verbose", "quiet"])
+    def test_verbose_flag_sets_the_log_level(self, tmp_path, corpus, flags, logged):
+        # a fresh interpreter, where main's logging.basicConfig is the first to configure logging
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps(["junk"] * 3))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": {"kind": "mock", "script": str(script)}}))
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+        argv = [sys.executable, "-m", "qfs_forge.cli", *flags, "--config", str(config),
+                "annotate", "--input", corpus, "--output", str(tmp_path / "t.jsonl")]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (1, logged)
+
     @pytest.mark.parametrize("labels", [{}, {"summary": "Gist:", "query": "Asks:"}])
     def test_mock_yesno_run_writes_yes_no_queries(self, tmp_path, labels):
         config = tmp_path / "config.json"
@@ -1022,6 +1038,62 @@ class TestMalformedConfig:
         )
         assert list(tmp_path.glob("out.jsonl*")) == []
 
+    def test_annotate_refuses_an_example_of_another_domain_before_any_backend_call(
+        self, tmp_path, corpus, monkeypatch, capsys
+    ):
+        # pair 'b' is a dialogue; the example file holds the built-in news example
+        built = []
+        monkeypatch.setattr(BackendConfig, "build", lambda config: built.append(config))
+        example = tmp_path / "example.json"
+        example.write_bytes(Path(prompts_module.__file__).with_name("data").joinpath(
+            "oneshot_news.json").read_bytes())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"example_path": str(example)}))
+        before = sorted(path.name for path in tmp_path.iterdir())
+        out = tmp_path / "out.jsonl"
+        code = run(["--config", str(config), "annotate", "--input", corpus, "--output", str(out)])
+        assert (code, capsys.readouterr().err) == (2, (
+            f"error: one-shot example file {str(example)!r} holds a 'news' example, "
+            "but the run prompts for 'dialogue'\n"
+        ))
+        assert sorted(path.name for path in tmp_path.iterdir()) == before
+        assert built == []
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_unify_prompts_with_the_domain_its_example_holds(self, tmp_path, capsys, domain):
+        example = tmp_path / "example.json"
+        example.write_bytes(Path(prompts_module.__file__).with_name("data").joinpath(
+            f"oneshot_{domain}.json").read_bytes())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"example_path": str(example)}))
+        builtin = tmp_path / "builtin.json"
+        builtin.write_text("{}")
+
+        def unify(config, out, *flags):
+            argv = ["--config", str(config), "unify", "--input", str(SAMPLE / "unify_queries.jsonl"),
+                    "--output", str(tmp_path / out), "--query-format", "words", *flags]
+            return run(argv)
+
+        # no --domain is the file's domain, and the built-in example's is news
+        assert unify(config, "default.jsonl") == 0
+        assert unify(config, "named.jsonl", "--domain", domain) == 0
+        assert unify(builtin, "builtin.jsonl", "--domain", domain) == 0
+        assert unify(builtin, "builtin_news.jsonl", "--domain", "news") == 0
+        assert unify(builtin, "builtin_default.jsonl") == 0
+        written = {path.name: path.read_bytes() for path in tmp_path.glob("*.jsonl")}
+        assert written["default.jsonl"] == written["named.jsonl"] == written["builtin.jsonl"]
+        assert written["builtin_default.jsonl"] == written["builtin_news.jsonl"]
+        # the example's domain reaches the prompt, so the mock's queries
+        assert (written["builtin.jsonl"] == written["builtin_news.jsonl"]) == (domain == "news")
+        (other,) = set(DOMAINS) - {domain}
+        capsys.readouterr()
+        assert unify(config, "other.jsonl", "--domain", other) == 2
+        assert capsys.readouterr().err == (
+            f"error: one-shot example file {str(example)!r} holds a {domain!r} example, "
+            f"but the run prompts for {other!r}\n"
+        )
+        assert not (tmp_path / "other.jsonl").exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, corpus, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"mode": "\xff"}')
@@ -1173,7 +1245,8 @@ class TestCliPlumbing:
     def test_unify_domain_choices_are_the_domains(self):
         unify = build_parser()._subparsers._group_actions[0].choices["unify"]
         (domain,) = [action for action in unify._actions if action.dest == "domain"]
-        assert (domain.choices, domain.default) == (DOMAINS, DOMAINS[0])
+        # None: the one-shot example's own domain, read by RunConfig.prompt_spec
+        assert (domain.choices, domain.default) == (DOMAINS, None)
 
     def test_missing_input_path_is_error(self, mock_config, capsys):
         assert run(["--config", mock_config, "stats"]) == 2
@@ -1489,6 +1562,7 @@ class RecordingBackend:
 class TestConfigReachesTheBackend:
     INSTRUCTION = "Ask one question per summary sentence."
     PARAMS = {"max_tokens": 64, "temperature": 0.5, "top_p": 0.8, "stop": ["\n\n\n"]}
+    LABELS = {"summary": "Gist:", "query": "Asks:"}
 
     @pytest.fixture
     def backends(self, monkeypatch):
@@ -1504,7 +1578,8 @@ class TestConfigReachesTheBackend:
     ):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
-            {"instruction": self.INSTRUCTION, "backend": {"params": params}, "parallelism": 2}
+            {"instruction": self.INSTRUCTION, "backend": {"params": params}, "parallelism": 2,
+             "labels": self.LABELS}
         ))
         out = str(tmp_path / "out.jsonl")
         commands = [
@@ -1522,3 +1597,6 @@ class TestConfigReachesTheBackend:
         assert {call[1] for call in annotate + unify} == {configured or QUERY_GEN_PARAMS}
         assert {call[1] for call in compose} == {configured or SUMMARIZATION_PARAMS}
         assert all(prompt.startswith(self.INSTRUCTION + "\n\n") for prompt, _ in annotate + unify)
+        # the configured labels too: the mock reads any labels, so only the prompts show them
+        assert all("\n\nGist:\n" in prompt and prompt.endswith("\n\nAsks:\n")
+                   for prompt, _ in annotate + unify)

@@ -447,6 +447,10 @@ def package_modules(modules: list[str]) -> set[str]:
     return {name.split(".", 1)[1] for name in modules if name.startswith("qfs_forge.")}
 
 
+# the mock binds sha256 on its first hashed completion, so only a run that completes loads these
+HASH_MODULES = ("hashlib", "_hashlib")
+
+
 def test_mock_setup_loads_only_its_modules():
     modules = loaded_modules(
         "import qfs_forge\n"
@@ -454,8 +458,8 @@ def test_mock_setup_loads_only_its_modules():
         "specs = {d: qfs_forge.default_spec(d, 'wh') for d in ('news', 'dialogue')}\n"
     )
     assert package_modules(modules) <= {"backends", "corpus", "prompts"}
-    assert [name for name in ("concurrent.futures", "queue", "logging", "fractions", "decimal")
-            if name in modules] == []
+    unloaded = ("concurrent.futures", "queue", "logging", "fractions", "decimal", *HASH_MODULES)
+    assert [name for name in unloaded if name in modules] == []
 
 
 def test_parallel_map_loads_no_thread_pool():
@@ -467,26 +471,33 @@ def test_parallel_map_loads_no_thread_pool():
 
 
 @pytest.mark.parametrize(
-    "argv, stage, absent",
+    "argv, stage, absent, hashes",
     [
         (["evaluate", "--predictions", "sample_data/predictions.jsonl",
           "--references", "sample_data/references.jsonl"],
-         "rouge", {"annotate", "compose", "stats", "taxonomy", "unify"}),
+         "rouge", {"annotate", "compose", "stats", "taxonomy", "unify"}, False),
         (["stats", "--input", "tests/golden/cli/triplets.jsonl"],
-         "stats", {"annotate", "compose", "rouge", "unify"}),
-        (["compose", "--input", "sample_data/clusters.jsonl"],
-         "compose", {"annotate", "rouge", "stats", "taxonomy", "unify"}),
+         "stats", {"annotate", "compose", "rouge", "unify"}, False),
+        (["classify", "--input", "tests/golden/cli/triplets.jsonl"],
+         "taxonomy", {"annotate", "compose", "rouge", "stats", "unify"}, False),
+        (["unify", "--input", "sample_data/unify_queries.jsonl", "--query-format", "words",
+          "--strategy", "template"],
+         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy"}, False),
         (["unify", "--input", "sample_data/unify_queries.jsonl", "--query-format", "words"],
-         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy"}),
+         "unify", {"annotate", "compose", "rouge", "stats", "taxonomy"}, True),
+        (["compose", "--input", "sample_data/clusters.jsonl"],
+         "compose", {"annotate", "rouge", "stats", "taxonomy", "unify"}, True),
+        (["annotate", "--input", "sample_data/pairs.jsonl"],
+         "annotate", {"compose", "rouge", "stats", "unify"}, True),
     ],
+    ids=["evaluate", "stats", "classify", "unify-template", "unify", "compose", "annotate"],
 )
-def test_subcommand_loads_only_its_stage(tmp_path, argv, stage, absent):
+def test_subcommand_loads_only_its_stage(tmp_path, argv, stage, absent, hashes):
     argv = ["--config", "sample_data/config.json", *argv, "--output", str(tmp_path / "o.jsonl")]
-    modules = package_modules(
-        loaded_modules(f"from qfs_forge import cli\nassert cli.main({argv!r}) == 0\n")
-    )
-    assert stage in modules
-    assert modules & absent == set()
+    modules = loaded_modules(f"from qfs_forge import cli\nassert cli.main({argv!r}) == 0\n")
+    assert stage in package_modules(modules)
+    assert package_modules(modules) & absent == set()
+    assert [name for name in HASH_MODULES if name in modules] == list(HASH_MODULES if hashes else ())
 
 
 def test_public_names_resolve_on_first_use():

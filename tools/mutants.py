@@ -5,7 +5,10 @@ Each mutant changes one operator or literal of one package module:
 - a comparison swaps with its neighbour (``<``/``<=``, ``>``/``>=``,
   ``==``/``!=``, ``is``/``is not``, ``in``/``not in``);
 - an arithmetic or bitwise operator swaps (``+``/``-``, ``*``/``/``, ...);
-- an int literal gains one.
+- an int literal gains one;
+- ``and`` and ``or`` swap;
+- ``not x`` becomes ``x``;
+- the test of an ``if``, a ``while`` or a conditional expression is negated.
 
 Annotations are not mutated, and docstrings hold no operator or int. Every
 mutant runs alone, one after another, against the module's own test files
@@ -59,15 +62,18 @@ _SWAPS = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
     ast.FloorDiv: ast.Mult, ast.Mod: ast.FloorDiv, ast.Pow: ast.Mult,
     ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.BitXor: ast.BitOr,
-    ast.LShift: ast.RShift, ast.RShift: ast.LShift,
+    ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.And: ast.Or, ast.Or: ast.And,
 }
 _SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: "is", ast.IsNot: "is not", ast.In: "in", ast.NotIn: "not in",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
     ast.Mod: "%", ast.Pow: "**", ast.BitAnd: "&", ast.BitOr: "|", ast.BitXor: "^",
-    ast.LShift: "<<", ast.RShift: ">>",
+    ast.LShift: "<<", ast.RShift: ">>", ast.And: "and", ast.Or: "or",
 }
+
+_TESTS = {ast.If: "if c -> if not c", ast.While: "while c -> while not c",
+          ast.IfExp: "a if c else b -> a if not c else b"}
 
 
 def _annotation_nodes(tree: ast.AST) -> set[int]:
@@ -95,7 +101,7 @@ def _sites(tree: ast.AST) -> list[tuple[int, str, Callable[[], None]]]:
                 def apply(node=node, i=i, new=_SWAPS[type(op)]):
                     node.ops[i] = new()
                 sites.append((node.lineno, f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[_SWAPS[type(op)]]}", apply))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in _SWAPS:
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in _SWAPS:
             def apply(node=node, new=_SWAPS[type(node.op)]):
                 node.op = new()
             sites.append((node.lineno, f"{_SYMBOLS[type(node.op)]} -> {_SYMBOLS[_SWAPS[type(node.op)]]}", apply))
@@ -103,6 +109,21 @@ def _sites(tree: ast.AST) -> list[tuple[int, str, Callable[[], None]]]:
             def apply(node=node):
                 node.value += 1
             sites.append((node.lineno, f"{node.value} -> {node.value + 1}", apply))
+        elif type(node) in _TESTS:
+            def apply(node=node):
+                node.test = ast.UnaryOp(op=ast.Not(), operand=node.test)
+            sites.append((node.lineno, _TESTS[type(node)], apply))
+        for field, value in ast.iter_fields(node):
+            # a `not x` child is replaced by x in the field or list that holds it
+            children = value if isinstance(value, list) else [value]
+            for i, child in enumerate(children):
+                if isinstance(child, ast.UnaryOp) and isinstance(child.op, ast.Not):
+                    def apply(node=node, field=field, i=i, child=child):
+                        if isinstance(getattr(node, field), list):
+                            getattr(node, field)[i] = child.operand
+                        else:
+                            setattr(node, field, child.operand)
+                    sites.append((child.lineno, "not x -> x", apply))
     return sites
 
 
